@@ -321,6 +321,17 @@ def cmd_proptest(args, argv):
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
+def _non_negative_int(text):
+    """argparse type for bounds and counts: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="quivpush",
                                      description="Exact graph-algebra pushout/pullback toolkit")
@@ -333,7 +344,7 @@ def build_parser():
     p = sub.add_parser("pushout", help="pushout of two homs with a shared domain")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--check-h", type=int, default=4, dest="check_h",
+    p.add_argument("--check-h", type=_non_negative_int, default=4, dest="check_h",
                    help="truncation for the path comparison map")
     p.add_argument("-o", "--output", default=None, help="write the pushout graph JSON here")
     p.set_defaults(func=cmd_pushout)
@@ -350,7 +361,7 @@ def build_parser():
     mode.add_argument("--leavitt", action="store_true")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-degree", type=int, default=4, dest="max_degree")
+    p.add_argument("--max-degree", type=_non_negative_int, default=4, dest="max_degree")
     p.add_argument("--field", default="q", help="'q' or 'fp:<prime>'")
     p.set_defaults(func=cmd_verify)
 
@@ -364,7 +375,7 @@ def build_parser():
     p = sub.add_parser("proptest", help="run a seeded randomized suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_non_negative_int, default=100)
     p.set_defaults(func=cmd_proptest)
     return parser
 

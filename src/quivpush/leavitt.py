@@ -150,7 +150,8 @@ class LElement:
     def __eq__(self, other):
         if not isinstance(other, LElement):
             return NotImplemented
-        return self.graph == other.graph and self.terms == other.terms
+        return (self.graph == other.graph and self.field == other.field
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -559,13 +560,11 @@ def leavitt_dimension_oracle(g: Graph) -> int:
         into = paths_into(g, v, bound)
         for alpha in into:
             for beta in into:
-                row = [0] * len(monos)
-                row[index[LMonomial(alpha, beta)]] += 1
+                row = {index[LMonomial(alpha, beta)]: QQ.one}
                 for e in out[v]:
-                    row[index[LMonomial(_append(alpha, e), _append(beta, e))]] -= 1
+                    row[index[LMonomial(_append(alpha, e), _append(beta, e))]] = -QQ.one
                 rows.append(row)
-    relation_rank = rank(rows) if rows else 0
-    return len(monos) - relation_rank
+    return len(monos) - rank(rows, QQ)
 
 
 @dataclass(frozen=True)
@@ -749,46 +748,36 @@ def _window_cross_check(f, g, po, n, field):
         f_idx = {m: i for i, m in enumerate(f_d)}
         g_idx = {m: i for i, m in enumerate(g_d)}
 
-        def column(hom, idx, mono, width):
-            col = [field.zero] * width
+        def column(hom, idx, mono, offset=0):
+            """The pulled-back monomial as a sparse column, None if it
+            leaves the window."""
             elem = l_pullback(hom, monomial_element(hom.codomain, mono, field))
-            for m, c in elem.terms.items():
-                if m not in idx:
-                    return None
-                col[idx[m]] = c
-            return col
+            if any(m not in idx for m in elem.terms):
+                return None
+            return {offset + idx[m]: c for m, c in elem.terms.items()}
 
-        cols_e, cols_f, kept = [], [], []
+        # matrices are handed to rank column by column (rank is
+        # transpose-invariant); E and F coordinates stack at offset len(e_d)
+        image_cols = []
         for mono in p_d:
-            ce = column(po.iota_left, e_idx, mono, len(e_d))
-            cf = column(po.iota_right, f_idx, mono, len(f_d))
+            ce = column(po.iota_left, e_idx, mono)
+            cf = column(po.iota_right, f_idx, mono, len(e_d))
             if ce is None or cf is None:
                 excluded += 1
                 continue
-            cols_e.append(ce)
-            cols_f.append(cf)
-            kept.append(mono)
-        stacked_rows = []
-        if kept:
-            width = len(kept)
-            for r in range(len(e_d)):
-                stacked_rows.append([cols_e[c][r] for c in range(width)])
-            for r in range(len(f_d)):
-                stacked_rows.append([cols_f[c][r] for c in range(width)])
-        dim_image = rank(stacked_rows, field) if stacked_rows else 0
-        injective = dim_image == len(kept)
+            image_cols.append({**ce, **cf})
+        dim_image = rank(image_cols, field)
+        injective = dim_image == len(image_cols)
 
-        constraint = [column(f, g_idx, mono, len(g_d)) for mono in e_d]
-        constraint_f = [column(g, g_idx, mono, len(g_d)) for mono in f_d]
-        if any(c is None for c in constraint) or any(c is None for c in constraint_f):
+        # the fiber's constraint matrix is [f* | -g*]; negating the g*
+        # columns leaves the rank unchanged
+        constraint = ([column(f, g_idx, mono) for mono in e_d]
+                      + [column(g, g_idx, mono) for mono in f_d])
+        if any(c is None for c in constraint):
             # pulled-back basis leaves the window; skip the fiber comparison
             excluded += 1
             checks.append(WindowCheck(d, len(p_d), dim_image, dim_image, injective))
             continue
-        rows = []
-        for r in range(len(g_d)):
-            rows.append([constraint[c][r] for c in range(len(e_d))]
-                        + [-constraint_f[c][r] for c in range(len(f_d))])
-        dim_fiber = len(e_d) + len(f_d) - (rank(rows, field) if rows else 0)
+        dim_fiber = len(e_d) + len(f_d) - rank(constraint, field)
         checks.append(WindowCheck(d, len(p_d), dim_image, dim_fiber, injective))
     return checks, excluded

@@ -1,109 +1,38 @@
-"""Exact rank computation for small dense matrices.
+"""Exact rank of a sparse matrix over any exact field.
 
-Integer matrices go through fraction-free (Bareiss) elimination, which keeps
-every intermediate value an integer; other exact fields fall back to plain
-elimination with exact division.
+Every matrix the verifiers build is a sparse pullback map, so rank is
+computed by sparse Gaussian elimination over the chosen field itself.
+Rank does not change under transposition, so callers may pass columns
+as rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 
+def rank(rows: list, field) -> int:
+    """Rank of the matrix whose rows are ``{column: entry}`` dicts.
 
-def rank_int(rows) -> int:
-    """Rank of an integer matrix by single-step Bareiss elimination."""
-    m = [list(row) for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        pivot = None
-        for r in range(rank, nr):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        # every row below the pivot is updated, zero lead entry or not:
-        # the exact division by the previous pivot needs the full rescale
-        for r in range(rank + 1, nr):
-            factor = m[r][col]
-            row = m[r]
-            top = m[rank]
-            for c in range(col + 1, nc):
-                row[c] = (row[c] * lead - factor * top[c]) // prev
-            row[col] = 0
-        prev = lead
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def rank_field(rows, zero) -> int:
-    """Rank over any exact field whose elements support / and truthiness."""
-    m = [list(row) for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        pivot = None
-        for r in range(rank, nr):
-            if m[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, nr):
-            if m[r][col] != zero:
-                factor = m[r][col] / lead
-                row = m[r]
-                top = m[rank]
-                for c in range(col, nc):
-                    row[c] = row[c] - factor * top[c]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def rank(rows, field=None) -> int:
-    """Exact rank; dispatches to the integer fast path when possible."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ints = []
+    Entries must be elements of ``field``; zero entries may be present.
+    Each row is reduced against the pivot rows found so far, keyed by
+    leading column and scaled so that the lead is one; what survives
+    becomes a new pivot row.
+    """
+    zero = field.zero
+    pivots = {}
     for row in rows:
-        irow = []
-        for x in row:
-            if isinstance(x, int):
-                irow.append(x)
-            elif isinstance(x, Fraction) and x.denominator == 1:
-                irow.append(int(x))
-            else:
-                irow = None
+        row = {c: x for c, x in row.items() if x != zero}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = field.one / row[lead]
+                pivots[lead] = {c: scale * x for c, x in row.items()}
                 break
-        if irow is None:
-            ints = None
-            break
-        ints.append(irow)
-    if ints is not None:
-        return rank_int(ints)
-    zero = field.zero if field is not None else 0
-    return rank_field(rows, zero)
-
-
-def matmul(a, b):
-    """Product of two matrices given as lists of rows."""
-    if not a or not b:
-        return []
-    cols = len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
+            factor = row[lead]
+            for c, x in pivot.items():
+                y = row.get(c, zero) - factor * x
+                if y != zero:
+                    row[c] = y
+                else:
+                    del row[c]
+    return len(pivots)

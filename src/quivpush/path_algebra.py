@@ -4,7 +4,8 @@ An element is a finite linear combination of basis paths; the product is
 bilinear concatenation.  The pullback along a homomorphism sends a basis
 path to the sum over its path preimages, and the theorem verifier compares
 graded components of the pushout algebra with the fiber product by exact
-rank computations.
+sparse elimination over the rationals: on each graded component a pullback
+matrix has a single 1 per row.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .graph import (Graph, Path, is_acyclic, longest_path_length,
                     paths_up_to, require_tail_free)
-from .linalg import matmul, rank
+from .linalg import rank
 from .morphism import GraphHom, DomainMismatch, check_valid_hom, induced_path_map
 from .pushout import (PreconditionError, PushoutGraph, check_theorem_preconditions,
                       pushout_square)
@@ -68,7 +69,8 @@ class PAElement:
     def __eq__(self, other):
         if not isinstance(other, PAElement):
             return NotImplemented
-        return self.graph == other.graph and self.terms == other.terms
+        return (self.graph == other.graph and self.field == other.field
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -160,19 +162,6 @@ def _paths_by_length(g: Graph, n: int) -> list:
     return buckets
 
 
-def _pullback_matrix(h: GraphHom, dom_paths, cod_paths):
-    """Matrix of the pullback on one graded component: rows are domain paths,
-    columns codomain paths, entry 1 iff the domain path maps onto the column."""
-    index = {p: i for i, p in enumerate(cod_paths)}
-    m = [[0] * len(cod_paths) for _ in dom_paths]
-    for r, q in enumerate(dom_paths):
-        image = induced_path_map(h, q)
-        c = index.get(image)
-        if c is not None:
-            m[r][c] = 1
-    return m
-
-
 @dataclass(frozen=True)
 class DegreeCheck:
     degree: int
@@ -226,30 +215,23 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4,
     pg = _paths_by_length(G, n)
     pp = _paths_by_length(p, n)
     checks = []
-
-    def shaped_mul(a, b, nrows, ninner, ncols):
-        if nrows == 0 or ncols == 0:
-            return []
-        if ninner == 0:
-            return [[0] * ncols for _ in range(nrows)]
-        return matmul(a, b)
-
     for d in range(n + 1):
-        m_ie = _pullback_matrix(po.iota_left, pe[d], pp[d])
-        m_if = _pullback_matrix(po.iota_right, pf[d], pp[d])
-        m_f = _pullback_matrix(f, pg[d], pe[d])
-        m_g = _pullback_matrix(g, pg[d], pf[d])
-        lhs = shaped_mul(m_f, m_ie, len(pg[d]), len(pe[d]), len(pp[d]))
-        rhs = shaped_mul(m_g, m_if, len(pg[d]), len(pf[d]), len(pp[d]))
-        commutes = lhs == rhs
-        stacked = m_ie + m_if
-        r_stacked = rank(stacked)
+        p_idx = {q: i for i, q in enumerate(pp[d])}
+        e_idx = {q: i for i, q in enumerate(pe[d])}
+        f_idx = {q: len(pe[d]) + i for i, q in enumerate(pf[d])}
+        # a valid hom maps each length-d path onto one length-d path
+        e_in_p = {x: induced_path_map(po.iota_left, x) for x in pe[d]}
+        f_in_p = {x: induced_path_map(po.iota_right, x) for x in pf[d]}
+        stacked = [{p_idx[q]: QQ.one} for q in [*e_in_p.values(), *f_in_p.values()]]
+        r_stacked = rank(stacked, QQ)
         injective = r_stacked == len(pp[d])
-        constraint = [m_f[i] + [-x for x in m_g[i]] for i in range(len(pg[d]))]
-        if not pg[d]:
-            dim_fiber = len(pe[d]) + len(pf[d])
-        else:
-            dim_fiber = len(pe[d]) + len(pf[d]) - rank(constraint)
+        commutes = True
+        constraint = []
+        for q in pg[d]:
+            fq, gq = induced_path_map(f, q), induced_path_map(g, q)
+            commutes = commutes and e_in_p[fq] == f_in_p[gq]
+            constraint.append({e_idx[fq]: QQ.one, f_idx[gq]: -QQ.one})
+        dim_fiber = len(pe[d]) + len(pf[d]) - rank(constraint, QQ)
         surjective = commutes and r_stacked == dim_fiber
         checks.append(DegreeCheck(d, len(pp[d]), r_stacked, dim_fiber,
                                   commutes, injective, surjective))

@@ -224,6 +224,20 @@ def test_proptest_zero_cases_passes(capsys):
                  "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--path", "f.json", "g.json", "--max-degree", "-1"],
+    ["verify", "--leavitt", "f.json", "g.json", "--max-degree", "x"],
+    ["pushout", "f.json", "g.json", "--check-h", "-1"],
+    ["proptest", "--suite", "composition", "--cases", "-1"],
+])
+def test_bounds_must_be_non_negative_integers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected an integer >= 0" in err
+
+
 def test_proptest_unknown_suite(capsys):
     assert main(["proptest", "--suite", "nope", "--cases", "1"]) == 2
 

@@ -29,6 +29,13 @@ def test_ck1_same_edge():
     assert normal_form(EDGE, ["e*", "e"]) == _mono(EDGE, vertex_monomial("w"))
 
 
+def test_equality_compares_the_field():
+    f7 = PrimeField(7)
+    assert LElement.zero(EDGE, QQ) != LElement.zero(EDGE, f7)
+    assert LElement.zero(EDGE, f7) == LElement.zero(EDGE, PrimeField(7))
+    assert len({LElement.zero(EDGE, f7), LElement.zero(EDGE, PrimeField(7))}) == 1
+
+
 def test_ck1_different_edges():
     g = Graph.build(["a", "b"], [("e", "a", "b"), ("f", "a", "b")])
     assert normal_form(g, ["e*", "f"]).is_zero()

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from quivpush.fields import QQ, FieldError, PrimeField, field_from_name
 from quivpush.graph import Graph, Path, paths_up_to, union_graph
 from quivpush.morphism import GraphHom, compose
-from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
-                                   verify_path_pullback)
-from quivpush.pushout import PreconditionError
+from quivpush.path_algebra import (DegreeCheck, PAElement, pa_mul, pa_pullback,
+                                   pa_unit, verify_path_pullback)
+from quivpush.pushout import PreconditionError, pushout_square
 from quivpush.randgen import (case_rng, path_theorem_instance,
                               random_general_hom, random_graph)
 
@@ -43,6 +43,13 @@ def test_field_from_name():
 def test_vertex_idempotent():
     chi_v = _chi(EDGE, vertex="v")
     assert pa_mul(chi_v, chi_v) == chi_v
+
+
+def test_equality_compares_the_field():
+    f7 = PrimeField(7)
+    assert PAElement.zero(EDGE, QQ) != PAElement.zero(EDGE, f7)
+    assert PAElement.zero(EDGE, f7) == PAElement.zero(EDGE, PrimeField(7))
+    assert len({PAElement.zero(EDGE, f7), PAElement.zero(EDGE, PrimeField(7))}) == 1
 
 
 def test_mismatched_concatenation_is_zero():
@@ -174,6 +181,25 @@ def test_verify_wedge_gluing_exact_dimension_five():
     assert report.ok and report.exact
     assert report.total_dim_pushout() == 5
     assert report.total_dim_fiber() == 5
+
+
+def test_verify_fails_on_coproduct_in_place_of_pushout():
+    """The coproduct keeps v and vp apart, so it is no pushout of the wedge:
+    degree 0 neither commutes nor matches the 3-dimensional fiber product."""
+    e_graph = Graph.build(["v", "w"], [("e", "v", "w")])
+    f_graph = Graph.build(["vp", "wp"], [("ep", "vp", "wp")])
+    point = Graph(["z"])
+    f = GraphHom(point, e_graph, {"z": "v"}, {})
+    g = GraphHom(point, f_graph, {"z": "vp"}, {})
+    empty = Graph([])
+    cop = pushout_square(GraphHom.inclusion(empty, e_graph),
+                         GraphHom.inclusion(empty, f_graph))
+    report = verify_path_pullback(f, g, 2, po=cop)
+    assert not report.ok
+    assert report.degrees[0] == DegreeCheck(degree=0, dim_pushout=4, dim_image=4,
+                                            dim_fiber=3, commutes=False,
+                                            injective=True, surjective=False)
+    assert all(d.ok for d in report.degrees[1:])
 
 
 def test_verify_refuses_two_path_gluing():
