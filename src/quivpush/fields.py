@@ -120,16 +120,35 @@ class RationalField:
         return hash("RationalField")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Strong-pseudoprime tests to the bases 2, 3, 5 and 7 decide primality
+# exactly below this bound (Jaeschke 1993), which exceeds MAX_PRIME.
+_MR_BASES = (2, 3, 5, 7)
+_MR_EXACT_BELOW = 3_215_031_751
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3,215,031,751."""
+    if n >= _MR_EXACT_BELOW:
+        raise FieldError(f"primality of {n} is not decided exactly")
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

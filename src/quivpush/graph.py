@@ -6,12 +6,17 @@ stands for countably many anonymous parallel edges from v to w.  Tails
 take part in single-graph predicates and in union/intersection only; the
 algebra modules and general pushouts reject tailed graphs.
 
-Graphs are immutable after construction and all operations here are pure.
+Graphs are frozen values: vertex and edge sets are frozensets, the source
+and target maps are read-only, and no attribute can be reassigned.  Derived
+tables (the hash, out/in adjacency, vertex classes, special edges and the
+extended graph) are computed once per graph, on first use, and kept on the
+graph object.  All operations here are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class GraphError(ValueError):
@@ -61,15 +66,45 @@ class Path:
         return self.vertex if self.is_vertex else ".".join(self.edges)
 
 
+class derived:
+    """A table derived from an immutable object: computed on first access
+    and stored on that object, so later reads are plain attribute reads.
+
+    functools.cached_property does the same under a lock that makes each
+    first access about twice as slow, and most graphs and homs are read
+    only a few times."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Graph:
-    """A finite quiver with optional omega tails."""
+    """A finite quiver with optional omega tails.
+
+    Structure maps are read-only and attributes cannot be reassigned, so the
+    derived tables below, each computed on first use, never go stale.
+    """
+
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, vertices, edges=(), src=None, tgt=None, omega_tails=()):
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
-        self.src = dict(src or {})
-        self.tgt = dict(tgt or {})
-        self.omega_tails = frozenset((v, w) for v, w in omega_tails)
+        self.__dict__.update(
+            vertices=frozenset(vertices), edges=frozenset(edges),
+            src=MappingProxyType(dict(src or {})),
+            tgt=MappingProxyType(dict(tgt or {})),
+            omega_tails=frozenset((v, w) for v, w in omega_tails))
 
     @staticmethod
     def build(vertices, edge_triples=(), omega_tails=()) -> "Graph":
@@ -83,6 +118,8 @@ class Graph:
         return Graph(())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.vertices == other.vertices and self.edges == other.edges
@@ -90,6 +127,10 @@ class Graph:
                 and self.omega_tails == other.omega_tails)
 
     def __hash__(self):
+        return self._hash
+
+    @derived
+    def _hash(self):
         return hash((self.vertices, self.edges, frozenset(self.src.items()),
                      frozenset(self.tgt.items()), self.omega_tails))
 
@@ -101,37 +142,71 @@ class Graph:
     def has_tails(self) -> bool:
         return bool(self.omega_tails)
 
-    def out_edges(self, v: str):
-        return [e for e in sorted(self.edges) if self.src.get(e) == v]
+    @derived
+    def out_map(self):
+        """Vertex -> sorted tuple of outgoing edge ids."""
+        return _incidence(self, self.src)
 
-    def in_edges(self, v: str):
-        return [e for e in sorted(self.edges) if self.tgt.get(e) == v]
+    @derived
+    def in_map(self):
+        """Vertex -> sorted tuple of incoming edge ids."""
+        return _incidence(self, self.tgt)
 
-    def out_map(self) -> dict:
-        """Vertex -> sorted list of outgoing edge ids."""
-        out = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
-            u = self.src.get(e)
-            if u in out:
-                out[u].append(e)
-        return out
+    @derived
+    def vertex_classes(self) -> "VertexClasses":
+        """See classify_vertices."""
+        emits = set(self.src.values())
+        receives = set(self.tgt.values())
+        tail_src = {v for v, _ in self.omega_tails}
+        tail_tgt = {w for _, w in self.omega_tails}
+        sinks = frozenset(v for v in self.vertices
+                          if v not in emits and v not in tail_src)
+        sources = frozenset(v for v in self.vertices
+                            if v not in receives and v not in tail_tgt)
+        infinite = frozenset(v for v in self.vertices if v in tail_src)
+        regular = frozenset(self.vertices - sinks - infinite)
+        return VertexClasses(sinks, sources, regular, infinite)
 
-    def in_map(self) -> dict:
-        inc = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
-            w = self.tgt.get(e)
-            if w in inc:
-                inc[w].append(e)
-        return inc
+    @derived
+    def special_edges(self):
+        """Regular vertex -> its special edge, the least emitted edge id,
+        which the Leavitt normal form eliminates."""
+        out = self.out_map
+        return MappingProxyType({v: out[v][0] for v in self.vertex_classes.regular})
+
+    @derived
+    def designated(self) -> frozenset:
+        """The special edges as a set."""
+        return frozenset(self.special_edges.values())
+
+    @derived
+    def extended(self) -> "ExtendedGraph":
+        """See extended_graph."""
+        require_tail_free(self, "extended_graph")
+        ghost = {e: e + GHOST_MARK for e in self.edges}
+        clashes = set(ghost.values()) & self.edges
+        if clashes:
+            raise GraphError(f"ghost ids collide with edge ids: {sorted(clashes)}")
+        return ExtendedGraph(self, ghost)
+
+
+def _incidence(g: Graph, end) -> MappingProxyType:
+    table = {v: [] for v in g.vertices}
+    for e in sorted(g.edges):
+        v = end.get(e)
+        if v in table:
+            table[v].append(e)
+    return MappingProxyType({v: tuple(es) for v, es in table.items()})
 
 
 class ExtendedGraph(Graph):
     """A graph doubled with ghost edges e* reversing each real edge."""
 
     def __init__(self, base: Graph, ghost: dict):
-        self.base = base
-        self.ghost = dict(ghost)                       # real id -> ghost id
-        self.ghost_of = {g: e for e, g in ghost.items()}  # ghost id -> real id
+        self.__dict__.update(
+            base=base,
+            ghost=MappingProxyType(dict(ghost)),                  # real id -> ghost id
+            ghost_of=MappingProxyType({g: e for e, g in ghost.items()}))  # ghost -> real
         src = dict(base.src)
         tgt = dict(base.tgt)
         for e, g in ghost.items():
@@ -197,32 +272,21 @@ def classify_vertices(g: Graph) -> VertexClasses:
     iff it receives nothing, an infinite emitter iff some tail starts at it,
     and regular iff it is neither a sink nor an infinite emitter.
     """
-    emits = set(g.src.values())
-    receives = set(g.tgt.values())
-    tail_src = {v for v, _ in g.omega_tails}
-    tail_tgt = {w for _, w in g.omega_tails}
-    sinks = frozenset(v for v in g.vertices if v not in emits and v not in tail_src)
-    sources = frozenset(v for v in g.vertices if v not in receives and v not in tail_tgt)
-    infinite = frozenset(v for v in g.vertices if v in tail_src)
-    regular = frozenset(g.vertices - sinks - infinite)
-    return VertexClasses(sinks, sources, regular, infinite)
+    return g.vertex_classes
 
 
 def regular_vertices(g: Graph) -> frozenset:
-    return classify_vertices(g).regular
+    return g.vertex_classes.regular
 
 
 GHOST_MARK = "*"
 
 
 def extended_graph(g: Graph) -> ExtendedGraph:
-    """Double the edges with ghosts: s(e*) = t(e) and t(e*) = s(e)."""
-    require_tail_free(g, "extended_graph")
-    ghost = {e: e + GHOST_MARK for e in g.edges}
-    clashes = set(ghost.values()) & g.edges
-    if clashes:
-        raise GraphError(f"ghost ids collide with edge ids: {sorted(clashes)}")
-    return ExtendedGraph(g, ghost)
+    """Double the edges with ghosts: s(e*) = t(e) and t(e*) = s(e).
+
+    Returns the same object on every call for the same graph."""
+    return g.extended
 
 
 def paths_up_to(g: Graph, n: int) -> list:
@@ -230,7 +294,7 @@ def paths_up_to(g: Graph, n: int) -> list:
     require_tail_free(g, "path enumeration")
     if n < 0:
         raise GraphError("path length bound must be nonnegative")
-    out = g.out_map()
+    out = g.out_map
     result = [Path.at(v) for v in sorted(g.vertices)]
     frontier = [Path.of([e]) for e in sorted(g.edges)]
     length = 1
@@ -319,6 +383,6 @@ def longest_path_length(g: Graph) -> int:
         raise GraphError("longest path is undefined on cyclic graphs")
     best = {v: 0 for v in g.vertices}
     for v in reversed(order):
-        for e in g.out_edges(v):
+        for e in g.out_map[v]:
             best[v] = max(best[v], 1 + best[g.tgt[e]])
     return max(best.values(), default=0)

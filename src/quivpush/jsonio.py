@@ -28,6 +28,10 @@ class FormatError(ValueError):
         super().__init__(where + message)
 
 
+def _not_a_string(what, value, path) -> FormatError:
+    return FormatError(f"{what} must be a string, got {value!r}", path)
+
+
 def graph_to_obj(g: Graph) -> dict:
     return {
         "vertices": sorted(g.vertices),
@@ -51,15 +55,21 @@ def graph_from_obj(obj, path=None) -> Graph:
     for item in edges:
         if not isinstance(item, dict) or not {"id", "src", "tgt"} <= set(item):
             raise FormatError("each edge needs 'id', 'src' and 'tgt'", path)
-        e = item["id"]
+        e, u, w = item["id"], item["src"], item["tgt"]
+        for key, x in (("id", e), ("src", u), ("tgt", w)):
+            if not isinstance(x, str):
+                raise _not_a_string(f"edge {key!r}", x, path)
         if e in src:
             raise FormatError(f"duplicate edge id {e!r}", path)
-        src[e] = item["src"]
-        tgt[e] = item["tgt"]
+        src[e] = u
+        tgt[e] = w
     tails = []
     for t in obj.get("omega_tails", []):
         if not (isinstance(t, list) and len(t) == 2):
             raise FormatError("each omega tail must be a pair [v, w]", path)
+        for x in t:
+            if not isinstance(x, str):
+                raise _not_a_string("omega tail endpoint", x, path)
         tails.append((t[0], t[1]))
     return Graph(vertices, src.keys(), src, tgt, tails)
 
@@ -90,6 +100,12 @@ def hom_from_obj(obj, path=None, base_dir=None) -> GraphHom:
     f0, f1 = obj["f0"], obj["f1"]
     if not isinstance(f0, dict) or not isinstance(f1, dict):
         raise FormatError("'f0' and 'f1' must be objects", path)
+    for key, mapping in (("f0", f0), ("f1", f1)):
+        for k, v in mapping.items():
+            if not isinstance(k, str):
+                raise _not_a_string(f"{key!r} key", k, path)
+            if not isinstance(v, str):
+                raise _not_a_string(f"{key!r} value for {k!r}", v, path)
     return GraphHom(resolve("domain"), resolve("codomain"), f0, f1)
 
 

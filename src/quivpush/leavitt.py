@@ -26,8 +26,8 @@ from .graph import (Graph, GraphError, Path, extended_graph, is_acyclic,
                     require_tail_free)
 from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, HomError, check_valid_hom,
-                       classify_hom, breaking_vertices, is_hereditary,
-                       is_saturated, regular_vertices, CATEGORY_CRTBPOG)
+                       breaking_vertices, is_hereditary, is_saturated,
+                       regular_vertices, CATEGORY_CRTBPOG)
 from .pushout import (PreconditionError, PushoutGraph, breakarrow_identity,
                       check_theorem_preconditions, pushout_square)
 from .path_algebra import path_preimages
@@ -80,12 +80,6 @@ def make_monomial(g: Graph, alpha: Path, beta: Path) -> LMonomial:
     if alpha.target(g) != beta.target(g):
         raise GraphError("monomial legs must share their end vertex")
     return LMonomial(alpha, beta)
-
-
-def special_edges(g: Graph) -> dict:
-    """For each regular vertex, its designated emitted edge (least id)."""
-    out = g.out_map()
-    return {v: out[v][0] for v in regular_vertices(g)}
 
 
 def is_normal(mono: LMonomial, designated: frozenset) -> bool:
@@ -165,13 +159,9 @@ class LElement:
         return " + ".join(f"{c}*[{m}]" for m, c in self.sorted_terms())
 
 
-def _graph_tables(g: Graph):
-    return special_edges(g), g.out_map()
-
-
-def _ck2_accumulate(g: Graph, designated: frozenset, out_map: dict,
-                    mono: LMonomial, coeff, acc: dict, zero):
+def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict, zero):
     """Rewrite one monomial to normal form, accumulating into acc."""
+    designated, out_map = g.designated, g.out_map
     stack = [(mono, coeff)]
     while stack:
         m, c = stack.pop()
@@ -190,16 +180,9 @@ def _ck2_accumulate(g: Graph, designated: frozenset, out_map: dict,
 
 def monomial_element(g: Graph, mono: LMonomial, field=QQ, coeff=None) -> LElement:
     """Normal form of a single (possibly non-normal) monomial."""
-    specials, out_map = _graph_tables(g)
-    designated = frozenset(specials.values())
     acc = {}
-    _ck2_accumulate(g, designated, out_map, mono,
-                    field.one if coeff is None else coeff, acc, field.zero)
+    _ck2_accumulate(g, mono, field.one if coeff is None else coeff, acc, field.zero)
     return LElement(g, field, acc)
-
-
-def basis_element(g: Graph, mono: LMonomial, field=QQ) -> LElement:
-    return monomial_element(g, mono, field)
 
 
 def reduce_extended_word(eg, letters):
@@ -301,14 +284,12 @@ def _mono_mul(g: Graph, m1: LMonomial, m2: LMonomial):
 def l_mul(a: LElement, b: LElement) -> LElement:
     a._check_compatible(b)
     g = a.graph
-    specials, out_map = _graph_tables(g)
-    designated = frozenset(specials.values())
     acc = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             prod = _mono_mul(g, m1, m2)
             if prod is not None:
-                _ck2_accumulate(g, designated, out_map, prod, c1 * c2, acc, a.field.zero)
+                _ck2_accumulate(g, prod, c1 * c2, acc, a.field.zero)
     return LElement(g, a.field, acc)
 
 
@@ -316,26 +297,8 @@ def l_unit(g: Graph, field=QQ) -> LElement:
     return LElement(g, field, {vertex_monomial(v): field.one for v in g.vertices})
 
 
-def extend_hom(h: GraphHom) -> GraphHom:
-    """Extension to the extended graphs, sending ghosts to ghosts."""
-    ebar = extended_graph(h.domain)
-    fbar = extended_graph(h.codomain)
-    f1 = dict(h.f1)
-    for e, ghost in ebar.ghost.items():
-        f1[ghost] = fbar.ghost[h.f1[e]]
-    return GraphHom(ebar, fbar, dict(h.f0), f1)
-
-
-def _classification(h: GraphHom):
-    cls = getattr(h, "_cls_cache", None)
-    if cls is None:
-        cls = classify_hom(h)
-        h._cls_cache = cls
-    return cls
-
-
 def _require_crtbpog(h: GraphHom):
-    cls = _classification(h)
+    cls = h.classification
     if cls.category != CATEGORY_CRTBPOG:
         raise PreconditionError("CRTBPOG", f"morphism classifies as {cls.category}")
 
@@ -347,21 +310,16 @@ def verify_descent(h: GraphHom, field=QQ):
     is reported with the violating codomain generator.
     """
     E, F = h.domain, h.codomain
-    efib = {}
-    for e in sorted(E.edges):
-        efib.setdefault(h.f1[e], []).append(e)
-    vfib = {}
-    for v in sorted(E.vertices):
-        vfib.setdefault(h.f0[v], []).append(v)
+    efib, vfib = h.edge_fibers, h.vertex_fibers
 
     def pulled_ghost(x):
-        return LElement(E, field, {ghost_monomial(E, e): field.one for e in efib.get(x, [])})
+        return LElement(E, field, {ghost_monomial(E, e): field.one for e in efib.get(x, ())})
 
     def pulled_edge(x):
-        return LElement(E, field, {edge_monomial(E, e): field.one for e in efib.get(x, [])})
+        return LElement(E, field, {edge_monomial(E, e): field.one for e in efib.get(x, ())})
 
     def pulled_vertex(w):
-        return LElement(E, field, {vertex_monomial(v): field.one for v in vfib.get(w, [])})
+        return LElement(E, field, {vertex_monomial(v): field.one for v in vfib.get(w, ())})
 
     for x in sorted(F.edges):
         for y in sorted(F.edges):
@@ -371,9 +329,8 @@ def verify_descent(h: GraphHom, field=QQ):
                 raise DescentError(f"CK1 descent fails on edge pair ({x}, {y})")
     for w in sorted(regular_vertices(F)):
         acc = LElement.zero(E, field)
-        for x in sorted(F.edges):
-            if F.src[x] == w:
-                acc = acc + l_mul(pulled_edge(x), pulled_ghost(x))
+        for x in F.out_map[w]:
+            acc = acc + l_mul(pulled_edge(x), pulled_ghost(x))
         if acc != pulled_vertex(w):
             raise DescentError(f"CK2 descent fails at regular vertex {w}")
 
@@ -383,7 +340,7 @@ def l_pullback(h: GraphHom, a: LElement) -> LElement:
     of extended paths by summing over extended-path preimages.
 
     Requires a CRTBPOG morphism; the descent identities are verified once per
-    morphism and field, then cached.
+    morphism and field, which the morphism records in descent_fields.
     """
     check_valid_hom(h)
     require_tail_free(h.domain, "Leavitt path algebra")
@@ -391,29 +348,20 @@ def l_pullback(h: GraphHom, a: LElement) -> LElement:
     _require_crtbpog(h)
     if a.graph != h.codomain:
         raise DomainMismatch("element must live over the codomain graph")
-    verified = getattr(h, "_descent_ok", None)
-    if verified is None:
-        verified = set()
-        h._descent_ok = verified
-    key = getattr(a.field, "name", repr(a.field))
-    if key not in verified:
+    if a.field not in h.descent_fields:
         verify_descent(h, a.field)
-        verified.add(key)
+        h.descent_fields.add(a.field)
 
     E = h.domain
-    hbar = extend_hom(h)
+    hbar = h.extended
     ebar = hbar.domain
     fbar = hbar.codomain
-    specials, out_map = _graph_tables(E)
-    designated = frozenset(specials.values())
     acc = {}
     for mono, c in a.terms.items():
         na = mono.alpha.length
         if mono.total == 0:
-            for v in sorted(E.vertices):
-                if h.f0[v] == mono.alpha.vertex:
-                    _ck2_accumulate(E, designated, out_map, vertex_monomial(v),
-                                    c, acc, a.field.zero)
+            for v in h.vertex_fibers.get(mono.alpha.vertex, ()):
+                _ck2_accumulate(E, vertex_monomial(v), c, acc, a.field.zero)
             continue
         letters = list(mono.alpha.edges) + \
             [fbar.ghost[e] for e in reversed(mono.beta.edges)]
@@ -428,8 +376,7 @@ def l_pullback(h: GraphHom, a: LElement) -> LElement:
                 beta = Path.of([ebar.ghost_of[x] for x in reversed(g_edges)])
             else:
                 beta = Path.at(alpha.target(E))
-            _ck2_accumulate(E, designated, out_map, LMonomial(alpha, beta),
-                            c, acc, a.field.zero)
+            _ck2_accumulate(E, LMonomial(alpha, beta), c, acc, a.field.zero)
     return LElement(E, a.field, acc)
 
 
@@ -453,8 +400,7 @@ def graded_ideal_generators(g: Graph, h_set) -> KernelPresentation:
         raise GraphError("generator set must be saturated")
     breaking = []
     for w in sorted(breaking_vertices(g, h_set)):
-        edges = tuple(e for e in sorted(g.edges)
-                      if g.src[e] == w and g.tgt[e] not in h_set)
+        edges = tuple(e for e in g.out_map[w] if g.tgt[e] not in h_set)
         breaking.append((w, edges))
     return KernelPresentation(h_set, tuple(breaking))
 
@@ -495,7 +441,7 @@ def ker_generators(h: GraphHom, field=QQ) -> KernelPresentation:
 
 def paths_into(g: Graph, v: str, max_len: int) -> list:
     """Paths of length <= max_len ending at v, in (length, edges) order."""
-    inc = g.in_map()
+    inc = g.in_map
     result = [Path.at(v)]
     frontier = [Path.of([e]) for e in inc[v]]
     length = 1
@@ -512,7 +458,7 @@ def paths_into(g: Graph, v: str, max_len: int) -> list:
 
 def normal_monomials_window(g: Graph, max_total: int) -> list:
     """All NORMAL monomials with |alpha| + |beta| <= max_total, sorted."""
-    designated = frozenset(special_edges(g).values())
+    designated = g.designated
     result = []
     for v in sorted(g.vertices):
         into = paths_into(g, v, max_total)
@@ -543,8 +489,7 @@ def all_pair_monomials(g: Graph) -> list:
 
 def leavitt_dimension_enumerated(g: Graph) -> int:
     """dim L(g) for acyclic g, by counting the NORMAL basis."""
-    designated = frozenset(special_edges(g).values())
-    return sum(1 for m in all_pair_monomials(g) if is_normal(m, designated))
+    return sum(1 for m in all_pair_monomials(g) if is_normal(m, g.designated))
 
 
 def leavitt_dimension_oracle(g: Graph) -> int:
@@ -553,7 +498,7 @@ def leavitt_dimension_oracle(g: Graph) -> int:
     monos = all_pair_monomials(g)
     index = {m: i for i, m in enumerate(monos)}
     reg = regular_vertices(g)
-    out = g.out_map()
+    out = g.out_map
     rows = []
     bound = len(g.edges)
     for v in sorted(reg):
@@ -637,7 +582,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
         require_tail_free(graph, "Leavitt pullback verification")
     failures = []
     for name, hom in (("f", f), ("g", g)):
-        cls = _classification(hom)
+        cls = hom.classification
         if cls.category != CATEGORY_CRTBPOG:
             raise PreconditionError("CRTBPOG", f"leg {name} classifies as {cls.category}")
     flags = check_theorem_preconditions(f, g, po)
@@ -648,7 +593,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
     po = po or pushout_square(f, g)
     iota_e, iota_f = po.iota_left, po.iota_right
     for name, hom in (("iota_E", iota_e), ("iota_F", iota_f)):
-        cls = _classification(hom)
+        cls = hom.classification
         if cls.category != CATEGORY_CRTBPOG:
             raise PreconditionError("admissible-pushout",
                                     f"{name} classifies as {cls.category}")
@@ -677,24 +622,21 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
     pres = ker_generators(f, field)
     for v in sorted(pres.vertex_gens):
         q = iota_e.f0[v]
-        fiber = [u for u in sorted(E.vertices) if iota_e.f0[u] == q]
-        in_f_side = q in set(iota_f.f0.values())
+        in_f_side = q in iota_f.vertex_fibers
         lifted = monomial_element(p_graph, vertex_monomial(q), field)
-        if (in_f_side or fiber != [v]
+        if (in_f_side or iota_e.vertex_fibers[q] != (v,)
                 or not l_pullback(iota_f, lifted).is_zero()
                 or l_pullback(iota_e, lifted) != monomial_element(E, vertex_monomial(v), field)):
             kernel_ok = False
             failures.append(("kernel-vertex", v))
-    b_p = breaking_vertices(p_graph, p_graph.vertices - frozenset(iota_f.f0.values()))
+    f_image = iota_f.vertex_image()
+    b_p = breaking_vertices(p_graph, p_graph.vertices - f_image)
     for w, edges in pres.breaking_gens:
         q = iota_e.f0[w]
-        fiber = [u for u in sorted(E.vertices) if iota_e.f0[u] == q]
         gen_e = breaking_generator_element(E, w, edges, field)
-        p_edges = tuple(x for x in sorted(p_graph.edges)
-                        if p_graph.src[x] == q
-                        and p_graph.tgt[x] not in set(iota_f.f0.values()))
+        p_edges = tuple(x for x in p_graph.out_map[q] if p_graph.tgt[x] not in f_image)
         gen_p = breaking_generator_element(p_graph, q, p_edges, field)
-        if (q not in b_p or fiber != [w]
+        if (q not in b_p or iota_e.vertex_fibers[q] != (w,)
                 or not l_pullback(iota_f, gen_p).is_zero()
                 or l_pullback(iota_e, gen_p) != gen_e):
             kernel_ok = False

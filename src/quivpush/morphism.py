@@ -9,8 +9,10 @@ tail bundle still behaves like countably many parallel edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
-from .graph import Graph, GraphError, Path, is_subgraph, regular_vertices
+from .graph import (Graph, GraphError, Path, _immutable, derived, extended_graph,
+                    is_subgraph, regular_vertices)
 
 CATEGORY_OG = "OG"
 CATEGORY_POG = "POG"
@@ -27,13 +29,18 @@ class DomainMismatch(HomError):
 
 
 class GraphHom:
-    """A pair of maps (vertices, edges) with commuting source/target squares."""
+    """A pair of maps (vertices, edges) with commuting source/target squares.
+
+    Frozen like Graph: f0 and f1 are read-only and attributes cannot be
+    reassigned, so the derived tables below are computed once per hom.
+    """
+
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, domain: Graph, codomain: Graph, f0: dict, f1: dict):
-        self.domain = domain
-        self.codomain = codomain
-        self.f0 = dict(f0)
-        self.f1 = dict(f1)
+        self.__dict__.update(domain=domain, codomain=codomain,
+                             f0=MappingProxyType(dict(f0)),
+                             f1=MappingProxyType(dict(f1)))
 
     @staticmethod
     def identity(g: Graph) -> "GraphHom":
@@ -61,6 +68,81 @@ class GraphHom:
         return f"GraphHom({len(self.domain.vertices)}v/{len(self.domain.edges)}e -> " \
                f"{len(self.codomain.vertices)}v/{len(self.codomain.edges)}e)"
 
+    @derived
+    def problems(self) -> tuple:
+        """Totality and commuting-square failures; see validate_hom."""
+        dom, cod, f0, f1 = self.domain, self.codomain, self.f0, self.f1
+        problems = []
+        for v in sorted(dom.vertices):
+            if v not in f0:
+                problems.append(f"vertex {v}: no image")
+            elif f0[v] not in cod.vertices:
+                problems.append(f"vertex {v}: image {f0[v]} not in codomain")
+        for e in sorted(dom.edges):
+            if e not in f1:
+                problems.append(f"edge {e}: no image")
+                continue
+            x = f1[e]
+            if x not in cod.edges:
+                problems.append(f"edge {e}: image {x} not in codomain")
+                continue
+            if f0.get(dom.src[e]) != cod.src[x]:
+                problems.append(f"edge {e}: source square fails")
+            if f0.get(dom.tgt[e]) != cod.tgt[x]:
+                problems.append(f"edge {e}: target square fails")
+        if dom.has_tails or cod.has_tails:
+            if not self.is_inclusion():
+                problems.append("tailed graphs only admit inclusion homomorphisms")
+        return tuple(problems)
+
+    @derived
+    def classification(self) -> "HomClassification":
+        """See classify_hom."""
+        check_valid_hom(self)
+        injective = _injective(self.f0) and _injective(self.f1)
+        surjective = (self.vertex_image() == self.codomain.vertices
+                      and self.edge_image() == self.codomain.edges)
+        proper = True
+        tb = _target_bijective(self)
+        reg_dom = regular_vertices(self.domain)
+        reg_cod = regular_vertices(self.codomain)
+        regular = all(self.f0[v] not in reg_cod
+                      for v in self.domain.vertices if v not in reg_dom)
+        if proper and tb and regular:
+            category = CATEGORY_CRTBPOG
+        elif proper and tb:
+            category = CATEGORY_TBPOG
+        elif proper:
+            category = CATEGORY_POG
+        else:
+            category = CATEGORY_OG
+        return HomClassification(injective, surjective, proper, tb, regular, category)
+
+    @derived
+    def vertex_fibers(self):
+        """Codomain vertex -> sorted tuple of its domain preimages (image only)."""
+        return _fibers(self.f0, self.domain.vertices)
+
+    @derived
+    def edge_fibers(self):
+        """Codomain edge -> sorted tuple of its domain preimages (image only)."""
+        return _fibers(self.f1, self.domain.edges)
+
+    @derived
+    def descent_fields(self) -> set:
+        """Fields over which the Leavitt descent identities have been
+        verified for this hom (see leavitt.l_pullback)."""
+        return set()
+
+    @derived
+    def extended(self) -> "GraphHom":
+        """The extension to the extended graphs, sending ghosts to ghosts."""
+        ebar, fbar = extended_graph(self.domain), extended_graph(self.codomain)
+        f1 = dict(self.f1)
+        for e, ghost in ebar.ghost.items():
+            f1[ghost] = fbar.ghost[self.f1[e]]
+        return GraphHom(ebar, fbar, self.f0, f1)
+
 
 @dataclass(frozen=True)
 class HomClassification:
@@ -74,56 +156,33 @@ class HomClassification:
 
 def validate_hom(h: GraphHom) -> list:
     """Report totality and commuting-square failures; empty list means ok."""
-    problems = []
-    for v in sorted(h.domain.vertices):
-        if v not in h.f0:
-            problems.append(f"vertex {v}: no image")
-        elif h.f0[v] not in h.codomain.vertices:
-            problems.append(f"vertex {v}: image {h.f0[v]} not in codomain")
-    for e in sorted(h.domain.edges):
-        if e not in h.f1:
-            problems.append(f"edge {e}: no image")
-            continue
-        x = h.f1[e]
-        if x not in h.codomain.edges:
-            problems.append(f"edge {e}: image {x} not in codomain")
-            continue
-        if h.f0.get(h.domain.src[e]) != h.codomain.src[x]:
-            problems.append(f"edge {e}: source square fails")
-        if h.f0.get(h.domain.tgt[e]) != h.codomain.tgt[x]:
-            problems.append(f"edge {e}: target square fails")
-    if h.domain.has_tails or h.codomain.has_tails:
-        if not h.is_inclusion():
-            problems.append("tailed graphs only admit inclusion homomorphisms")
-    return problems
+    return list(h.problems)
 
 
 def check_valid_hom(h: GraphHom) -> GraphHom:
-    problems = validate_hom(h)
-    if problems:
-        raise HomError("; ".join(problems))
+    if h.problems:
+        raise HomError("; ".join(h.problems))
     return h
 
 
-def _fibers(mapping: dict, keys) -> dict:
+def _fibers(mapping, keys) -> MappingProxyType:
     fib = {}
-    for k in keys:
+    for k in sorted(keys):
         fib.setdefault(mapping[k], []).append(k)
-    return fib
+    return MappingProxyType({x: tuple(ks) for x, ks in fib.items()})
 
 
-def _injective(mapping: dict) -> bool:
+def _injective(mapping) -> bool:
     vals = list(mapping.values())
     return len(set(vals)) == len(vals)
 
 
 def _target_bijective(h: GraphHom) -> bool:
     dom, cod = h.domain, h.codomain
-    vfib = _fibers(h.f0, dom.vertices)
-    efib = _fibers(h.f1, dom.edges)
+    vfib, efib = h.vertex_fibers, h.edge_fibers
     for x in cod.edges:
-        pre_e = efib.get(x, [])
-        pre_v = vfib.get(cod.tgt[x], [])
+        pre_e = efib.get(x, ())
+        pre_v = vfib.get(cod.tgt[x], ())
         targets = [dom.tgt[e] for e in pre_e]
         if len(set(targets)) != len(targets) or set(targets) != set(pre_v):
             return False
@@ -136,28 +195,12 @@ def _target_bijective(h: GraphHom) -> bool:
 
 
 def classify_hom(h: GraphHom) -> HomClassification:
-    """Exhaustively computed flags and the strongest category containing h.
+    """Exhaustively computed flags and the strongest category containing h,
+    computed once per hom.
 
     On finite graphs every map is finite-to-one, so proper always holds.
     """
-    check_valid_hom(h)
-    injective = _injective(h.f0) and _injective(h.f1)
-    surjective = (h.vertex_image() == h.codomain.vertices
-                  and h.edge_image() == h.codomain.edges)
-    proper = True
-    tb = _target_bijective(h)
-    reg_dom = regular_vertices(h.domain)
-    reg_cod = regular_vertices(h.codomain)
-    regular = all(h.f0[v] not in reg_cod for v in h.domain.vertices if v not in reg_dom)
-    if proper and tb and regular:
-        category = CATEGORY_CRTBPOG
-    elif proper and tb:
-        category = CATEGORY_TBPOG
-    elif proper:
-        category = CATEGORY_POG
-    else:
-        category = CATEGORY_OG
-    return HomClassification(injective, surjective, proper, tb, regular, category)
+    return h.classification
 
 
 def compose(g: GraphHom, f: GraphHom) -> GraphHom:
@@ -175,12 +218,13 @@ def induced_path_map(h: GraphHom, p: Path) -> Path:
         if p.vertex not in h.domain.vertices:
             raise HomError(f"vertex {p.vertex} not in the domain")
         return Path.at(h.f0[p.vertex])
-    for e, nxt in zip(p.edges, p.edges[1:]):
-        if h.domain.tgt.get(e) != h.domain.src.get(nxt):
-            raise HomError(f"{p} is not a path of the domain")
-    if any(e not in h.domain.edges for e in p.edges):
+    dom, edges = h.domain, p.edges
+    if not dom.edges.issuperset(edges):
         raise HomError(f"{p} is not a path of the domain")
-    return Path.of(h.f1[e] for e in p.edges)
+    for e, nxt in zip(edges, edges[1:]):
+        if dom.tgt[e] != dom.src[nxt]:
+            raise HomError(f"{p} is not a path of the domain")
+    return Path.of(h.f1[e] for e in edges)
 
 
 @dataclass(frozen=True)
@@ -211,7 +255,7 @@ def desaturating_vertices(g: Graph, h_set) -> frozenset:
     """Regular vertices outside the set whose every emitted edge ends in it."""
     h_set = frozenset(h_set)
     reg = regular_vertices(g)
-    out = g.out_map()
+    out = g.out_map
     result = set()
     for v in g.vertices - h_set:
         if v in reg and out[v] and all(g.tgt[e] in h_set for e in out[v]):
@@ -250,7 +294,7 @@ def breaking_vertices(g: Graph, h_set) -> frozenset:
     tails_by_src = {}
     for v, w in g.omega_tails:
         tails_by_src.setdefault(v, []).append(w)
-    out = g.out_map()
+    out = g.out_map
     for v in g.vertices - h_set:
         tails = tails_by_src.get(v, [])
         if not tails:

@@ -118,13 +118,11 @@ def path_preimages(h: GraphHom, p: Path) -> list:
     """All domain paths mapping onto p; finite since lengths are preserved."""
     dom = h.domain
     if p.is_vertex:
-        return [Path.at(v) for v in sorted(dom.vertices) if h.f0[v] == p.vertex]
-    options = []
-    for x in p.edges:
-        lifts = sorted(e for e in dom.edges if h.f1[e] == x)
-        if not lifts:
-            return []
-        options.append(lifts)
+        return [Path.at(v) for v in h.vertex_fibers.get(p.vertex, ())]
+    fibers = h.edge_fibers
+    options = [fibers.get(x, ()) for x in p.edges]
+    if not all(options):
+        return []
     results = []
 
     def extend(prefix):

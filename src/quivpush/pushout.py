@@ -251,16 +251,12 @@ def breakarrow_identity(f: GraphHom, g: GraphHom,
     img_g_in_e = f.vertex_image()
     img_f_in_p = frozenset(po.iota_right.f0.values())
     iota = po.iota_left
-    fibers = {}
-    for u in E.vertices:
-        fibers.setdefault(iota.f0[u], []).append(u)
     witnesses = []
     for w in sorted(E.vertices):
         p = iota.f0[w]
-        if fibers[p] != [w]:
+        if iota.vertex_fibers[p] != (w,):
             continue
-        lhs = {e for e in E.edges
-               if E.src[e] == w and E.tgt[e] not in img_g_in_e}
+        lhs = {e for e in E.out_map[w] if E.tgt[e] not in img_g_in_e}
         rhs = {e for e in E.edges
                if p_graph.src[iota.f1[e]] == p
                and p_graph.tgt[iota.f1[e]] not in img_f_in_p}

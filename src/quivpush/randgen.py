@@ -60,7 +60,7 @@ def restrict_graph(g: Graph, keep_v, keep_e=None) -> Graph:
 def _fiber_sizes(rng, cod: Graph, max_size=3, regular=False) -> dict:
     sizes = {v: rng.randint(1, max_size) for v in cod.vertices}
     if regular:
-        out = cod.out_map()
+        out = cod.out_map
         reg = regular_vertices(cod)
         changed = True
         while changed:

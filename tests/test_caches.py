@@ -1,0 +1,143 @@
+"""Derived graph and homomorphism tables against from-scratch references,
+and the immutability that keeps those tables from going stale."""
+
+import pytest
+
+from quivpush.fields import QQ
+from quivpush.graph import (Graph, GraphError, classify_vertices, extended_graph,
+                            paths_up_to)
+from quivpush.leavitt import l_pullback, monomial_element, vertex_monomial
+from quivpush.morphism import GraphHom, classify_hom, induced_path_map
+from quivpush.path_algebra import path_preimages
+from quivpush.randgen import case_rng, random_general_hom, random_graph, random_tb_hom
+
+SEEDS = range(40)
+
+
+def _graph(seed):
+    return random_graph(case_rng(seed, 71), max_v=5, max_e=7, tails=seed % 4 == 0)
+
+
+def _homs(seed):
+    rng = case_rng(seed, 72)
+    cod = random_graph(rng, max_v=4, max_e=5)
+    return [random_general_hom(rng, cod), random_tb_hom(rng, cod, regular=True)]
+
+
+def _ref_incidence(g, end):
+    return {v: tuple(sorted(e for e in g.edges if end[e] == v)) for v in g.vertices}
+
+
+def _ref_fibers(mapping, keys):
+    return {x: tuple(sorted(k for k in keys if mapping[k] == x))
+            for x in set(mapping[k] for k in keys)}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_graph_tables_match_references(seed):
+    g = _graph(seed)
+    assert dict(g.out_map) == _ref_incidence(g, g.src)
+    assert dict(g.in_map) == _ref_incidence(g, g.tgt)
+
+    emits = {g.src[e] for e in g.edges} | {v for v, _ in g.omega_tails}
+    receives = {g.tgt[e] for e in g.edges} | {w for _, w in g.omega_tails}
+    infinite = {v for v, _ in g.omega_tails}
+    classes = classify_vertices(g)
+    assert classes.sinks == g.vertices - emits
+    assert classes.sources == g.vertices - receives
+    assert classes.infinite_emitters == infinite
+    assert classes.regular == (g.vertices & emits) - infinite
+
+    want = {v: min(e for e in g.edges if g.src[e] == v) for v in classes.regular}
+    assert dict(g.special_edges) == want
+    assert g.designated == frozenset(want.values())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_extended_graph_matches_reference(seed):
+    g = _graph(seed)
+    if g.omega_tails:
+        with pytest.raises(GraphError):
+            extended_graph(g)
+        return
+    eg = extended_graph(g)
+    assert eg is extended_graph(g)
+    ghosts = {e + "*": e for e in g.edges}
+    src = {**g.src, **{x: g.tgt[e] for x, e in ghosts.items()}}
+    tgt = {**g.tgt, **{x: g.src[e] for x, e in ghosts.items()}}
+    assert eg == Graph(g.vertices, set(src), src, tgt)
+    assert eg.base is g
+    assert dict(eg.ghost_of) == ghosts
+    assert dict(eg.ghost) == {e: x for x, e in ghosts.items()}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hom_tables_match_references(seed):
+    for h in _homs(seed):
+        assert dict(h.vertex_fibers) == _ref_fibers(h.f0, h.domain.vertices)
+        assert dict(h.edge_fibers) == _ref_fibers(h.f1, h.domain.edges)
+        assert classify_hom(h) is classify_hom(h)
+
+        hbar = h.extended
+        assert hbar is h.extended
+        assert hbar.domain is extended_graph(h.domain)
+        assert hbar.codomain is extended_graph(h.codomain)
+        assert dict(hbar.f0) == dict(h.f0)
+        assert dict(hbar.f1) == {**h.f1, **{e + "*": h.f1[e] + "*" for e in h.domain.edges}}
+        assert not hbar.problems
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_preimages_match_enumeration(seed):
+    for h in _homs(seed):
+        dom_paths = paths_up_to(h.domain, 3)
+        for p in paths_up_to(h.codomain, 3):
+            want = sorted((q for q in dom_paths if induced_path_map(h, q) == p),
+                          key=lambda q: q.sort_key())
+            assert sorted(path_preimages(h, p), key=lambda q: q.sort_key()) == want
+
+
+def test_descent_is_recorded_per_field():
+    g = Graph.build(["u", "v"], [("e", "u", "v")])
+    h = GraphHom.identity(g)
+    assert not h.descent_fields
+    l_pullback(h, monomial_element(g, vertex_monomial("u"), QQ))
+    assert h.descent_fields == {QQ}
+
+
+def test_graphs_and_homs_are_frozen():
+    src = {"e": "u"}
+    g = Graph(["u", "v"], ["e"], src, {"e": "v"})
+    src["e"] = "v"
+    assert g.src["e"] == "u"
+    h = GraphHom.identity(g)
+    with pytest.raises(TypeError):
+        g.src["e"] = "v"
+    with pytest.raises(TypeError):
+        g.out_map["u"] = ()
+    with pytest.raises(TypeError):
+        h.f0["u"] = "v"
+    with pytest.raises(TypeError):
+        h.vertex_fibers["u"] = ()
+    for mutate in (lambda: g.src.update(e="v"), lambda: g.tgt.pop("e"),
+                   lambda: g.src.setdefault("x", "u"), lambda: h.f1.clear()):
+        with pytest.raises((TypeError, AttributeError)):
+            mutate()
+    assert dict(g.src) == {"e": "u"} and dict(h.f1) == {"e": "e"}
+    for obj, attr in ((g, "vertices"), (g, "out_map"), (h, "domain"), (h, "f1")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    eg = extended_graph(g)
+    with pytest.raises(TypeError):
+        eg.ghost["e"] = "x"
+    with pytest.raises(AttributeError):
+        eg.base = g
+
+
+def test_equal_graphs_hash_alike():
+    a = Graph.build(["u", "v"], [("e", "u", "v")])
+    b = Graph.build(["v", "u"], [("e", "u", "v")])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Graph.build(["u", "v"], [("e", "v", "u")])

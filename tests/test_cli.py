@@ -57,6 +57,21 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("hom, field", [
+    ({"domain": {"vertices": ["v"], "edges": [{"id": ["x"], "src": "v", "tgt": "v"}]},
+      "codomain": LOOP, "f0": {"v": "u"}, "f1": {}}, "edge 'id'"),
+    ({"domain": {"vertices": ["v"], "omega_tails": [[["a"], "v"]]},
+      "codomain": {"vertices": ["v"]}, "f0": {"v": "v"}, "f1": {}}, "omega tail endpoint"),
+    ({"domain": {"vertices": ["v"]}, "codomain": {"vertices": ["v"]},
+      "f0": {"v": ["v"]}, "f1": {}}, "'f0' value"),
+])
+def test_non_string_ids_are_parse_errors(tmp_path, capsys, hom, field):
+    path = _write(tmp_path, "bad.json", hom)
+    assert main(["classify", path]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "must be a string" in err and "Traceback" not in err
+
+
 def test_classify_identity_is_crtbpog(tmp_path, capsys):
     hom = {"domain": LOOP, "codomain": LOOP, "f0": {"u": "u"}, "f1": {"l": "l"}}
     path = _write(tmp_path, "ident.json", hom)

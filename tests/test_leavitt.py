@@ -146,7 +146,7 @@ def test_normal_form_matches_iterated_letter_product(seed):
     if not g.edges:
         return
     eg = extended_graph(g)
-    out = eg.out_map()
+    out = eg.out_map
     for _ in range(5):
         start = rng.choice(sorted(eg.vertices))
         letters = []
