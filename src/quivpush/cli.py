@@ -9,13 +9,15 @@ are byte identical.  Exit codes: 0 pass, 1 check failed, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
 
 from .fields import QQ, FieldError, field_from_name
 from .graph import (Graph, GraphError, IncompatibleOverlap, Path,
-                    intersection_graph, union_graph, validate_graph)
+                    intersection_graph, require_tail_free, union_graph,
+                    validate_graph)
 from .morphism import (GraphHom, HomError, classify_hom, is_admissible,
                        validate_hom)
 from .pushout import (PreconditionError, check_theorem_preconditions,
@@ -91,7 +93,7 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
     """Parse a linear combination like '3/2*chi[e1.e2] - chi[v]'.
 
     Ghost markers (chi[e*]) force Leavitt mode; bare coefficients multiply
-    the unit.
+    the unit.  Graphs with omega tails are refused in both modes.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -119,6 +121,7 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         atoms.append((sign, coef, chi))
     if any(chi and "*" in chi for _, _, chi in atoms):
         leavitt = True
+    require_tail_free(g, "Leavitt path algebra" if leavitt else "path algebra")
 
     def term_element(sign, coef, chi):
         scalar = field.one if coef is None else field.parse(coef)
@@ -156,15 +159,6 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         elem = term_element(sign, coef, chi)
         total = elem if total is None else total + elem
     return total, leavitt
-
-
-def element_literal(elem) -> str:
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for mono, c in elem.sorted_terms():
-        parts.append(f"{c}*chi[{mono}]")
-    return " + ".join(parts)
 
 
 def _load_hom_checked(cert, path) -> GraphHom:
@@ -302,7 +296,7 @@ def cmd_eval(args, argv):
     except ExprError as exc:
         raise jsonio.FormatError(str(exc), "<expression>")
     cert.param("mode", "leavitt" if leavitt else "path-algebra")
-    cert.check("evaluated", True, result=element_literal(elem),
+    cert.check("evaluated", True, result=repr(elem),
                terms=len(elem.terms))
     return cert.finish()
 
@@ -332,7 +326,10 @@ def _non_negative_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, so every call of main shares it.  Callers must not modify it."""
     parser = argparse.ArgumentParser(prog="quivpush",
                                      description="Exact graph-algebra pushout/pullback toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

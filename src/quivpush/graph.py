@@ -59,6 +59,14 @@ class Path:
     def target(self, g: "Graph") -> str:
         return self.vertex if self.is_vertex else g.tgt[self.edges[-1]]
 
+    def join(self, q: "Path") -> "Path":
+        """This path followed by q; the caller guarantees t(self) = s(q)."""
+        if self.is_vertex:
+            return q
+        if q.is_vertex:
+            return self
+        return Path.of(self.edges + q.edges)
+
     def sort_key(self):
         return (len(self.edges), self.edges, self.vertex or "")
 

@@ -15,6 +15,11 @@ is eliminated through v = sum ee*, i.e.
 which terminates because the first term is strictly shorter and the summands
 end with non-special edges.  Each non-normal monomial has exactly one redex,
 so the rewriting is deterministic and the resulting basis is canonical.
+
+An LElement is path_algebra's LinearCombination over NORMAL monomials, with
+the product l_mul.  The monomial enumerations (the truncated window, the
+full pair set of an acyclic graph) pair up the paths of graph.paths_up_to
+that share an end vertex.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .graph import (Graph, GraphError, Path, extended_graph, is_acyclic,
-                    require_tail_free)
+                    paths_up_to, require_tail_free)
 from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, HomError, check_valid_hom,
                        breaking_vertices, is_hereditary, is_saturated,
                        regular_vertices, CATEGORY_CRTBPOG)
 from .pushout import (PreconditionError, PushoutGraph, breakarrow_identity,
                       check_theorem_preconditions, pushout_square)
-from .path_algebra import path_preimages
+from .path_algebra import LinearCombination, path_preimages
 
 
 class DescentError(HomError):
@@ -94,69 +99,14 @@ def _chop(g: Graph, p: Path) -> Path:
     return Path.of(p.edges[:-1])
 
 
-def _append(p: Path, e: str) -> Path:
-    if p.is_vertex:
-        return Path.of([e])
-    return Path.of(p.edges + (e,))
+class LElement(LinearCombination):
+    """An element of the Leavitt path algebra: a combination of NORMAL
+    monomials of one graph."""
 
-
-class LElement:
-    """A finite linear combination of NORMAL monomials of one graph."""
-
-    __slots__ = ("graph", "field", "terms")
-
-    def __init__(self, graph: Graph, field, terms: dict):
-        self.graph = graph
-        self.field = field
-        self.terms = {m: c for m, c in terms.items() if c != field.zero}
-
-    @staticmethod
-    def zero(graph, field=QQ):
-        return LElement(graph, field, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check_compatible(self, other):
-        if self.graph != other.graph or self.field != other.field:
-            raise DomainMismatch("elements live over different graphs or fields")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, self.field.zero) + c
-        return LElement(self.graph, self.field, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LElement(self.graph, self.field, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, scalar):
-        return LElement(self.graph, self.field,
-                        {m: scalar * c for m, c in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         return l_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, LElement):
-            return NotImplemented
-        return (self.graph == other.graph and self.field == other.field
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*[{m}]" for m, c in self.sorted_terms())
 
 
 def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict, zero):
@@ -173,7 +123,8 @@ def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict, zero):
             stack.append((LMonomial(a1, b1), c))
             for e in out_map[v]:
                 if e != gamma:
-                    stack.append((LMonomial(_append(a1, e), _append(b1, e)), -c))
+                    stack.append((LMonomial(Path.of(a1.edges + (e,)),
+                                           Path.of(b1.edges + (e,))), -c))
         else:
             acc[m] = acc.get(m, zero) + c
 
@@ -262,22 +213,14 @@ def _prefix_remainder(g: Graph, p: Path, q: Path):
     return Path.of(rest) if rest else Path.at(p.target(g))
 
 
-def _concat(g: Graph, p: Path, q: Path) -> Path:
-    if p.is_vertex:
-        return q
-    if q.is_vertex:
-        return p
-    return Path.of(p.edges + q.edges)
-
-
 def _mono_mul(g: Graph, m1: LMonomial, m2: LMonomial):
     """(alpha beta*)(gamma delta*) before normalization, or None for zero."""
     r = _prefix_remainder(g, m1.beta, m2.alpha)
     if r is not None:
-        return LMonomial(_concat(g, m1.alpha, r), m2.beta)
+        return LMonomial(m1.alpha.join(r), m2.beta)
     r = _prefix_remainder(g, m2.alpha, m1.beta)
     if r is not None:
-        return LMonomial(m1.alpha, _concat(g, m2.beta, r))
+        return LMonomial(m1.alpha, m2.beta.join(r))
     return None
 
 
@@ -294,6 +237,8 @@ def l_mul(a: LElement, b: LElement) -> LElement:
 
 
 def l_unit(g: Graph, field=QQ) -> LElement:
+    """The sum of vertex idempotents; the identity when the graph is nonempty."""
+    require_tail_free(g, "Leavitt path algebra")
     return LElement(g, field, {vertex_monomial(v): field.one for v in g.vertices})
 
 
@@ -439,29 +384,19 @@ def ker_generators(h: GraphHom, field=QQ) -> KernelPresentation:
     return pres
 
 
-def paths_into(g: Graph, v: str, max_len: int) -> list:
-    """Paths of length <= max_len ending at v, in (length, edges) order."""
-    inc = g.in_map
-    result = [Path.at(v)]
-    frontier = [Path.of([e]) for e in inc[v]]
-    length = 1
-    while frontier and length <= max_len:
-        result.extend(frontier)
-        nxt = []
-        for p in frontier:
-            for e in inc[g.src[p.edges[0]]]:
-                nxt.append(Path.of((e,) + p.edges))
-        frontier = nxt
-        length += 1
-    return result
+def _paths_by_end(g: Graph, n: int) -> dict:
+    """End vertex -> the paths of length <= n ending there."""
+    ends = {v: [] for v in g.vertices}
+    for p in paths_up_to(g, n):
+        ends[p.target(g)].append(p)
+    return ends
 
 
 def normal_monomials_window(g: Graph, max_total: int) -> list:
     """All NORMAL monomials with |alpha| + |beta| <= max_total, sorted."""
     designated = g.designated
     result = []
-    for v in sorted(g.vertices):
-        into = paths_into(g, v, max_total)
+    for into in _paths_by_end(g, max_total).values():
         for alpha in into:
             for beta in into:
                 if alpha.length + beta.length <= max_total:
@@ -476,13 +411,9 @@ def all_pair_monomials(g: Graph) -> list:
     """Every alpha beta* with a common end vertex; finite iff g is acyclic."""
     if not is_acyclic(g):
         raise GraphError("pair monomial enumeration needs an acyclic graph")
-    bound = len(g.edges)
-    result = []
-    for v in sorted(g.vertices):
-        into = paths_into(g, v, bound)
-        for alpha in into:
-            for beta in into:
-                result.append(LMonomial(alpha, beta))
+    result = [LMonomial(alpha, beta)
+              for into in _paths_by_end(g, len(g.edges)).values()
+              for alpha in into for beta in into]
     result.sort(key=LMonomial.sort_key)
     return result
 
@@ -500,15 +431,14 @@ def leavitt_dimension_oracle(g: Graph) -> int:
     reg = regular_vertices(g)
     out = g.out_map
     rows = []
-    bound = len(g.edges)
-    for v in sorted(reg):
-        into = paths_into(g, v, bound)
-        for alpha in into:
-            for beta in into:
-                row = {index[LMonomial(alpha, beta)]: QQ.one}
-                for e in out[v]:
-                    row[index[LMonomial(_append(alpha, e), _append(beta, e))]] = -QQ.one
-                rows.append(row)
+    for m in monos:
+        v = m.alpha.target(g)
+        if v in reg:
+            row = {index[m]: QQ.one}
+            for e in out[v]:
+                row[index[LMonomial(Path.of(m.alpha.edges + (e,)),
+                                    Path.of(m.beta.edges + (e,)))]] = -QQ.one
+            rows.append(row)
     return len(monos) - rank(rows, QQ)
 
 
@@ -547,7 +477,8 @@ class LeavittPullbackReport:
         return all(w.consistent for w in self.window_checks)
 
 
-def _generator_monomials(g: Graph) -> list:
+def generator_monomials(g: Graph) -> list:
+    """Vertices, then each edge followed by its ghost, in sorted id order."""
     gens = [vertex_monomial(v) for v in sorted(g.vertices)]
     for e in sorted(g.edges):
         gens.append(edge_monomial(g, e))
@@ -610,7 +541,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
     surjectivity_ok = True
     for hom, side in ((f, "f"), (iota_f, "iota_F")):
         dom_alg = hom.domain
-        for mono in _generator_monomials(dom_alg):
+        for mono in generator_monomials(dom_alg):
             candidate = monomial_element(hom.codomain, _image_monomial(hom, mono), field)
             want = monomial_element(dom_alg, mono, field)
             if l_pullback(hom, candidate) != want:
@@ -649,7 +580,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
 
     # commutativity of the square on every generator of L(P)
     commutes_ok = True
-    for mono in _generator_monomials(p_graph):
+    for mono in generator_monomials(p_graph):
         x = monomial_element(p_graph, mono, field)
         left = l_pullback(f, l_pullback(iota_e, x))
         right = l_pullback(g, l_pullback(iota_f, x))

@@ -1,11 +1,15 @@
 """Path algebras over an exact field and their contravariant pullbacks.
 
-An element is a finite linear combination of basis paths; the product is
-bilinear concatenation.  The pullback along a homomorphism sends a basis
-path to the sum over its path preimages, and the theorem verifier compares
-graded components of the pushout algebra with the fiber product by exact
-sparse elimination over the rationals: on each graded component a pullback
-matrix has a single 1 per row.
+LinearCombination is the one element type of both algebra modules: a finite
+linear combination of basis terms over one graph and one field, with the
+vector-space operations, equality and the printed form 'c*chi[term] + ...'
+that the eval command reads back.  Its subclasses differ only in the
+product.  A PAElement's terms are basis paths and its product is bilinear
+concatenation.  The pullback along a homomorphism sends a basis path to the
+sum over its path preimages, and the theorem verifier compares graded
+components of the pushout algebra with the fiber product by exact sparse
+elimination over the rationals: on each graded component a pullback matrix
+has a single 1 per row.
 """
 
 from __future__ import annotations
@@ -21,78 +25,84 @@ from .pushout import (PreconditionError, PushoutGraph, check_theorem_preconditio
                       pushout_square)
 
 
-class PAElement:
-    """A finite linear combination of paths of one graph."""
+class LinearCombination:
+    """A finite linear combination of basis terms over one graph and one
+    field.  Terms are paths for the path algebra and normal monomials for
+    the Leavitt path algebra; each subclass supplies the product."""
 
     __slots__ = ("graph", "field", "terms")
 
     def __init__(self, graph: Graph, field, terms: dict):
         self.graph = graph
         self.field = field
-        self.terms = {p: c for p, c in terms.items() if c != field.zero}
+        self.terms = {t: c for t, c in terms.items() if c != field.zero}
 
-    @staticmethod
-    def zero(graph, field=QQ):
-        return PAElement(graph, field, {})
-
-    @staticmethod
-    def basis(graph, path: Path, field=QQ):
-        return PAElement(graph, field, {path: field.one})
+    @classmethod
+    def zero(cls, graph, field=QQ):
+        return cls(graph, field, {})
 
     def is_zero(self):
         return not self.terms
 
     def _check_compatible(self, other):
-        if self.graph != other.graph or self.field != other.field:
-            raise DomainMismatch("elements live over different graphs or fields")
+        if (type(self) is not type(other) or self.graph != other.graph
+                or self.field != other.field):
+            raise DomainMismatch("elements live in different algebras, graphs or fields")
 
     def __add__(self, other):
         self._check_compatible(other)
         terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, self.field.zero) + c
-        return PAElement(self.graph, self.field, terms)
+        for t, c in other.terms.items():
+            terms[t] = terms.get(t, self.field.zero) + c
+        return type(self)(self.graph, self.field, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PAElement(self.graph, self.field, {p: -c for p, c in self.terms.items()})
+        return type(self)(self.graph, self.field, {t: -c for t, c in self.terms.items()})
 
     def scale(self, scalar):
-        return PAElement(self.graph, self.field,
-                         {p: scalar * c for p, c in self.terms.items()})
-
-    def __mul__(self, other):
-        return pa_mul(self, other)
+        return type(self)(self.graph, self.field,
+                          {t: scalar * c for t, c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, PAElement):
+        if not isinstance(other, LinearCombination):
             return NotImplemented
-        return (self.graph == other.graph and self.field == other.field
-                and self.terms == other.terms)
+        return (type(self) is type(other) and self.graph == other.graph
+                and self.field == other.field and self.terms == other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda pc: pc[0].sort_key())
+        return sorted(self.terms.items(), key=lambda tc: tc[0].sort_key())
 
     def __repr__(self):
+        """The expression syntax eval reads, e.g. '3/2*chi[e1.e2] + 1*chi[v]'."""
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*chi[{p}]" for p, c in self.sorted_terms())
+        return " + ".join(f"{c}*chi[{t}]" for t, c in self.sorted_terms())
+
+
+class PAElement(LinearCombination):
+    """An element of the path algebra: a combination of paths of one graph."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def basis(graph, path: Path, field=QQ):
+        return PAElement(graph, field, {path: field.one})
+
+    def __mul__(self, other):
+        return pa_mul(self, other)
 
 
 def concat_paths(g: Graph, p: Path, q: Path):
     """pq when t(p) = s(q), else None."""
     if p.target(g) != q.source(g):
         return None
-    if p.is_vertex:
-        return q
-    if q.is_vertex:
-        return p
-    return Path.of(p.edges + q.edges)
+    return p.join(q)
 
 
 def pa_mul(a: PAElement, b: PAElement) -> PAElement:

@@ -15,9 +15,11 @@ from .graph import (Graph, intersection_graph, paths_up_to, union_graph,
                     validate_graph)
 from .morphism import (GraphHom, classify_hom, compose, is_admissible,
                        validate_hom, admissible_equiv_crtbpog)
-from .pushout import graph_pushout, path_pushout_compare, breakarrow_identity
+from .pushout import (breakarrow_identity, check_theorem_preconditions,
+                      graph_pushout, path_pushout_compare)
 from .path_algebra import PAElement, pa_mul, pa_pullback, pa_unit
-from .leavitt import l_mul, l_pullback, l_unit, monomial_element, vertex_monomial
+from .leavitt import (generator_monomials, l_mul, l_pullback, l_unit,
+                      monomial_element, vertex_monomial)
 from . import randgen
 
 
@@ -201,9 +203,7 @@ def suite_h_bijective(rng) -> CaseResult:
     def fails(ff, gg):
         if validate_hom(ff) or validate_hom(gg):
             return False
-        flags = None
         try:
-            from .pushout import check_theorem_preconditions
             flags = check_theorem_preconditions(ff, gg)
             if not (flags.vertex_injectivity and flags.one_color):
                 return False
@@ -240,11 +240,7 @@ def suite_pa_hom(rng) -> CaseResult:
 def suite_lk_hom(rng) -> CaseResult:
     h = randgen.random_crtbpog_hom(rng)
     cod = h.codomain
-    gens = [monomial_element(cod, vertex_monomial(v)) for v in sorted(cod.vertices)]
-    from .leavitt import edge_monomial, ghost_monomial
-    for e in sorted(cod.edges):
-        gens.append(monomial_element(cod, edge_monomial(cod, e)))
-        gens.append(monomial_element(cod, ghost_monomial(cod, e)))
+    gens = [monomial_element(cod, m) for m in generator_monomials(cod)]
     if not gens:
         return CaseResult(True)
     for _ in range(6):

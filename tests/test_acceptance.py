@@ -13,8 +13,8 @@ from quivpush.morphism import (GraphHom, admissible_equiv_crtbpog, classify_hom,
                                compose, is_admissible, is_hereditary,
                                regular_vertices)
 from quivpush.pushout import (check_theorem_preconditions, class_id,
-                              graph_pushout, path_pushout_compare,
-                              set_pushout, set_universal_map)
+                              path_pushout_compare, set_pushout,
+                              set_universal_map)
 from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                                    verify_path_pullback)
 from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
@@ -23,7 +23,7 @@ from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
                               normal_monomials_window, verify_descent,
                               verify_leavitt_pullback, vertex_monomial)
 from quivpush import randgen
-from quivpush.proptest import minimize_legs
+from quivpush.proptest import run_suite
 
 
 def _report(number, name, ok, detail, limit=None, elapsed=None):
@@ -273,36 +273,13 @@ def test_criterion_12_path_pullback_exact_acyclic():
 
 
 def test_criterion_13_admpush_probe():
+    """A conjecture probe: a finding is reported, never a failure, but every
+    case must be counted and every finding must carry a minimized witness."""
     start = time.time()
-    holds = 0
-    findings = []
-    for i in range(500):
-        f, g = randgen.admpush_instance(randgen.case_rng(113, i))
-        po = graph_pushout(f, g)
-        ok = True
-        for iota in (po.iota_left, po.iota_right):
-            cls = classify_hom(iota)
-            ok = ok and cls.target_bijective and cls.regular
-        if ok:
-            holds += 1
-        else:
-            def fails(ff, gg):
-                try:
-                    p2 = graph_pushout(ff, gg)
-                except Exception:
-                    return False
-                for it in (p2.iota_left, p2.iota_right):
-                    c = classify_hom(it)
-                    if not (c.target_bijective and c.regular):
-                        return True
-                return False
-            small = minimize_legs(fails, f, g)
-            findings.append(small)
-    for small in findings:
-        print(f"ACCEPTANCE 13 finding: minimized counterexample "
-              f"domain={small[0].domain!r} legs into {small[0].codomain!r} / "
-              f"{small[1].codomain!r}")
-    detail = f"{holds}/500 hold"
-    if findings:
-        detail += f", {len(findings)} findings emitted"
-    _report(13, "admpush-probe", True, detail, elapsed=time.time() - start)
+    holds, findings = run_suite("admpush", 113, 500)
+    for i, result in findings:
+        print(f"ACCEPTANCE 13 finding: case {i}: {result.detail}; "
+              f"minimized counterexample {result.minimized}")
+    ok = holds + len(findings) == 500 and all(r.minimized for _, r in findings)
+    _report(13, "admpush-probe", ok, f"{holds}/500 hold, {len(findings)} findings",
+            elapsed=time.time() - start)

@@ -1,17 +1,27 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivpush.cli import main, parse_element, ExprError
-from quivpush.graph import Graph
+from quivpush.fields import QQ
+from quivpush.graph import Graph, paths_up_to
 from quivpush.jsonio import (canonical_dumps, graph_from_obj, graph_to_obj,
                              hom_from_obj, hom_to_obj, FormatError)
 from quivpush.morphism import GraphHom
+from quivpush.leavitt import LElement, normal_monomials_window
+from quivpush.path_algebra import PAElement
 
 LOOP = {"vertices": ["u"], "edges": [{"id": "l", "src": "u", "tgt": "u"}],
         "omega_tails": []}
 EDGE = {"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "tgt": "w"}],
         "omega_tails": []}
+TAILED_EDGE = {**EDGE, "omega_tails": [["v", "w"]]}
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, obj):
@@ -217,9 +227,59 @@ def test_eval_path_algebra_expression(tmp_path, capsys):
     assert cert["checks"][0]["result"] == "1*chi[v] + 3/2*chi[e]"
 
 
+@pytest.mark.parametrize("mode", [[], ["--leavitt"]], ids=["path", "leavitt"])
+@pytest.mark.parametrize("expression", ["chi[v]", "chi[e]", "2", "chi[e*]"])
+def test_eval_rejects_tailed_graphs(tmp_path, capsys, mode, expression):
+    path = _write(tmp_path, "tailed.json", TAILED_EDGE)
+    assert main(["eval", *mode, path, expression]) == 1
+    err = capsys.readouterr().err
+    assert "rejects graphs with omega tails" in err and "Traceback" not in err
+
+
+def test_repeated_main_calls_match_fresh_runs(monkeypatch, capsys):
+    """main reuses one parser per process; each call, a usage error included,
+    must print and return exactly what a new process does."""
+    monkeypatch.chdir(ROOT / "tests" / "data")
+    runs = [["classify", "admpush_g.json"],
+            ["verify", "--path", "path_f.json", "path_g.json", "--max-degree", "3"],
+            ["verify", "--leavitt", "union_f.json", "union_g.json", "--max-degree", "-1"],
+            ["eval", "--leavitt", "graph.json", "chi[xe0.xe0*] + 2"],
+            ["pushout", "onecolor_f.json", "onecolor_g.json", "--check-h", "2"],
+            ["proptest", "--suite", "composition", "--cases", "3", "--seed", "5"],
+            ["classify", "admpush_g.json"]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "quivpush.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
+
+
 def test_eval_bad_expression(tmp_path, capsys):
     path = _write(tmp_path, "edge.json", EDGE)
     assert main(["eval", path, "chi[nope]"]) == 2
+
+
+GRAPH = graph_from_obj(json.loads((ROOT / "tests" / "data" / "graph.json").read_text()))
+COEFFICIENTS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(normal_monomials_window(GRAPH, 3)), COEFFICIENTS,
+                       max_size=5),
+       st.dictionaries(st.sampled_from(paths_up_to(GRAPH, 3)), COEFFICIENTS, max_size=5))
+def test_printed_elements_parse_back(l_terms, p_terms):
+    for elem, leavitt in ((LElement(GRAPH, QQ, l_terms), True),
+                          (PAElement(GRAPH, QQ, p_terms), False)):
+        if not elem.is_zero():
+            assert parse_element(repr(elem), GRAPH, QQ, leavitt) == (elem, leavitt)
 
 
 def test_parse_element_modes():

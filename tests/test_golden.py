@@ -1,0 +1,52 @@
+"""Golden certificates: byte-identical CLI output on small fixed inputs.
+
+The hom files under tests/data were drawn with randgen (seed 111 cases 9
+and 3, seed 112 case 8, seed 114 case 2) and graph.json is the codomain of
+the admpush instance's injective leg.  Commands run from inside tests/data
+with relative paths, so the argv and input paths echoed in each certificate
+do not depend on where the checkout lives.  A digest changes only when a
+certificate's bytes change.
+"""
+
+import hashlib
+import pathlib
+
+import pytest
+
+from quivpush.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+GOLDEN = [
+    (["verify", "--leavitt", "union_f.json", "union_g.json"],
+     "14ab530474ec007d0a24f280073efccefe892214860da5121e196c6089c791b0"),
+    (["verify", "--leavitt", "--field", "fp:2147483647", "union_f.json", "union_g.json"],
+     "b7e532ef177dd9f5a602a2fe3637b96d701ac8949291e72836c0432c67e5458f"),
+    (["verify", "--leavitt", "admpush_f.json", "admpush_g.json"],
+     "63540be94ee377a7d2225f60dd66b3f9c44292eda01c50fb73000d936c608068"),
+    (["verify", "--leavitt", "--field", "fp:2147483647", "admpush_f.json", "admpush_g.json"],
+     "363db25ff0b3fd01564b9f5cbd246c1ef516b56cb1d13007f98677caa46b97ee"),
+    (["verify", "--path", "path_f.json", "path_g.json"],
+     "c2d19b848ee8c6983e60ca0c8f48d4cde234dfcf0d3484c298c7eaf44c334549"),
+    (["pushout", "onecolor_f.json", "onecolor_g.json"],
+     "f952059dee04e56df0781aa3160e537d610571f69be4fc567ec548427bd67fa3"),
+    (["pushout", "admpush_f.json", "admpush_g.json"],
+     "28f73a5418dc620f5d641460141bcf5882b5c5e0d340bf2d340ab14ab54ce276"),
+    (["classify", "admpush_g.json"],
+     "2f2d39b1c7657576f60b5e3bcf52732bdef1328080709a15758f7b4ee4697f3d"),
+    (["classify", "union_f.json"],
+     "02136d81ff59414dd929755a0173931168f5ccd107c8111bdc443a29c28c3f9c"),
+    (["eval", "graph.json", "3/2*chi[c0_ke0.xe0.xe2] - chi[x0] + 2"],
+     "f65c6f13966190fde32a0e6fe32511d394067f2d91c10fe9f9393bfdf1e891a4"),
+    (["eval", "--leavitt", "graph.json",
+      "chi[xe0.xe2] - 2*chi[xe2*.xe0*] + 3/2*chi[c0_ke0.c0_ke0*] + 1"],
+     "1a4022ddf99ad40931660a996de38fc92f8e2f6c3ea707d97594d073fde51f75"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_certificate(monkeypatch, capsys, argv, digest):
+    monkeypatch.chdir(DATA)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,13 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from quivpush.fields import QQ, PrimeField
 
-from quivpush.graph import Graph, GraphError, Path, union_graph
-from quivpush.morphism import GraphHom, classify_hom, compose, regular_vertices
+from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
+from quivpush.morphism import (DomainMismatch, GraphHom, classify_hom, compose,
+                               regular_vertices)
+from quivpush.path_algebra import PAElement
 from quivpush.pushout import PreconditionError
 from quivpush.leavitt import (LElement, LMonomial, edge_monomial,
                               ghost_monomial, graded_ideal_generators,
-                              ker_generators, l_mul, l_pullback, l_unit,
-                              leavitt_dimension_enumerated,
+                              is_normal, ker_generators, l_mul, l_pullback,
+                              l_unit, leavitt_dimension_enumerated,
                               leavitt_dimension_oracle, monomial_element,
                               normal_form, normal_monomials_window,
                               verify_descent, verify_leavitt_pullback,
@@ -77,6 +79,53 @@ def test_single_edge_dimension_four():
 def test_dimension_oracle_matches_enumeration(seed):
     g = random_graph(case_rng(seed, 30), max_v=5, max_e=6, acyclic=True)
     assert leavitt_dimension_enumerated(g) == leavitt_dimension_oracle(g)
+
+
+@st.composite
+def small_graphs(draw, acyclic, max_e):
+    """Up to four vertices and max_e edges, parallel edges allowed; loops and
+    cycles only when acyclic is false."""
+    n = draw(st.integers(1, 4))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=max_e))
+    if acyclic:
+        arcs = [(min(a), max(a)) for a in arcs if a[0] != a[1]]
+    return Graph.build([f"v{i}" for i in range(n)],
+                       [(f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(arcs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(acyclic=True, max_e=6))
+def test_dimension_enumeration_matches_oracle_on_drawn_graphs(g):
+    assert leavitt_dimension_enumerated(g) == leavitt_dimension_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(acyclic=False, max_e=4), st.integers(0, 3))
+def test_window_matches_brute_force_pairs(g, n):
+    paths = paths_up_to(g, n)
+    brute = [LMonomial(a, b) for a in paths for b in paths
+             if a.target(g) == b.target(g) and a.length + b.length <= n]
+    brute = sorted((m for m in brute if is_normal(m, g.designated)),
+                   key=LMonomial.sort_key)
+    assert normal_monomials_window(g, n) == brute
+
+
+def test_enumerators_reject_tailed_graphs():
+    g = Graph.build(["v", "w"], [("e", "v", "w")], omega_tails=[("v", "w")])
+    for enumerate_ in (leavitt_dimension_enumerated, leavitt_dimension_oracle,
+                       lambda g: normal_monomials_window(g, 2)):
+        with pytest.raises(GraphError):
+            enumerate_(g)
+
+
+def test_path_and_leavitt_elements_share_text_but_never_mix():
+    pa = PAElement.basis(EDGE, Path.at("v"))
+    la = _mono(EDGE, vertex_monomial("v"))
+    assert str(pa) == str(la) == "1*chi[v]"
+    assert pa != la and PAElement.zero(EDGE) != LElement.zero(EDGE)
+    with pytest.raises(DomainMismatch):
+        pa + la
 
 
 @settings(max_examples=20, deadline=None)
