@@ -83,7 +83,9 @@ def hom_to_obj(h: GraphHom) -> dict:
     }
 
 
-def hom_from_obj(obj, path=None, base_dir=None) -> GraphHom:
+def hom_from_obj(obj, path=None, base_dir=None, inputs=None) -> GraphHom:
+    """A hom whose domain and codomain are graph objects or paths to graph
+    files, relative to base_dir; see load_json for inputs."""
     if not isinstance(obj, dict):
         raise FormatError("homomorphism must be a JSON object", path)
     for key in ("domain", "codomain", "f0", "f1"):
@@ -93,8 +95,8 @@ def hom_from_obj(obj, path=None, base_dir=None) -> GraphHom:
     def resolve(side):
         value = obj[side]
         if isinstance(value, str):
-            ref = os.path.join(base_dir or ".", value)
-            return load_graph(ref)
+            ref = os.path.join(base_dir or "", value)
+            return load_graph(ref, inputs)
         return graph_from_obj(value, path)
 
     f0, f1 = obj["f0"], obj["f1"]
@@ -130,34 +132,34 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_json(path):
+def load_json(path, inputs=None):
+    """Parse a JSON file.  When inputs is a list, append the certificate
+    record {"path", "sha256"} of the bytes that were parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FormatError(str(exc), path)
+    if inputs is not None:
+        inputs.append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", path)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.msg, path, exc.lineno, exc.colno)
 
 
-def load_graph(path) -> Graph:
-    return graph_from_obj(load_json(path), path)
+def load_graph(path, inputs=None) -> Graph:
+    return graph_from_obj(load_json(path, inputs), path)
 
 
-def load_hom(path) -> GraphHom:
-    return hom_from_obj(load_json(path), path, base_dir=os.path.dirname(path))
+def load_hom(path, inputs=None) -> GraphHom:
+    """The hom in a file; inputs (see load_json) also receives a record for
+    each graph file its domain or codomain references."""
+    return hom_from_obj(load_json(path, inputs), path, os.path.dirname(path), inputs)
 
 
 def save_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps(obj))
-
-
-def file_digest(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return ""

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .graph import (Graph, GraphError, Path, _immutable, derived, extended_graph,
-                    is_subgraph, regular_vertices)
+from .graph import (Graph, GraphError, Path, _immutable, derived, is_subgraph,
+                    regular_vertices)
 
 CATEGORY_OG = "OG"
 CATEGORY_POG = "POG"
@@ -133,15 +133,6 @@ class GraphHom:
         """Fields over which the Leavitt descent identities have been
         verified for this hom (see leavitt.l_pullback)."""
         return set()
-
-    @derived
-    def extended(self) -> "GraphHom":
-        """The extension to the extended graphs, sending ghosts to ghosts."""
-        ebar, fbar = extended_graph(self.domain), extended_graph(self.codomain)
-        f1 = dict(self.f1)
-        for e, ghost in ebar.ghost.items():
-            f1[ghost] = fbar.ghost[self.f1[e]]
-        return GraphHom(ebar, fbar, self.f0, f1)
 
 
 @dataclass(frozen=True)

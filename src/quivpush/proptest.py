@@ -55,74 +55,55 @@ def _shrink_codomain(h: GraphHom):
                        dict(h.f0), dict(h.f1))
 
 
+def _greedy(fails, state, candidates):
+    """Replace state by the first candidate that still fails and start over,
+    until no candidate of the current state fails."""
+    while True:
+        for cand in candidates(*state):
+            if fails(*cand):
+                state = cand
+                break
+        else:
+            return state
+
+
+def _leg_candidates(f: GraphHom, g: GraphHom):
+    dom = f.domain
+    for e in sorted(dom.edges):
+        yield (_restrict_hom(f, dom.vertices, dom.edges - {e}),
+               _restrict_hom(g, dom.vertices, dom.edges - {e}))
+    for v in sorted(dom.vertices):
+        keep_v = dom.vertices - {v}
+        yield _restrict_hom(f, keep_v, dom.edges), _restrict_hom(g, keep_v, dom.edges)
+    for cand_f in _shrink_codomain(f):
+        yield cand_f, g
+    for cand_g in _shrink_codomain(g):
+        yield f, cand_g
+
+
 def minimize_legs(fails, f: GraphHom, g: GraphHom):
     """Greedy deletion preserving failure: shared-domain vertices/edges, then
     junk in either codomain."""
-    while True:
-        shrunk = False
-        dom = f.domain
-        for e in sorted(dom.edges):
-            cand_f = _restrict_hom(f, dom.vertices, dom.edges - {e})
-            cand_g = _restrict_hom(g, dom.vertices, dom.edges - {e})
-            if fails(cand_f, cand_g):
-                f, g = cand_f, cand_g
-                shrunk = True
-                break
-        if shrunk:
-            continue
-        for v in sorted(dom.vertices):
-            keep_v = dom.vertices - {v}
-            cand_f = _restrict_hom(f, keep_v, dom.edges)
-            cand_g = _restrict_hom(g, keep_v, dom.edges)
-            if fails(cand_f, cand_g):
-                f, g = cand_f, cand_g
-                shrunk = True
-                break
-        if shrunk:
-            continue
-        for cand_f in _shrink_codomain(f):
-            if fails(cand_f, g):
-                f = cand_f
-                shrunk = True
-                break
-        if shrunk:
-            continue
-        for cand_g in _shrink_codomain(g):
-            if fails(f, cand_g):
-                g = cand_g
-                shrunk = True
-                break
-        if not shrunk:
-            return f, g
+    return _greedy(fails, (f, g), _leg_candidates)
+
+
+def _graph_shrinks(graph: Graph):
+    for e in sorted(graph.edges):
+        yield randgen.restrict_graph(graph, graph.vertices, graph.edges - {e})
+    for v in sorted(graph.vertices):
+        yield randgen.restrict_graph(graph, graph.vertices - {v})
+
+
+def _graph_pair_candidates(f_graph: Graph, g_graph: Graph):
+    for cand in _graph_shrinks(f_graph):
+        yield cand, g_graph
+    for cand in _graph_shrinks(g_graph):
+        yield f_graph, cand
 
 
 def minimize_graph_pair(fails, f_graph: Graph, g_graph: Graph):
     """Greedy deletion on either graph preserving failure and validity."""
-    while True:
-        shrunk = False
-        for which in (0, 1):
-            graph = (f_graph, g_graph)[which]
-            for e in sorted(graph.edges):
-                cand = randgen.restrict_graph(graph, graph.vertices,
-                                              graph.edges - {e})
-                pair = (cand, g_graph) if which == 0 else (f_graph, cand)
-                if fails(*pair):
-                    f_graph, g_graph = pair
-                    shrunk = True
-                    break
-            if shrunk:
-                break
-            for v in sorted(graph.vertices):
-                cand = randgen.restrict_graph(graph, graph.vertices - {v})
-                pair = (cand, g_graph) if which == 0 else (f_graph, cand)
-                if fails(*pair):
-                    f_graph, g_graph = pair
-                    shrunk = True
-                    break
-            if shrunk:
-                break
-        if not shrunk:
-            return f_graph, g_graph
+    return _greedy(fails, (f_graph, g_graph), _graph_pair_candidates)
 
 
 def _show_legs(f: GraphHom, g: GraphHom) -> str:
@@ -151,16 +132,13 @@ def suite_captocup(rng) -> CaseResult:
     def fails(fg, gg):
         if validate_graph(fg) or validate_graph(gg):
             return False
-        try:
-            inter = intersection_graph(fg, gg)
-            if not (is_admissible(GraphHom.inclusion(inter, fg)).strongly
-                    and is_admissible(GraphHom.inclusion(inter, gg)).strongly):
-                return False
-            u = union_graph(fg, gg)
-            return not (is_admissible(GraphHom.inclusion(fg, u)).strongly
-                        and is_admissible(GraphHom.inclusion(gg, u)).strongly)
-        except Exception:
+        inter = intersection_graph(fg, gg)
+        if not (is_admissible(GraphHom.inclusion(inter, fg)).strongly
+                and is_admissible(GraphHom.inclusion(inter, gg)).strongly):
             return False
+        u = union_graph(fg, gg)
+        return not (is_admissible(GraphHom.inclusion(fg, u)).strongly
+                    and is_admissible(GraphHom.inclusion(gg, u)).strongly)
 
     if not fails(f_graph, g_graph):
         return CaseResult(True)
@@ -203,13 +181,10 @@ def suite_h_bijective(rng) -> CaseResult:
     def fails(ff, gg):
         if validate_hom(ff) or validate_hom(gg):
             return False
-        try:
-            flags = check_theorem_preconditions(ff, gg)
-            if not (flags.vertex_injectivity and flags.one_color):
-                return False
-            return not path_pushout_compare(ff, gg, 4).bijective
-        except Exception:
+        flags = check_theorem_preconditions(ff, gg)
+        if not (flags.vertex_injectivity and flags.one_color):
             return False
+        return not path_pushout_compare(ff, gg, 4).bijective
 
     small = minimize_legs(fails, f, g)
     return CaseResult(False, "path comparison map not bijective",

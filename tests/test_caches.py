@@ -78,14 +78,6 @@ def test_hom_tables_match_references(seed):
         assert dict(h.edge_fibers) == _ref_fibers(h.f1, h.domain.edges)
         assert classify_hom(h) is classify_hom(h)
 
-        hbar = h.extended
-        assert hbar is h.extended
-        assert hbar.domain is extended_graph(h.domain)
-        assert hbar.codomain is extended_graph(h.codomain)
-        assert dict(hbar.f0) == dict(h.f0)
-        assert dict(hbar.f1) == {**h.f1, **{e + "*": h.f1[e] + "*" for e in h.domain.edges}}
-        assert not hbar.problems
-
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_path_preimages_match_enumeration(seed):

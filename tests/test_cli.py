@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -53,6 +54,29 @@ def test_hom_file_with_graph_refs(tmp_path, capsys):
     cert = json.loads(capsys.readouterr().out)
     classification = next(c for c in cert["checks"] if c["name"] == "classification")
     assert classification["category"] == "CRTBPOG"
+
+
+def test_certificate_pins_referenced_graphs(tmp_path, capsys):
+    graph = _write(tmp_path, "loop.json", LOOP)
+    hom = _write(tmp_path, "ident.json", {"domain": "loop.json", "codomain": "loop.json",
+                                          "f0": {"u": "u"}, "f1": {"l": "l"}})
+    certs = []
+    for text in (json.dumps(LOOP), json.dumps(LOOP, indent=2)):
+        pathlib.Path(graph).write_text(text)
+        assert main(["classify", hom]) == 0
+        certs.append(json.loads(capsys.readouterr().out))
+    digest = hashlib.sha256(pathlib.Path(graph).read_bytes()).hexdigest()
+    assert certs[1]["inputs"][1:] == [{"path": graph, "sha256": digest}] * 2
+    assert certs[0]["inputs"][1:] != certs[1]["inputs"][1:]
+    assert {**certs[0], "inputs": None} == {**certs[1], "inputs": None}
+
+
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"vertices": ["é"]}'.encode("latin-1"))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
 
 
 def test_graph_parse_rejects_duplicates():

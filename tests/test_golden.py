@@ -2,7 +2,11 @@
 
 The hom files under tests/data were drawn with randgen (seed 111 cases 9
 and 3, seed 112 case 8, seed 114 case 2) and graph.json is the codomain of
-the admpush instance's injective leg.  Commands run from inside tests/data
+the admpush instance's injective leg.  admpush_f_ref.json and
+admpush_g_ref.json are the admpush legs with their graphs given by file
+name (the shared domain in admpush_domain.json, the left codomain in
+graph.json), so their certificates list and digest those graph files too.
+Commands run from inside tests/data
 with relative paths, so the argv and input paths echoed in each certificate
 do not depend on where the checkout lives.  A digest changes only when a
 certificate's bytes change.
@@ -36,6 +40,10 @@ GOLDEN = [
      "2f2d39b1c7657576f60b5e3bcf52732bdef1328080709a15758f7b4ee4697f3d"),
     (["classify", "union_f.json"],
      "02136d81ff59414dd929755a0173931168f5ccd107c8111bdc443a29c28c3f9c"),
+    (["classify", "admpush_f_ref.json"],
+     "61c0eea61a956269d670c2187be6233636759201fa536133af4305558cd99604"),
+    (["verify", "--leavitt", "admpush_f_ref.json", "admpush_g_ref.json"],
+     "ccffb0b09f2c25c0fcbc3e92e644fe8d302fe4211ab57efd23cd197f7d8fd585"),
     (["eval", "graph.json", "3/2*chi[c0_ke0.xe0.xe2] - chi[x0] + 2"],
      "f65c6f13966190fde32a0e6fe32511d394067f2d91c10fe9f9393bfdf1e891a4"),
     (["eval", "--leavitt", "graph.json",

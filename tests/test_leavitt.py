@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivpush.fields import QQ, PrimeField
+from quivpush.fields import QQ, PrimeField, field_from_name
 
-from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
-from quivpush.morphism import (DomainMismatch, GraphHom, classify_hom, compose,
-                               regular_vertices)
-from quivpush.path_algebra import PAElement
+from quivpush.graph import (Graph, GraphError, Path, extended_graph, paths_up_to,
+                            union_graph)
+from quivpush.morphism import (DomainMismatch, GraphHom, HomError, classify_hom,
+                               compose, regular_vertices)
+from quivpush.path_algebra import PAElement, path_preimages
+from quivpush import leavitt
 from quivpush.pushout import PreconditionError
 from quivpush.leavitt import (LElement, LMonomial, edge_monomial,
                               ghost_monomial, graded_ideal_generators,
@@ -189,7 +191,6 @@ def test_normal_form_preserves_grading():
 def test_normal_form_matches_iterated_letter_product(seed):
     """Reducing a word in one pass agrees with multiplying its letters one
     at a time, an independent route through CK1/CK2."""
-    from quivpush.graph import extended_graph
     rng = case_rng(seed, 39)
     g = random_graph(rng, max_v=4, max_e=5)
     if not g.edges:
@@ -265,6 +266,54 @@ def test_pullback_renormalizes_when_special_edges_differ():
     expect = (_mono(dom, vertex_monomial("w0"))
               - _mono(dom, LMonomial(Path.of(["zz"]), Path.of(["zz"]))))
     assert pulled == expect
+
+
+def _pullback_through_extended_hom(h, a):
+    """Reference for l_pullback: extend h to the extended graphs, ghosts to
+    ghosts, write each monomial alpha beta* as the extended word alpha
+    followed by beta's ghosts reversed, and take the normal form of every
+    extended-path preimage of that word."""
+    ebar, fbar = extended_graph(h.domain), extended_graph(h.codomain)
+    f1 = {**h.f1, **{x: fbar.ghost[h.f1[e]] for e, x in ebar.ghost.items()}}
+    hbar = GraphHom(ebar, fbar, h.f0, f1)
+    total = LElement.zero(h.domain, a.field)
+    for mono, c in a.terms.items():
+        word = mono.alpha
+        if mono.total:
+            word = Path.of(mono.alpha.edges
+                           + tuple(fbar.ghost[e] for e in reversed(mono.beta.edges)))
+        for q in path_preimages(hbar, word):
+            total = total + normal_form(h.domain, q, c, a.field)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["q", "fp:7"]), st.data())
+def test_pullback_matches_extended_hom_oracle(seed, field_name, data):
+    field = field_from_name(field_name)
+    h = random_crtbpog_hom(case_rng(seed, 40))
+    cod = h.codomain
+    window = normal_monomials_window(cod, 3)
+    elements = [monomial_element(cod, mono, field) for mono in window]
+    a = LElement.zero(cod, field)
+    if window:
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(window), st.integers(-3, 3)),
+                                   max_size=6))
+        for mono, c in picks:
+            a = a + monomial_element(cod, mono, field, field.from_int(c))
+    for x in elements + [a]:
+        assert l_pullback(h, x) == _pullback_through_extended_hom(h, x)
+
+
+def test_window_term_outside_its_window_is_an_error(monkeypatch):
+    """Pullbacks keep every term inside its window; a window missing one of
+    those terms raises instead of dropping the column."""
+    ident = GraphHom.identity(EDGE)
+    full = leavitt.normal_monomials_window
+    monkeypatch.setattr(leavitt, "normal_monomials_window",
+                        lambda g, n: full(g, n)[:-1] if g is EDGE else full(g, n))
+    with pytest.raises(HomError, match="degree 1: the pullback of e has the term e outside"):
+        verify_leavitt_pullback(ident, ident, 2)
 
 
 def test_word_reduction_mixed_letters():

@@ -1,8 +1,9 @@
 import pytest
 
-from quivpush.graph import Graph
+from quivpush import proptest
+from quivpush.graph import Graph, validate_graph
 from quivpush.morphism import GraphHom, validate_hom
-from quivpush.proptest import SUITES, minimize_legs, run_suite
+from quivpush.proptest import SUITES, minimize_graph_pair, minimize_legs, run_suite
 from quivpush.pushout import path_pushout_compare
 from quivpush.randgen import case_rng, one_color_violation
 
@@ -48,3 +49,35 @@ def test_minimizer_keeps_valid_instance():
     f = GraphHom(point, loop, {"z": "u"}, {})
     small_f, small_g = minimize_legs(lambda a, b: True, f, f)
     assert validate_hom(small_f) == []
+
+
+def test_minimize_graph_pair_keeps_the_failing_core():
+    f_graph = Graph.build(["a", "x", "b"],
+                          [("e1", "a", "x"), ("e2", "x", "x"), ("e3", "b", "a")])
+    g_graph = Graph.build(["y", "c"], [("e4", "y", "c")], omega_tails=[("c", "y")])
+    tried = []
+
+    def fails(fg, gg):
+        tried.append((fg, gg))
+        return (not validate_graph(fg) and not validate_graph(gg)
+                and "e2" in fg.edges and "y" in gg.vertices)
+
+    small_f, small_g = minimize_graph_pair(fails, f_graph, g_graph)
+    assert small_f == Graph.build(["x"], [("e2", "x", "x")])
+    assert small_g == Graph(["y"])
+    # edges before vertices, the left graph before the right, restarting
+    # after each accepted deletion
+    assert tried[0] == (Graph.build(["a", "x", "b"], [("e2", "x", "x"), ("e3", "b", "a")]),
+                        g_graph)
+    assert len(tried) == 16
+
+
+def test_captocup_exceptions_propagate(monkeypatch):
+    """An exception on the drawn instance is an error, not a passing case."""
+    def broken_union(*graphs):
+        raise RuntimeError("union failed")
+
+    monkeypatch.setattr(proptest, "union_graph", broken_union)
+    for i in range(5):
+        with pytest.raises(RuntimeError, match="union failed"):
+            proptest.suite_captocup(case_rng(3, i))
