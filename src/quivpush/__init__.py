@@ -3,9 +3,9 @@ Leavitt path algebras, with mechanical verification of their
 pushout-to-pullback theorems on finite instances."""
 
 from .fields import QQ, PrimeField, RationalField, field_from_name
-from .graph import (ExtendedGraph, Graph, GraphError, IncompatibleOverlap,
-                    Path, classify_vertices, extended_graph, intersection_graph,
-                    paths_up_to, union_graph, validate_graph)
+from .graph import (Graph, GraphError, IncompatibleOverlap, Path,
+                    classify_vertices, intersection_graph, paths_up_to,
+                    union_graph, validate_graph)
 from .morphism import (AdmissibilityReport, GraphHom, HomClassification,
                        admissible_equiv_crtbpog, breaking_vertices, classify_hom,
                        compose, induced_path_map, is_admissible, is_hereditary,

@@ -15,7 +15,7 @@ import re
 import sys
 
 from .fields import QQ, FieldError, field_from_name
-from .graph import (Graph, GraphError, IncompatibleOverlap, Path,
+from .graph import (Graph, GraphError, IncompatibleOverlap, Path, check_word,
                     intersection_graph, require_tail_free, union_graph,
                     validate_graph)
 from .morphism import (GraphHom, HomError, classify_hom, is_admissible,
@@ -60,6 +60,9 @@ class Certificate:
 
 
 _TOKEN = re.compile(r"\s*(chi\[[^\]]*\]|\d+(?:/\d+)?|[+\-*])\s*")
+# characters that chi[...] reads as syntax, so an id holding one cannot be
+# named there and its printed form does not read back
+_UNNAMEABLE = re.compile(r"[.*\]]")
 
 
 class ExprError(ValueError):
@@ -140,14 +143,12 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
                 if leavitt:
                     return monomial_element(g, vertex_monomial(name), field, scalar)
                 return PAElement(g, field, {Path.at(name): scalar})
-        for name, _ in parsed:
-            if name not in g.edges:
-                if name in g.vertices:
-                    raise ExprError(f"vertex {name!r} cannot appear inside an edge path")
-                raise ExprError(f"unknown edge {name!r}")
+        try:
+            check_word(g, parsed)
+        except GraphError as exc:
+            raise ExprError(f"chi[{chi}]: {exc}") from None
         if leavitt:
-            letters = [name + "*" if ghost else name for name, ghost in parsed]
-            return normal_form(g, letters, scalar, field)
+            return normal_form(g, parsed, scalar, field)
         edges = [name for name, _ in parsed]
         return PAElement(g, field, {Path.of(edges): scalar})
 
@@ -281,6 +282,10 @@ def cmd_eval(args, argv):
     cert = Certificate(argv)
     g = jsonio.load_graph(args.graph, cert.obj["inputs"])
     problems = validate_graph(g)
+    unnamed = sorted(x for x in g.vertices | g.edges if _UNNAMEABLE.search(x))
+    if unnamed:
+        problems.append(f"ids {unnamed} contain '.', '*' or ']', which chi[...] "
+                        "reads as separators or ghost marks")
     if problems:
         raise jsonio.FormatError("; ".join(problems), args.graph)
     field = field_from_name(args.field)

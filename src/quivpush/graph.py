@@ -1,4 +1,4 @@
-"""Finite directed graphs (quivers), paths, extended graphs, unions.
+"""Finite directed graphs (quivers), paths, words, unions and intersections.
 
 A graph is a quadruple of vertex set, edge set and source/target maps.
 Infinite emitters are modelled combinatorially: an omega tail ``(v, w)``
@@ -6,11 +6,15 @@ stands for countably many anonymous parallel edges from v to w.  Tails
 take part in single-graph predicates and in union/intersection only; the
 algebra modules and general pushouts reject tailed graphs.
 
+A word is a sequence of letters (e, is_ghost): the edge e runs from s(e) to
+t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
+the monomials that the Leavitt normal form multiplies out.
+
 Graphs are frozen values: vertex and edge sets are frozensets, the source
 and target maps are read-only, and no attribute can be reassigned.  Derived
-tables (the hash, out/in adjacency, vertex classes, special edges and the
-extended graph) are computed once per graph, on first use, and kept on the
-graph object.  All operations here are pure.
+tables (the hash, out-adjacency, vertex classes and special edges) are
+computed once per graph, on first use, and kept on the graph object.  All
+operations here are pure.
 """
 
 from __future__ import annotations
@@ -153,12 +157,12 @@ class Graph:
     @derived
     def out_map(self):
         """Vertex -> sorted tuple of outgoing edge ids."""
-        return _incidence(self, self.src)
-
-    @derived
-    def in_map(self):
-        """Vertex -> sorted tuple of incoming edge ids."""
-        return _incidence(self, self.tgt)
+        table = {v: [] for v in self.vertices}
+        for e in sorted(self.edges):
+            v = self.src.get(e)
+            if v in table:
+                table[v].append(e)
+        return MappingProxyType({v: tuple(es) for v, es in table.items()})
 
     @derived
     def vertex_classes(self) -> "VertexClasses":
@@ -186,45 +190,6 @@ class Graph:
     def designated(self) -> frozenset:
         """The special edges as a set."""
         return frozenset(self.special_edges.values())
-
-    @derived
-    def extended(self) -> "ExtendedGraph":
-        """See extended_graph."""
-        require_tail_free(self, "extended_graph")
-        ghost = {e: e + GHOST_MARK for e in self.edges}
-        clashes = set(ghost.values()) & self.edges
-        if clashes:
-            raise GraphError(f"ghost ids collide with edge ids: {sorted(clashes)}")
-        return ExtendedGraph(self, ghost)
-
-
-def _incidence(g: Graph, end) -> MappingProxyType:
-    table = {v: [] for v in g.vertices}
-    for e in sorted(g.edges):
-        v = end.get(e)
-        if v in table:
-            table[v].append(e)
-    return MappingProxyType({v: tuple(es) for v, es in table.items()})
-
-
-class ExtendedGraph(Graph):
-    """A graph doubled with ghost edges e* reversing each real edge."""
-
-    def __init__(self, base: Graph, ghost: dict):
-        self.__dict__.update(
-            base=base,
-            ghost=MappingProxyType(dict(ghost)),                  # real id -> ghost id
-            ghost_of=MappingProxyType({g: e for e, g in ghost.items()}))  # ghost -> real
-        src = dict(base.src)
-        tgt = dict(base.tgt)
-        for e, g in ghost.items():
-            src[g] = base.tgt[e]
-            tgt[g] = base.src[e]
-        super().__init__(base.vertices, set(base.edges) | set(self.ghost_of),
-                         src, tgt)
-
-    def is_ghost(self, edge: str) -> bool:
-        return edge in self.ghost_of
 
 
 @dataclass(frozen=True)
@@ -261,13 +226,6 @@ def validate_graph(g: Graph) -> list:
     return problems
 
 
-def check_valid(g: Graph) -> Graph:
-    problems = validate_graph(g)
-    if problems:
-        raise GraphError("; ".join(problems))
-    return g
-
-
 def require_tail_free(g: Graph, context: str = "this operation"):
     if g.has_tails:
         raise GraphError(f"{context} rejects graphs with omega tails")
@@ -287,14 +245,22 @@ def regular_vertices(g: Graph) -> frozenset:
     return g.vertex_classes.regular
 
 
-GHOST_MARK = "*"
-
-
-def extended_graph(g: Graph) -> ExtendedGraph:
-    """Double the edges with ghosts: s(e*) = t(e) and t(e*) = s(e).
-
-    Returns the same object on every call for the same graph."""
-    return g.extended
+def check_word(g: Graph, letters):
+    """Raise GraphError unless the word of (edge, is_ghost) letters is
+    nonempty and spells a path; see the module doc."""
+    if not letters:
+        raise GraphError("empty word needs an explicit vertex")
+    ends = []
+    for e, ghost in letters:
+        if e not in g.edges:
+            raise GraphError(f"unknown edge {e!r}")
+        ends.append((g.tgt[e], g.src[e]) if ghost else (g.src[e], g.tgt[e]))
+    for i in range(1, len(letters)):
+        here, there = ends[i - 1][1], ends[i][0]
+        if here != there:
+            x, y = (e + "*" if ghost else e for e, ghost in letters[i - 1:i + 1])
+            raise GraphError(f"word is not a path: {x} ends at {here}, "
+                             f"{y} starts at {there}")
 
 
 def paths_up_to(g: Graph, n: int) -> list:

@@ -61,9 +61,6 @@ class SetPushout:
     to_right: dict
     labels: tuple
 
-    def class_members(self, rep):
-        return self.classes[rep]
-
 
 def set_pushout(left, right, apex, f: dict, g: dict, labels=("X", "Y"),
                 sort_key=None) -> SetPushout:

@@ -4,9 +4,10 @@ and the immutability that keeps those tables from going stale."""
 import pytest
 
 from quivpush.fields import QQ
-from quivpush.graph import (Graph, GraphError, classify_vertices, extended_graph,
+from quivpush.graph import (Graph, GraphError, check_word, classify_vertices,
                             paths_up_to)
-from quivpush.leavitt import l_pullback, monomial_element, vertex_monomial
+from quivpush.leavitt import (l_pullback, monomial_element, normal_form,
+                              vertex_monomial)
 from quivpush.morphism import GraphHom, classify_hom, induced_path_map
 from quivpush.path_algebra import path_preimages
 from quivpush.randgen import case_rng, random_general_hom, random_graph, random_tb_hom
@@ -24,8 +25,8 @@ def _homs(seed):
     return [random_general_hom(rng, cod), random_tb_hom(rng, cod, regular=True)]
 
 
-def _ref_incidence(g, end):
-    return {v: tuple(sorted(e for e in g.edges if end[e] == v)) for v in g.vertices}
+def _ref_out(g):
+    return {v: tuple(sorted(e for e in g.edges if g.src[e] == v)) for v in g.vertices}
 
 
 def _ref_fibers(mapping, keys):
@@ -36,8 +37,7 @@ def _ref_fibers(mapping, keys):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_graph_tables_match_references(seed):
     g = _graph(seed)
-    assert dict(g.out_map) == _ref_incidence(g, g.src)
-    assert dict(g.in_map) == _ref_incidence(g, g.tgt)
+    assert dict(g.out_map) == _ref_out(g)
 
     emits = {g.src[e] for e in g.edges} | {v for v, _ in g.omega_tails}
     receives = {g.tgt[e] for e in g.edges} | {w for _, w in g.omega_tails}
@@ -55,20 +55,25 @@ def test_graph_tables_match_references(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_extended_graph_matches_reference(seed):
+    """The two-letter words that check_word accepts are the paths of length
+    two in the extended graph, built here from scratch."""
     g = _graph(seed)
     if g.omega_tails:
-        with pytest.raises(GraphError):
-            extended_graph(g)
+        with pytest.raises(GraphError, match="omega tails"):
+            normal_form(g, [(e, False) for e in sorted(g.edges)[:1]])
         return
-    eg = extended_graph(g)
-    assert eg is extended_graph(g)
-    ghosts = {e + "*": e for e in g.edges}
-    src = {**g.src, **{x: g.tgt[e] for x, e in ghosts.items()}}
-    tgt = {**g.tgt, **{x: g.src[e] for x, e in ghosts.items()}}
-    assert eg == Graph(g.vertices, set(src), src, tgt)
-    assert eg.base is g
-    assert dict(eg.ghost_of) == ghosts
-    assert dict(eg.ghost) == {e: x for x, e in ghosts.items()}
+    src, tgt = {}, {}
+    for e in g.edges:
+        src[e, False], tgt[e, False] = g.src[e], g.tgt[e]
+        src[e, True], tgt[e, True] = g.tgt[e], g.src[e]
+    for x in src:
+        check_word(g, [x])
+        for y in src:
+            if tgt[x] == src[y]:
+                check_word(g, [x, y])
+            else:
+                with pytest.raises(GraphError, match="not a path"):
+                    check_word(g, [x, y])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -121,11 +126,6 @@ def test_graphs_and_homs_are_frozen():
             setattr(obj, attr, None)
         with pytest.raises(AttributeError):
             delattr(obj, attr)
-    eg = extended_graph(g)
-    with pytest.raises(TypeError):
-        eg.ghost["e"] = "x"
-    with pytest.raises(AttributeError):
-        eg.base = g
 
 
 def test_equal_graphs_hash_alike():

@@ -291,6 +291,29 @@ def test_eval_bad_expression(tmp_path, capsys):
     assert main(["eval", path, "chi[nope]"]) == 2
 
 
+@pytest.mark.parametrize("mode", [[], ["--leavitt"]], ids=["path", "leavitt"])
+def test_eval_refuses_a_word_that_is_not_a_path(monkeypatch, capsys, mode):
+    monkeypatch.chdir(ROOT / "tests" / "data")
+    assert main(["eval", *mode, "graph.json", "chi[xe2.xe0]"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == ("parse error: <expression>: chi[xe2.xe0]: word is not a path: "
+                   "xe2 ends at x1, xe0 starts at c0_k0\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--leavitt"]], ids=["path", "leavitt"])
+@pytest.mark.parametrize("bad_id", ["a*", "a.b", "a]"])
+def test_eval_refuses_ids_that_chi_cannot_name(tmp_path, capsys, mode, bad_id):
+    graph = {"vertices": ["v", "w"], "omega_tails": [],
+             "edges": [{"id": "a", "src": "v", "tgt": "w"},
+                       {"id": bad_id, "src": "v", "tgt": "w"}]}
+    path = _write(tmp_path, "starred.json", graph)
+    assert main(["eval", *mode, path, "chi[a]"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("parse error: ") and f"ids ['{bad_id}'] contain" in err
+
+
 GRAPH = graph_from_obj(json.loads((ROOT / "tests" / "data" / "graph.json").read_text()))
 COEFFICIENTS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -316,6 +339,9 @@ def test_parse_element_modes():
         parse_element("", g)
     with pytest.raises(ExprError):
         parse_element("chi[v.e]", g)
+    for text in ("chi[e.e]", "chi[e*.e*]"):
+        with pytest.raises(ExprError, match="not a path"):
+            parse_element(text, g)
 
 
 def test_proptest_zero_cases_passes(capsys):

@@ -1,0 +1,45 @@
+"""A dead-code guard: every public module-level function and class of the
+package is used somewhere in src/, tests/ or bench/.
+
+A use is a name or an attribute access outside the object's own
+definition; an import alone is not a use, so a re-export in __init__ does
+not keep an unused function alive.
+"""
+
+import ast
+import pathlib
+from collections import defaultdict
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "quivpush"
+
+
+def _trees(directory):
+    for path in sorted(directory.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _uses():
+    """Identifier -> the (file, line) of every name or attribute reading it."""
+    uses = defaultdict(list)
+    for directory in ("src", "tests", "bench"):
+        for path, tree in _trees(ROOT / directory):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    uses[node.id].append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    uses[node.attr].append((path, node.lineno))
+    return uses
+
+
+def test_every_public_definition_is_used():
+    uses = _uses()
+    unused = []
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(where != path or not node.lineno <= line <= node.end_lineno
+                                for where, line in uses[node.name])):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unused, "defined but never used: " + ", ".join(unused)

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivpush.graph import (Graph, GraphError, IncompatibleOverlap, Path,
-                            classify_vertices, extended_graph,
-                            intersection_graph, is_subgraph, paths_up_to,
-                            union_graph, validate_graph, longest_path_length,
-                            is_acyclic)
+                            check_word, classify_vertices, intersection_graph,
+                            is_subgraph, paths_up_to, union_graph,
+                            validate_graph, longest_path_length, is_acyclic)
+from quivpush.leavitt import normal_form
 from quivpush.randgen import case_rng, random_graph
 
 
@@ -50,27 +50,31 @@ def test_classify_omega_tail_emitter():
 
 def test_extended_single_edge():
     g = Graph.build(["v", "w"], [("e", "v", "w")])
-    eg = extended_graph(g)
-    assert eg.src["e*"] == "w" and eg.tgt["e*"] == "v"
-    assert eg.ghost_of["e*"] == "e"
+    e, e_ghost = ("e", False), ("e", True)
+    check_word(g, [e_ghost, e])          # e* runs from w back to v
+    check_word(g, [e, e_ghost])
+    for word in ([e, e], [e_ghost, e_ghost]):
+        with pytest.raises(GraphError, match="not a path"):
+            check_word(g, word)
 
 
 def test_extended_loop_ghost_is_loop():
     g = Graph.build(["u"], [("l", "u", "u")])
-    eg = extended_graph(g)
-    assert eg.src["l*"] == "u" and eg.tgt["l*"] == "u"
+    check_word(g, [("l", True), ("l", True), ("l", False)])
 
 
 def test_extended_no_edges():
     g = Graph(["v"])
-    eg = extended_graph(g)
-    assert eg.edges == frozenset()
-    assert eg.vertices == {"v"}
+    with pytest.raises(GraphError, match="empty word"):
+        check_word(g, [])
+    with pytest.raises(GraphError, match="unknown edge"):
+        check_word(g, [("v", False)])
 
 
 def test_extended_rejects_tails():
-    with pytest.raises(GraphError):
-        extended_graph(Graph(["v"], omega_tails=[("v", "v")]))
+    with pytest.raises(GraphError, match="omega tails"):
+        normal_form(Graph(["v"], ["l"], {"l": "v"}, {"l": "v"}, [("v", "v")]),
+                    [("l", True)])
 
 
 def test_paths_single_vertex():
@@ -167,11 +171,19 @@ def test_union_intersection_subgraph_invariants(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_extended_functorial_for_inclusions(seed):
+    """A word that spells a path in a subgraph spells one in the graph."""
     rng = case_rng(seed, 2)
     sup = random_graph(rng, max_v=5, max_e=6)
     from quivpush.randgen import restrict_graph
     sub = restrict_graph(sup, {v for v in sup.vertices if rng.random() < 0.7})
-    assert is_subgraph(extended_graph(sub), extended_graph(sup))
+    letters = [(e, ghost) for e in sorted(sub.edges) for ghost in (False, True)]
+    for x in letters:
+        for y in letters:
+            try:
+                check_word(sub, [x, y])
+            except GraphError:
+                continue
+            check_word(sup, [x, y])
 
 
 def test_longest_path_and_acyclicity():

@@ -3,14 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from quivpush.fields import QQ, PrimeField, field_from_name
 
-from quivpush.graph import (Graph, GraphError, Path, extended_graph, paths_up_to,
-                            union_graph)
+from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
 from quivpush.morphism import (DomainMismatch, GraphHom, HomError, classify_hom,
                                compose, regular_vertices)
 from quivpush.path_algebra import PAElement, path_preimages
 from quivpush import leavitt
 from quivpush.pushout import PreconditionError
-from quivpush.leavitt import (LElement, LMonomial, edge_monomial,
+from quivpush.leavitt import (DescentError, LElement, LMonomial, edge_monomial,
                               ghost_monomial, graded_ideal_generators,
                               is_normal, ker_generators, l_mul, l_pullback,
                               l_unit, leavitt_dimension_enumerated,
@@ -19,10 +18,12 @@ from quivpush.leavitt import (LElement, LMonomial, edge_monomial,
                               verify_descent, verify_leavitt_pullback,
                               vertex_monomial)
 from quivpush.randgen import (case_rng, fold_hom, leavitt_union_instance,
-                              random_crtbpog_hom, random_graph)
+                              random_crtbpog_hom, random_general_hom,
+                              random_graph)
 
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 LOOP = Graph.build(["u"], [("l", "u", "u")])
+E, E_GHOST = ("e", False), ("e", True)     # the letters e and e* of a word
 
 
 def _mono(g, mono, field=QQ):
@@ -30,7 +31,7 @@ def _mono(g, mono, field=QQ):
 
 
 def test_ck1_same_edge():
-    assert normal_form(EDGE, ["e*", "e"]) == _mono(EDGE, vertex_monomial("w"))
+    assert normal_form(EDGE, [E_GHOST, E]) == _mono(EDGE, vertex_monomial("w"))
 
 
 def test_equality_compares_the_field():
@@ -42,16 +43,17 @@ def test_equality_compares_the_field():
 
 def test_ck1_different_edges():
     g = Graph.build(["a", "b"], [("e", "a", "b"), ("f", "a", "b")])
-    assert normal_form(g, ["e*", "f"]).is_zero()
+    assert normal_form(g, [E_GHOST, ("f", False)]).is_zero()
 
 
 def test_ck2_single_edge_collapses_to_vertex():
-    assert normal_form(EDGE, ["e", "e*"]) == _mono(EDGE, vertex_monomial("v"))
+    assert normal_form(EDGE, [E, E_GHOST]) == _mono(EDGE, vertex_monomial("v"))
 
 
 def test_normal_form_rejects_non_paths():
-    with pytest.raises(GraphError):
-        normal_form(EDGE, ["e", "e"])
+    for word in ([E, E], [E_GHOST, E_GHOST], [], [("x", False)]):
+        with pytest.raises(GraphError):
+            normal_form(EDGE, word)
 
 
 def test_vertex_idempotent():
@@ -186,38 +188,52 @@ def test_normal_form_preserves_grading():
     assert all(m.degree == 0 for m in elem.terms)
 
 
+def _reduce_word(g, letters):
+    """Reference for normal_form: cancel each e* followed by e (a ghost
+    followed by a different real edge kills the word), so that the real
+    letters alpha come before the ghosts beta*, then normalize alpha beta*."""
+    e, ghost = letters[0]
+    start = g.tgt[e] if ghost else g.src[e]
+    word = []
+    for e, ghost in letters:
+        if word and word[-1][1] and not ghost:
+            if word[-1][0] != e:
+                return LElement.zero(g, QQ)
+            word.pop()
+        else:
+            word.append((e, ghost))
+    reals = [e for e, ghost in word if not ghost]
+    ghosts = [e for e, ghost in reversed(word) if ghost]
+    alpha = Path.of(reals) if reals else Path.at(start)
+    beta = Path.of(ghosts) if ghosts else Path.at(alpha.target(g))
+    return _mono(g, LMonomial(alpha, beta))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_normal_form_matches_iterated_letter_product(seed):
-    """Reducing a word in one pass agrees with multiplying its letters one
-    at a time, an independent route through CK1/CK2."""
+    """Multiplying a word's letters one at a time agrees with cancelling
+    ghost/real pairs first and normalizing the one monomial left over."""
     rng = case_rng(seed, 39)
     g = random_graph(rng, max_v=4, max_e=5)
     if not g.edges:
         return
-    eg = extended_graph(g)
-    out = eg.out_map
+    # the letters leaving each vertex: its out-edges and the ghosts of its in-edges
+    out = {v: [] for v in g.vertices}
+    for e in sorted(g.edges):
+        out[g.src[e]].append((e, False))
+        out[g.tgt[e]].append((e, True))
     for _ in range(5):
-        start = rng.choice(sorted(eg.vertices))
+        here = rng.choice(sorted(g.vertices))
         letters = []
-        here = start
         for _ in range(rng.randint(1, 6)):
             if not out[here]:
                 break
-            e = rng.choice(out[here])
-            letters.append(e)
-            here = eg.tgt[e]
-        if not letters:
-            continue
-        direct = normal_form(g, letters)
-        stepwise = None
-        for x in letters:
-            if eg.is_ghost(x):
-                factor = _mono(g, ghost_monomial(g, eg.ghost_of[x]))
-            else:
-                factor = _mono(g, edge_monomial(g, x))
-            stepwise = factor if stepwise is None else l_mul(stepwise, factor)
-        assert direct == stepwise
+            e, ghost = rng.choice(out[here])
+            letters.append((e, ghost))
+            here = g.src[e] if ghost else g.tgt[e]
+        if letters:
+            assert normal_form(g, letters) == _reduce_word(g, letters)
 
 
 def test_pullback_identity():
@@ -268,22 +284,37 @@ def test_pullback_renormalizes_when_special_edges_differ():
     assert pulled == expect
 
 
+def _extended(g):
+    """The extended graph of g, with the letters (e, False) and (e, True)
+    of normal_form as its edge ids: the ghost e* runs from t(e) to s(e)."""
+    src, tgt = {}, {}
+    for e in g.edges:
+        src[e, False], tgt[e, False] = g.src[e], g.tgt[e]
+        src[e, True], tgt[e, True] = g.tgt[e], g.src[e]
+    return Graph(g.vertices, src, src, tgt)
+
+
 def _pullback_through_extended_hom(h, a):
     """Reference for l_pullback: extend h to the extended graphs, ghosts to
     ghosts, write each monomial alpha beta* as the extended word alpha
     followed by beta's ghosts reversed, and take the normal form of every
     extended-path preimage of that word."""
-    ebar, fbar = extended_graph(h.domain), extended_graph(h.codomain)
-    f1 = {**h.f1, **{x: fbar.ghost[h.f1[e]] for e, x in ebar.ghost.items()}}
-    hbar = GraphHom(ebar, fbar, h.f0, f1)
+    hbar = GraphHom(_extended(h.domain), _extended(h.codomain), h.f0,
+                    {(e, ghost): (h.f1[e], ghost) for e in h.domain.edges
+                     for ghost in (False, True)})
     total = LElement.zero(h.domain, a.field)
     for mono, c in a.terms.items():
-        word = mono.alpha
-        if mono.total:
-            word = Path.of(mono.alpha.edges
-                           + tuple(fbar.ghost[e] for e in reversed(mono.beta.edges)))
+        if not mono.total:
+            word = mono.alpha
+        else:
+            word = Path.of([(e, False) for e in mono.alpha.edges]
+                           + [(e, True) for e in reversed(mono.beta.edges)])
         for q in path_preimages(hbar, word):
-            total = total + normal_form(h.domain, q, c, a.field)
+            if q.is_vertex:
+                total = total + monomial_element(h.domain, vertex_monomial(q.vertex),
+                                                 a.field, c)
+            else:
+                total = total + normal_form(h.domain, q.edges, c, a.field)
     return total
 
 
@@ -318,9 +349,9 @@ def test_window_term_outside_its_window_is_an_error(monkeypatch):
 
 def test_word_reduction_mixed_letters():
     # e* e e*  ->  e*;  e e* e -> e
-    assert normal_form(EDGE, ["e*", "e", "e*"]) == \
+    assert normal_form(EDGE, [E_GHOST, E, E_GHOST]) == \
         _mono(EDGE, LMonomial(Path.at("w"), Path.of(["e"])))
-    assert normal_form(EDGE, ["e", "e*", "e"]) == \
+    assert normal_form(EDGE, [E, E_GHOST, E]) == \
         _mono(EDGE, LMonomial(Path.of(["e"]), Path.at("w")))
 
 
@@ -340,6 +371,52 @@ def test_descent_identities_and_kerver(seed):
     for v in sorted(h.codomain.vertices):
         elem = l_pullback(h, _mono(h.codomain, vertex_monomial(v)))
         assert elem.is_zero() == (v not in image)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_ck1_square_vanishes_off_the_diagonal(seed):
+    """verify_descent checks CK1 only on the diagonal x*x = t(x), which
+    holds for admissible homs; over the whole square of codomain edges, x*y
+    pulls back to zero for x != y on arbitrary homs as well."""
+    rng = case_rng(seed, 41)
+    crtbpog = random_crtbpog_hom(rng)
+    general = random_general_hom(rng, random_graph(rng, max_v=3, max_e=5))
+    for h in (crtbpog, general):
+        F = h.codomain
+
+        def pulled(mono):
+            return leavitt._pull(h, {mono: QQ.one}, QQ)
+
+        edge = {x: pulled(edge_monomial(F, x)) for x in F.edges}
+        ghost = {x: pulled(ghost_monomial(F, x)) for x in F.edges}
+        for x in F.edges:
+            for y in F.edges:
+                product = l_mul(ghost[x], edge[y])
+                if x != y:
+                    assert product.is_zero()
+                elif h is crtbpog:
+                    assert product == pulled(vertex_monomial(F.tgt[x]))
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("ghosts doubled", "CK1 descent fails on edge e"),
+    ("source vertex dropped", "CK2 descent fails at regular vertex v"),
+])
+def test_descent_error_fires_on_a_broken_pullback(monkeypatch, broken, message):
+    pull = leavitt._pull
+
+    def bad_pull(h, terms, field):
+        out = pull(h, terms, field)
+        if broken == "ghosts doubled" and any(m.degree < 0 for m in terms):
+            return out.scale(field.from_int(2))
+        if broken == "source vertex dropped" and vertex_monomial("v") in terms:
+            return LElement.zero(h.domain, field)
+        return out
+
+    monkeypatch.setattr(leavitt, "_pull", bad_pull)
+    with pytest.raises(DescentError, match=message):
+        verify_descent(GraphHom.identity(EDGE))
 
 
 def test_pullback_unital():
