@@ -69,6 +69,15 @@ class ExprError(ValueError):
     pass
 
 
+def _unnameable_ids(g: Graph):
+    """Why chi[...] cannot name some of g's ids, or None when it names all."""
+    unnamed = sorted(x for x in g.vertices | g.edges if _UNNAMEABLE.search(x))
+    if unnamed:
+        return (f"ids {unnamed} contain '.', '*' or ']', which chi[...] "
+                "reads as separators or ghost marks")
+    return None
+
+
 def _tokenize(text):
     pos = 0
     tokens = []
@@ -93,8 +102,12 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
     """Parse a linear combination like '3/2*chi[e1.e2] - chi[v]'.
 
     Ghost markers (chi[e*]) force Leavitt mode; bare coefficients multiply
-    the unit.  Graphs with omega tails are refused in both modes.
+    the unit.  Graphs with omega tails are refused in both modes, and so are
+    graphs with an id that chi[...] cannot name.
     """
+    unnamed = _unnameable_ids(g)
+    if unnamed:
+        raise ExprError(unnamed)
     tokens = _tokenize(text)
     if not tokens:
         raise ExprError("empty expression")
@@ -282,10 +295,9 @@ def cmd_eval(args, argv):
     cert = Certificate(argv)
     g = jsonio.load_graph(args.graph, cert.obj["inputs"])
     problems = validate_graph(g)
-    unnamed = sorted(x for x in g.vertices | g.edges if _UNNAMEABLE.search(x))
+    unnamed = _unnameable_ids(g)
     if unnamed:
-        problems.append(f"ids {unnamed} contain '.', '*' or ']', which chi[...] "
-                        "reads as separators or ghost marks")
+        problems.append(unnamed)
     if problems:
         raise jsonio.FormatError("; ".join(problems), args.graph)
     field = field_from_name(args.field)

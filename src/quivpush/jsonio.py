@@ -64,7 +64,10 @@ def graph_from_obj(obj, path=None) -> Graph:
         src[e] = u
         tgt[e] = w
     tails = []
-    for t in obj.get("omega_tails", []):
+    omega_tails = obj.get("omega_tails", [])
+    if not isinstance(omega_tails, list):
+        raise FormatError("'omega_tails' must be a list", path)
+    for t in omega_tails:
         if not (isinstance(t, list) and len(t) == 2):
             raise FormatError("each omega tail must be a pair [v, w]", path)
         for x in t:

@@ -24,7 +24,11 @@ acyclic graph) pair up the paths of graph.paths_up_to that share an end
 vertex.  The pullback along a CRTBPOG morphism pairs path preimages the same
 way: alpha beta* goes to the sum of alpha' beta'* over preimages alpha' of
 alpha and beta' of beta with a common end vertex, brought back to normal
-form over the domain.
+form over the domain.  The pullback verifier's window cross-check needs the
+pullback of every window monomial, and builds them in the other direction:
+one pass over the domain's pairs alpha' beta'* maps each domain path forward
+once and adds the normal form of alpha' beta'* to the column of
+(h alpha')(h beta')*.
 """
 
 from __future__ import annotations
@@ -193,10 +197,19 @@ def l_unit(g: Graph, field=QQ) -> LElement:
     return LElement(g, field, {vertex_monomial(v): field.one for v in g.vertices})
 
 
-def _require_crtbpog(h: GraphHom):
+def _require_pullback(h: GraphHom, field):
+    """Refuse h unless it induces a Leavitt pullback: a valid CRTBPOG
+    morphism of tail-free graphs.  The descent identities are verified once
+    per morphism and field, which the morphism records in descent_fields."""
+    check_valid_hom(h)
+    require_tail_free(h.domain, "Leavitt path algebra")
+    require_tail_free(h.codomain, "Leavitt path algebra")
     cls = h.classification
     if cls.category != CATEGORY_CRTBPOG:
         raise PreconditionError("CRTBPOG", f"morphism classifies as {cls.category}")
+    if field not in h.descent_fields:
+        verify_descent(h, field)
+        h.descent_fields.add(field)
 
 
 def _pull(h: GraphHom, terms: dict, field) -> LElement:
@@ -246,18 +259,11 @@ def l_pullback(h: GraphHom, a: LElement) -> LElement:
     to the sum of alpha' beta'* over path preimages alpha' of alpha and
     beta' of beta that share their end vertex, renormalized over the domain.
 
-    Requires a CRTBPOG morphism; the descent identities are verified once per
-    morphism and field, which the morphism records in descent_fields.
+    Requires a CRTBPOG morphism (see _require_pullback).
     """
-    check_valid_hom(h)
-    require_tail_free(h.domain, "Leavitt path algebra")
-    require_tail_free(h.codomain, "Leavitt path algebra")
-    _require_crtbpog(h)
     if a.graph != h.codomain:
         raise DomainMismatch("element must live over the codomain graph")
-    if a.field not in h.descent_fields:
-        verify_descent(h, a.field)
-        h.descent_fields.add(a.field)
+    _require_pullback(h, a.field)
     return _pull(h, a.terms, a.field)
 
 
@@ -302,8 +308,7 @@ def ker_generators(h: GraphHom, field=QQ) -> KernelPresentation:
     sanity check that every vertex idempotent dies iff it lies outside the
     image (both directions).
     """
-    _require_crtbpog(h)
-    require_tail_free(h.codomain, "Leavitt path algebra")
+    _require_pullback(h, field)
     E = h.codomain
     h_set = frozenset(E.vertices - h.vertex_image())
     if not is_hereditary(E, h_set) or not is_saturated(E, h_set):
@@ -328,17 +333,25 @@ def _paths_by_end(g: Graph, n: int) -> dict:
     return ends
 
 
+def _end_pairs(ends: dict, max_total: int):
+    """Every alpha beta*, normal or not, with |alpha| + |beta| <= max_total
+    and both paths in one list of ends (see _paths_by_end)."""
+    for into in ends.values():
+        # paths_up_to lists paths by length, so each run of betas that fits
+        # next to alpha is a prefix of into
+        for alpha in into:
+            room = max_total - alpha.length
+            for beta in into:
+                if beta.length > room:
+                    break
+                yield LMonomial(alpha, beta)
+
+
 def normal_monomials_window(g: Graph, max_total: int) -> list:
     """All NORMAL monomials with |alpha| + |beta| <= max_total, sorted."""
     designated = g.designated
-    result = []
-    for into in _paths_by_end(g, max_total).values():
-        for alpha in into:
-            for beta in into:
-                if alpha.length + beta.length <= max_total:
-                    m = LMonomial(alpha, beta)
-                    if is_normal(m, designated):
-                        result.append(m)
+    result = [m for m in _end_pairs(_paths_by_end(g, max_total), max_total)
+              if is_normal(m, designated)]
     result.sort(key=LMonomial.sort_key)
     return result
 
@@ -347,11 +360,9 @@ def all_pair_monomials(g: Graph) -> list:
     """Every alpha beta* with a common end vertex; finite iff g is acyclic."""
     if not is_acyclic(g):
         raise GraphError("pair monomial enumeration needs an acyclic graph")
-    result = [LMonomial(alpha, beta)
-              for into in _paths_by_end(g, len(g.edges)).values()
-              for alpha in into for beta in into]
-    result.sort(key=LMonomial.sort_key)
-    return result
+    # no path of an acyclic graph is longer than its edge count
+    n = len(g.edges)
+    return sorted(_end_pairs(_paths_by_end(g, n), 2 * n), key=LMonomial.sort_key)
 
 
 def leavitt_dimension_enumerated(g: Graph) -> int:
@@ -535,16 +546,63 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
                                  tuple(failures))
 
 
+def _pullback_columns(h: GraphHom, basis, max_total: int, field) -> dict:
+    """The pullback along h of each codomain monomial in basis, of total
+    <= max_total, as {domain monomial: nonzero coefficient}.
+
+    One pass over the domain's pairs alpha' beta'* with a common end vertex
+    adds the normal form of each to the column of (h alpha')(h beta')*, if
+    that is in basis.  Paths keep their lengths under h, so these are the
+    pairs that _pull visits.
+    """
+    _require_pullback(h, field)
+    dom, f0, f1 = h.domain, h.f0, h.f1
+    zero, one = field.zero, field.one
+    ends = _paths_by_end(dom, max_total)
+    image = {p: Path.at(f0[p.vertex]) if p.is_vertex else Path.of([f1[e] for e in p.edges])
+             for into in ends.values() for p in into}
+    cols = {m: {} for m in basis}
+    for pair in _end_pairs(ends, max_total):
+        col = cols.get(LMonomial(image[pair.alpha], image[pair.beta]))
+        if col is not None:
+            _ck2_accumulate(dom, pair, one, col, zero)
+    return {m: {t: c for t, c in col.items() if c != zero} for m, col in cols.items()}
+
+
+def _indexed(columns: dict, monos, idx: dict, d: int, offset: int = 0) -> list:
+    """The columns of monos with each term m at row offset + idx[m].
+    Pullbacks keep lengths and CK2 rewriting never lengthens a monomial, so
+    every term lies in the window of degree d that idx indexes."""
+    result = []
+    for mono in monos:
+        try:
+            result.append({offset + idx[m]: c for m, c in columns[mono].items()})
+        except KeyError as exc:
+            raise HomError(f"degree {d}: the pullback of {mono} has the term "
+                           f"{exc.args[0]} outside the window") from None
+    return result
+
+
 def _window_cross_check(f, g, po, n, field):
+    """Rank checks, degree by degree, on the windows of NORMAL monomials
+    with total <= n: the image of L(P) in L(E) x L(F) and the fiber of
+    L(E) x L(F) -> L(G).  Each of the four pullbacks (iota_E, iota_F, f, g)
+    is built for its whole window in one pass over its domain's pairs; see
+    _pullback_columns."""
     E, F, G = f.codomain, g.codomain, f.domain
-    p_graph = po.graph
-    bases = {"P": normal_monomials_window(p_graph, n),
+    bases = {"P": normal_monomials_window(po.graph, n),
              "E": normal_monomials_window(E, n),
              "F": normal_monomials_window(F, n),
              "G": normal_monomials_window(G, n)}
+    iota_e_cols = _pullback_columns(po.iota_left, bases["P"], n, field)
+    iota_f_cols = _pullback_columns(po.iota_right, bases["P"], n, field)
+    f_cols = _pullback_columns(f, bases["E"], n, field)
+    g_cols = _pullback_columns(g, bases["F"], n, field)
     degrees = sorted({m.degree for ms in bases.values() for m in ms})
-    by_deg = {name: {d: [m for m in ms if m.degree == d] for d in degrees}
-              for name, ms in bases.items()}
+    by_deg = {name: {d: [] for d in degrees} for name in bases}
+    for name, ms in bases.items():
+        for m in ms:
+            by_deg[name][m.degree].append(m)
     checks = []
     for d in degrees:
         p_d = by_deg["P"][d]
@@ -555,28 +613,18 @@ def _window_cross_check(f, g, po, n, field):
         f_idx = {m: i for i, m in enumerate(f_d)}
         g_idx = {m: i for i, m in enumerate(g_d)}
 
-        def column(hom, idx, mono, offset=0):
-            """The pulled-back monomial as a sparse column.  Pullbacks keep
-            lengths and CK2 rewriting never lengthens a monomial, so every
-            term lies in the window of degree d."""
-            elem = l_pullback(hom, monomial_element(hom.codomain, mono, field))
-            try:
-                return {offset + idx[m]: c for m, c in elem.terms.items()}
-            except KeyError as exc:
-                raise HomError(f"degree {d}: the pullback of {mono} has the term "
-                               f"{exc.args[0]} outside the window") from None
-
         # matrices are handed to rank column by column (rank is
         # transpose-invariant); E and F coordinates stack at offset len(e_d)
-        image_cols = [{**column(po.iota_left, e_idx, mono),
-                       **column(po.iota_right, f_idx, mono, len(e_d))} for mono in p_d]
+        image_cols = [{**left, **right} for left, right in
+                      zip(_indexed(iota_e_cols, p_d, e_idx, d),
+                          _indexed(iota_f_cols, p_d, f_idx, d, len(e_d)))]
         dim_image = rank(image_cols, field)
         injective = dim_image == len(image_cols)
 
         # the fiber's constraint matrix is [f* | -g*]; negating the g*
         # columns leaves the rank unchanged
-        constraint = ([column(f, g_idx, mono) for mono in e_d]
-                      + [column(g, g_idx, mono) for mono in f_d])
+        constraint = (_indexed(f_cols, e_d, g_idx, d)
+                      + _indexed(g_cols, f_d, g_idx, d))
         dim_fiber = len(e_d) + len(f_d) - rank(constraint, field)
         checks.append(WindowCheck(d, len(p_d), dim_image, dim_fiber, injective))
     return checks

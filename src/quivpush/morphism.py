@@ -60,9 +60,12 @@ class GraphHom:
         return frozenset(self.f1.values())
 
     def is_inclusion(self) -> bool:
-        return (all(self.f0.get(v) == v for v in self.domain.vertices)
-                and all(self.f1.get(e) == e for e in self.domain.edges)
-                and is_subgraph(self.domain, self.codomain))
+        dom, f0, f1 = self.domain, self.f0, self.f1
+        # equal sizes rule out keys that are not domain ids
+        return (len(f0) == len(dom.vertices) and len(f1) == len(dom.edges)
+                and all(f0.get(v) == v for v in dom.vertices)
+                and all(f1.get(e) == e for e in dom.edges)
+                and is_subgraph(dom, self.codomain))
 
     def __repr__(self):
         return f"GraphHom({len(self.domain.vertices)}v/{len(self.domain.edges)}e -> " \
@@ -70,9 +73,12 @@ class GraphHom:
 
     @derived
     def problems(self) -> tuple:
-        """Totality and commuting-square failures; see validate_hom."""
+        """Totality, stray-key and commuting-square failures; see validate_hom."""
         dom, cod, f0, f1 = self.domain, self.codomain, self.f0, self.f1
-        problems = []
+        problems = [f"f0 key {v}: not a domain vertex"
+                    for v in sorted(f0.keys() - dom.vertices)]
+        problems += [f"f1 key {e}: not a domain edge"
+                     for e in sorted(f1.keys() - dom.edges)]
         for v in sorted(dom.vertices):
             if v not in f0:
                 problems.append(f"vertex {v}: no image")
@@ -146,7 +152,8 @@ class HomClassification:
 
 
 def validate_hom(h: GraphHom) -> list:
-    """Report totality and commuting-square failures; empty list means ok."""
+    """Report totality, stray-key and commuting-square failures; empty list
+    means ok."""
     return list(h.problems)
 
 

@@ -106,6 +106,40 @@ def test_non_string_ids_are_parse_errors(tmp_path, capsys, hom, field):
     assert field in err and "must be a string" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tails", [5, None])
+def test_omega_tails_must_be_a_list(tmp_path, capsys, tails):
+    graph = {"vertices": ["a"], "omega_tails": tails}
+    with pytest.raises(FormatError, match="'omega_tails' must be a list"):
+        graph_from_obj(graph)
+    path = _write(tmp_path, "tails.json", graph)
+    for argv in (["eval", path, "1"], ["union", path, path]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"parse error: {path}: 'omega_tails' must be a list\n"
+
+
+def test_stray_hom_keys_make_the_hom_invalid(tmp_path, capsys):
+    """f0 and f1 keys outside the domain are violations, not extra images
+    that break injectivity."""
+    point = {"vertices": ["a"]}
+    ident = _write(tmp_path, "ident.json", {"domain": point, "codomain": point,
+                                            "f0": {"a": "a"}, "f1": {}})
+    assert main(["verify", "--path", ident, ident]) == 0
+    capsys.readouterr()
+    stray = _write(tmp_path, "stray.json", {"domain": point, "codomain": point,
+                                            "f0": {"a": "a", "zz": "a"},
+                                            "f1": {"x": "y"}})
+    violations = ["f0 key zz: not a domain vertex", "f1 key x: not a domain edge"]
+    assert main(["classify", stray]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["checks"] == [{"name": "valid_hom", "ok": False,
+                               "violations": violations}]
+    for mode in ("--path", "--leavitt"):
+        assert main(["verify", mode, stray, stray]) == 1
+        assert capsys.readouterr().err == f"error: {'; '.join(violations)}\n"
+
+
 def test_classify_identity_is_crtbpog(tmp_path, capsys):
     hom = {"domain": LOOP, "codomain": LOOP, "f0": {"u": "u"}, "f1": {"l": "l"}}
     path = _write(tmp_path, "ident.json", hom)
@@ -312,6 +346,15 @@ def test_eval_refuses_ids_that_chi_cannot_name(tmp_path, capsys, mode, bad_id):
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith("parse error: ") and f"ids ['{bad_id}'] contain" in err
+
+
+def test_parse_element_refuses_ids_that_chi_cannot_name():
+    g = Graph.build(["v"], [("a*b", "v", "v")])
+    for leavitt in (False, True):
+        with pytest.raises(ExprError, match=r"ids \['a\*b'\] contain"):
+            parse_element("chi[a*b]", g, QQ, leavitt)
+        with pytest.raises(ExprError, match="contain"):
+            parse_element("1", g, QQ, leavitt)
 
 
 GRAPH = graph_from_obj(json.loads((ROOT / "tests" / "data" / "graph.json").read_text()))

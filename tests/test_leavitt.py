@@ -8,7 +8,7 @@ from quivpush.morphism import (DomainMismatch, GraphHom, HomError, classify_hom,
                                compose, regular_vertices)
 from quivpush.path_algebra import PAElement, path_preimages
 from quivpush import leavitt
-from quivpush.pushout import PreconditionError
+from quivpush.pushout import PreconditionError, pushout_square
 from quivpush.leavitt import (DescentError, LElement, LMonomial, edge_monomial,
                               ghost_monomial, graded_ideal_generators,
                               is_normal, ker_generators, l_mul, l_pullback,
@@ -17,9 +17,9 @@ from quivpush.leavitt import (DescentError, LElement, LMonomial, edge_monomial,
                               normal_form, normal_monomials_window,
                               verify_descent, verify_leavitt_pullback,
                               vertex_monomial)
-from quivpush.randgen import (case_rng, fold_hom, leavitt_union_instance,
-                              random_crtbpog_hom, random_general_hom,
-                              random_graph)
+from quivpush.randgen import (admpush_instance, case_rng, fold_hom,
+                              leavitt_union_instance, random_crtbpog_hom,
+                              random_general_hom, random_graph)
 
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 LOOP = Graph.build(["u"], [("l", "u", "u")])
@@ -347,6 +347,35 @@ def test_window_term_outside_its_window_is_an_error(monkeypatch):
         verify_leavitt_pullback(ident, ident, 2)
 
 
+def _assert_window_columns_match_oracle(h, n, field):
+    """The window cross-check builds all columns of a window in one pass
+    over the domain's pairs.  The slow reference pulls back each window
+    monomial on its own; the two must agree term by term, so an empty
+    column, or a term whose coefficients cancel, must be absent from both."""
+    basis = normal_monomials_window(h.codomain, n)
+    oracle = {m: l_pullback(h, monomial_element(h.codomain, m, field)).terms
+              for m in basis}
+    assert leavitt._pullback_columns(h, basis, n, field) == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["q", "fp:7"]), st.integers(0, 4))
+def test_window_columns_match_per_monomial_pullbacks(seed, field_name, n):
+    h = random_crtbpog_hom(case_rng(seed, 41))
+    _assert_window_columns_match_oracle(h, n, field_from_name(field_name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([leavitt_union_instance, admpush_instance]),
+       st.sampled_from(["q", "fp:7"]), st.integers(0, 4))
+def test_pushout_square_columns_match_per_monomial_pullbacks(seed, instance, field_name, n):
+    """All four homs of a criterion-11 square: both legs and both injections."""
+    f, g = instance(case_rng(seed, 42))
+    po = pushout_square(f, g)
+    for h in (f, g, po.iota_left, po.iota_right):
+        _assert_window_columns_match_oracle(h, n, field_from_name(field_name))
+
+
 def test_word_reduction_mixed_letters():
     # e* e e*  ->  e*;  e e* e -> e
     assert normal_form(EDGE, [E_GHOST, E, E_GHOST]) == \
@@ -529,7 +558,6 @@ def test_leavitt_pullback_random_unions(seed):
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 10**6))
 def test_leavitt_pullback_quotient_instances(seed):
-    from quivpush.randgen import admpush_instance
     f, g = admpush_instance(case_rng(seed, 38))
     report = verify_leavitt_pullback(f, g, 3)
     assert report.ok, report.failures

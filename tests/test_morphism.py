@@ -32,6 +32,18 @@ def test_validate_broken_square():
     assert any("source square" in p for p in problems)
 
 
+def test_stray_keys_are_problems_and_not_an_inclusion():
+    """Keys outside the domain are named, and an identity that carries one
+    is no longer an inclusion, so the pushout cannot route it around the
+    validity check."""
+    point = Graph(["a"])
+    h = GraphHom(point, point, {"a": "a", "zz": "a"}, {"x": "y"})
+    assert validate_hom(h) == ["f0 key zz: not a domain vertex",
+                               "f1 key x: not a domain edge"]
+    assert not h.is_inclusion()
+    assert GraphHom.identity(point).is_inclusion()
+
+
 def test_classify_vertex_to_loop_not_target_bijective():
     cls = classify_hom(VERTEX_TO_LOOP)
     assert cls.injective
