@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 
@@ -115,16 +114,21 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
     i = 0
     while i < len(tokens):
         sign = 1
+        start = i
         while i < len(tokens) and tokens[i] in "+-":
             if tokens[i] == "-":
                 sign = -sign
             i += 1
+        if atoms and i == start:
+            raise ExprError(f"expected + or - before term {len(atoms) + 1}")
         coef = None
         if i < len(tokens) and re.fullmatch(r"\d+(?:/\d+)?", tokens[i]):
             coef = tokens[i]
             i += 1
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
+                if i == len(tokens) or not tokens[i].startswith("chi["):
+                    raise ExprError(f"expected chi[...] after '{coef}*'")
         chi = None
         if i < len(tokens) and tokens[i].startswith("chi["):
             chi = tokens[i][4:-1]
@@ -143,10 +147,9 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         if chi is None:
             unit = l_unit(g, field) if leavitt else pa_unit(g, field)
             return unit.scale(scalar)
-        comps = [c for c in chi.split(".") if c]
-        if not comps:
+        if not chi:
             raise ExprError("empty chi[...]")
-        parsed = [_parse_component(c, g) for c in comps]
+        parsed = [_parse_component(c, g) for c in chi.split(".")]
         if len(parsed) == 1 and not parsed[0][1]:
             name = parsed[0][0]
             if name in g.vertices and name in g.edges:
@@ -317,12 +320,11 @@ def cmd_proptest(args, argv):
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return EXIT_PARSE
-    seed = args.seed if args.seed is not None else int(os.environ.get("QP_SEED", "0"))
     lines = []
-    passes, failures = run_suite(args.suite, seed, args.cases, emit=lines.append)
+    passes, failures = run_suite(args.suite, args.seed, args.cases, emit=lines.append)
     for line in lines:
         print(line)
-    print(f"suite {args.suite}: {passes}/{args.cases} passed (seed {seed})")
+    print(f"suite {args.suite}: {passes}/{args.cases} passed (seed {args.seed})")
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
@@ -382,7 +384,7 @@ def build_parser():
 
     p = sub.add_parser("proptest", help="run a seeded randomized suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_non_negative_int, default=100)
     p.set_defaults(func=cmd_proptest)
     return parser

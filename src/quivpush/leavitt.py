@@ -42,7 +42,7 @@ from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, HomError, check_valid_hom,
                        breaking_vertices, is_hereditary, is_saturated,
                        regular_vertices, CATEGORY_CRTBPOG)
-from .pushout import (PreconditionError, PushoutGraph, breakarrow_identity,
+from .pushout import (PreconditionError, breakarrow_identity,
                       check_theorem_preconditions, pushout_square)
 from .path_algebra import LinearCombination, path_preimages
 
@@ -441,8 +441,8 @@ def _image_monomial(h: GraphHom, mono: LMonomial) -> LMonomial:
     return ghost_monomial(cod, h.f1[mono.beta.edges[0]])
 
 
-def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
-                            po: PushoutGraph | None = None) -> LeavittPullbackReport:
+def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
+                            field=QQ) -> LeavittPullbackReport:
     """Verify that the induced square of Leavitt path algebras is a pullback.
 
     Symbolic obligations, for P the pushout of E <-f- G -g-> F:
@@ -457,6 +457,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
     """
     for graph in (f.domain, f.codomain, g.codomain):
         require_tail_free(graph, "Leavitt pullback verification")
+    po = pushout_square(f, g)
     failures = []
     for name, hom in (("f", f), ("g", g)):
         cls = hom.classification
@@ -467,7 +468,6 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4, field=QQ,
         raise PreconditionError("P1", "the left leg must be injective")
     if not flags.p2:
         raise PreconditionError("P2")
-    po = po or pushout_square(f, g)
     iota_e, iota_f = po.iota_left, po.iota_right
     for name, hom in (("iota_E", iota_e), ("iota_F", iota_f)):
         cls = hom.classification

@@ -14,7 +14,6 @@ from types import MappingProxyType
 from .graph import (Graph, GraphError, Path, _immutable, derived, is_subgraph,
                     regular_vertices)
 
-CATEGORY_OG = "OG"
 CATEGORY_POG = "POG"
 CATEGORY_TBPOG = "TBPOG"
 CATEGORY_CRTBPOG = "CRTBPOG"
@@ -108,21 +107,14 @@ class GraphHom:
         injective = _injective(self.f0) and _injective(self.f1)
         surjective = (self.vertex_image() == self.codomain.vertices
                       and self.edge_image() == self.codomain.edges)
-        proper = True
         tb = _target_bijective(self)
         reg_dom = regular_vertices(self.domain)
         reg_cod = regular_vertices(self.codomain)
         regular = all(self.f0[v] not in reg_cod
                       for v in self.domain.vertices if v not in reg_dom)
-        if proper and tb and regular:
-            category = CATEGORY_CRTBPOG
-        elif proper and tb:
-            category = CATEGORY_TBPOG
-        elif proper:
-            category = CATEGORY_POG
-        else:
-            category = CATEGORY_OG
-        return HomClassification(injective, surjective, proper, tb, regular, category)
+        category = (CATEGORY_CRTBPOG if tb and regular
+                    else CATEGORY_TBPOG if tb else CATEGORY_POG)
+        return HomClassification(injective, surjective, True, tb, regular, category)
 
     @derived
     def vertex_fibers(self):
@@ -196,7 +188,8 @@ def classify_hom(h: GraphHom) -> HomClassification:
     """Exhaustively computed flags and the strongest category containing h,
     computed once per hom.
 
-    On finite graphs every map is finite-to-one, so proper always holds.
+    Every hom between finite graphs is proper (finite-to-one), so proper is
+    always True and the weakest category returned is POG, never OG.
     """
     return h.classification
 

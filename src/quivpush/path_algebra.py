@@ -21,8 +21,7 @@ from .graph import (Graph, Path, is_acyclic, longest_path_length,
                     paths_up_to, require_tail_free)
 from .linalg import rank
 from .morphism import GraphHom, DomainMismatch, check_valid_hom, induced_path_map
-from .pushout import (PreconditionError, PushoutGraph, check_theorem_preconditions,
-                      pushout_square)
+from .pushout import PreconditionError, check_theorem_preconditions, pushout_square
 
 
 class LinearCombination:
@@ -199,8 +198,7 @@ class PathPullbackReport:
         return sum(d.dim_fiber for d in self.degrees)
 
 
-def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4,
-                         po: PushoutGraph | None = None) -> PathPullbackReport:
+def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackReport:
     """Check degree by degree that the pushout path algebra is the fiber
     product: the pair of injection pullbacks commutes over the base, is
     injective, and hits exactly the fiber product.
@@ -209,7 +207,7 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4,
     dimensional, so the per-degree checks are exact; the report is EXACT when
     the pushout is acyclic and n bounds its longest path, else truncated.
     """
-    po = po or pushout_square(f, g)
+    po = pushout_square(f, g)
     flags = check_theorem_preconditions(f, g, po)
     for name, value in (("vertex_injectivity", flags.vertex_injectivity),
                         ("one_color", flags.one_color),

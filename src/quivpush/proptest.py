@@ -16,7 +16,7 @@ from .graph import (Graph, intersection_graph, paths_up_to, union_graph,
 from .morphism import (GraphHom, classify_hom, compose, is_admissible,
                        validate_hom, admissible_equiv_crtbpog)
 from .pushout import (breakarrow_identity, check_theorem_preconditions,
-                      graph_pushout, path_pushout_compare)
+                      path_pushout_compare, pushout_square)
 from .path_algebra import PAElement, pa_mul, pa_pullback, pa_unit
 from .leavitt import (generator_monomials, l_mul, l_pullback, l_unit,
                       monomial_element, vertex_monomial)
@@ -159,7 +159,7 @@ def suite_admpush(rng) -> CaseResult:
             return False
         if not (cf.injective or cg.injective):
             return False
-        po = graph_pushout(ff, gg)
+        po = pushout_square(ff, gg)
         ce = classify_hom(po.iota_left)
         cf2 = classify_hom(po.iota_right)
         return not (ce.target_bijective and ce.regular
@@ -174,17 +174,17 @@ def suite_admpush(rng) -> CaseResult:
 
 def suite_h_bijective(rng) -> CaseResult:
     f, g = randgen.one_color_instance(rng)
-    report = path_pushout_compare(f, g, 4)
-    if report.bijective:
+    if path_pushout_compare(f, g, 4, pushout_square(f, g)).bijective:
         return CaseResult(True)
 
     def fails(ff, gg):
         if validate_hom(ff) or validate_hom(gg):
             return False
-        flags = check_theorem_preconditions(ff, gg)
+        po = pushout_square(ff, gg)
+        flags = check_theorem_preconditions(ff, gg, po)
         if not (flags.vertex_injectivity and flags.one_color):
             return False
-        return not path_pushout_compare(ff, gg, 4).bijective
+        return not path_pushout_compare(ff, gg, 4, po).bijective
 
     small = minimize_legs(fails, f, g)
     return CaseResult(False, "path comparison map not bijective",
@@ -245,8 +245,7 @@ def suite_kerver(rng) -> CaseResult:
 
 def suite_breakarrow(rng) -> CaseResult:
     f, g = randgen.one_color_instance(rng, need_one_sided=True)
-    po = graph_pushout(f, g)
-    ok, witnesses = breakarrow_identity(f, g, po)
+    ok, witnesses = breakarrow_identity(f, g, pushout_square(f, g))
     if ok:
         return CaseResult(True)
     return CaseResult(False, f"breaking-arrow sets differ at {witnesses}",

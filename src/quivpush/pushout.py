@@ -112,12 +112,15 @@ class PushoutGraph:
     edge_classes: SetPushout
 
 
+_SIDES = ("E", "F")     # class sides: the left and the right codomain
+
+
 def class_id(rep) -> str:
     side, x = rep
     return f"{side}:{x}"
 
 
-def graph_pushout(f: GraphHom, g: GraphHom, labels=("E", "F")) -> PushoutGraph:
+def graph_pushout(f: GraphHom, g: GraphHom) -> PushoutGraph:
     """Pushout graph of E <-f- G -g-> F with its two injections.
 
     Source and target maps on classes are checked to be representative
@@ -130,20 +133,15 @@ def graph_pushout(f: GraphHom, g: GraphHom, labels=("E", "F")) -> PushoutGraph:
     check_valid_hom(f)
     check_valid_hom(g)
     E, F, G = f.codomain, g.codomain, f.domain
-    vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0, labels)
-    ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1, labels)
-    lab_l = labels[0]
-
-    def vclass(side, v):
-        return vp.inj_left[v] if side == lab_l else vp.inj_right[v]
-
+    vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0, _SIDES)
+    ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1, _SIDES)
+    cod = {"E": E, "F": F}
+    vclass = {"E": vp.inj_left, "F": vp.inj_right}
     src, tgt = {}, {}
     for rep, members in ep.classes.items():
         eid = class_id(rep)
-        sources = {class_id(vclass(side, (E if side == lab_l else F).src[e]))
-                   for side, e in members}
-        targets = {class_id(vclass(side, (E if side == lab_l else F).tgt[e]))
-                   for side, e in members}
+        sources = {class_id(vclass[side][cod[side].src[e]]) for side, e in members}
+        targets = {class_id(vclass[side][cod[side].tgt[e]]) for side, e in members}
         if len(sources) != 1 or len(targets) != 1:
             raise GraphError(f"pushout source/target ill defined on class {eid}")
         src[eid] = sources.pop()
@@ -161,34 +159,40 @@ def graph_pushout(f: GraphHom, g: GraphHom, labels=("E", "F")) -> PushoutGraph:
 
 
 def graph_universal_map(p: PushoutGraph, j_left: GraphHom, j_right: GraphHom) -> GraphHom:
-    """Mediating homomorphism out of a pushout graph against a commuting cone."""
+    """Mediating homomorphism out of a pushout graph against a commuting cone;
+    a class is named in p.graph by the injection of its representative."""
     if j_left.codomain != j_right.codomain:
         raise DomainMismatch("cone legs must share their codomain")
     h0 = set_universal_map(p.vertex_classes, j_left.f0, j_right.f0)
     h1 = set_universal_map(p.edge_classes, j_left.f1, j_right.f1)
+    iota = {"E": p.iota_left, "F": p.iota_right}
     hom = GraphHom(p.graph, j_left.codomain,
-                   {class_id(rep): h0[rep] for rep in h0},
-                   {class_id(rep): h1[rep] for rep in h1})
+                   {iota[side].f0[x]: w for (side, x), w in h0.items()},
+                   {iota[side].f1[x]: w for (side, x), w in h1.items()})
     return check_valid_hom(hom)
 
 
-def pushout_square(f: GraphHom, g: GraphHom, labels=("E", "F")) -> PushoutGraph:
-    """Pushout routed through the union graph when both legs are inclusions
-    whose domain is the full overlap; the generic quotient otherwise.
+def pushout_square(f: GraphHom, g: GraphHom) -> PushoutGraph:
+    """The pushout square of E <-f- G -g-> F, built once per verdict and
+    read by the flags, the breaking-arrow identity and the path comparison.
 
-    The union route keeps original ids, which admissible-union instances and
-    their certificates rely on.
+    Routed through the union graph when both legs are inclusions whose domain
+    is the full overlap, through graph_pushout otherwise.  The union route
+    keeps original ids, which admissible-union instances and their
+    certificates rely on.
     """
+    if f.domain != g.domain:
+        raise DomainMismatch("pushout legs must share their domain")
     E, F, G = f.codomain, g.codomain, f.domain
     if (f.is_inclusion() and g.is_inclusion()
             and E.vertices & F.vertices == G.vertices
             and E.edges & F.edges == G.edges):
         u = union_graph(E, F)
-        vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0, labels)
-        ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1, labels)
+        vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0, _SIDES)
+        ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1, _SIDES)
         return PushoutGraph(u, GraphHom.inclusion(E, u), GraphHom.inclusion(F, u),
                             vp, ep)
-    return graph_pushout(f, g, labels)
+    return graph_pushout(f, g)
 
 
 @dataclass(frozen=True)
@@ -206,10 +210,9 @@ class TheoremFlags:
                 "P1": self.p1, "P2": self.p2}
 
 
-def check_theorem_preconditions(f: GraphHom, g: GraphHom,
-                                po: PushoutGraph | None = None) -> TheoremFlags:
-    """Hypothesis flags for the pushout-to-pullback theorems."""
-    po = po or graph_pushout(f, g)
+def check_theorem_preconditions(f: GraphHom, g: GraphHom, po: PushoutGraph) -> TheoremFlags:
+    """Hypothesis flags for the pushout-to-pullback theorems, read off the
+    square po = pushout_square(f, g)."""
     E, F, G = f.codomain, g.codomain, f.domain
     vertex_injectivity = _injective(f.f0) and _injective(g.f0)
 
@@ -233,8 +236,7 @@ def check_theorem_preconditions(f: GraphHom, g: GraphHom,
     return TheoremFlags(vertex_injectivity, one_color, one_sided, p1, p2)
 
 
-def breakarrow_identity(f: GraphHom, g: GraphHom,
-                        po: PushoutGraph | None = None):
+def breakarrow_identity(f: GraphHom, g: GraphHom, po: PushoutGraph):
     """The breaking-arrow set identity, checked at every vertex of the left
     codomain that is the unique preimage of its class: edges from it into the
     complement of the shared image match, through the injection, the pushout
@@ -242,7 +244,6 @@ def breakarrow_identity(f: GraphHom, g: GraphHom,
 
     Returns (ok, witness list of offending vertices).
     """
-    po = po or graph_pushout(f, g)
     E = f.codomain
     p_graph = po.graph
     img_g_in_e = f.vertex_image()
@@ -274,22 +275,19 @@ class PathCompareReport:
     path_count: int
 
 
-def path_pushout_compare(f: GraphHom, g: GraphHom, n: int = 4,
-                         po: PushoutGraph | None = None) -> PathCompareReport:
+def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
+                         po: PushoutGraph) -> PathCompareReport:
     """Compare the pushout of truncated path sets with the paths of the
     pushout graph through the natural map, reporting bijectivity up to n.
 
     Homomorphisms preserve path length, so the degree-wise truncation of the
     path-set pushout is the pushout of the truncations.
     """
-    if f.domain != g.domain:
-        raise DomainMismatch("legs must share their domain")
-    po = po or graph_pushout(f, g)
     E, F, G = f.codomain, g.codomain, f.domain
     fp_e, fp_f, fp_g = paths_up_to(E, n), paths_up_to(F, n), paths_up_to(G, n)
     f_paths = {p: induced_path_map(f, p) for p in fp_g}
     g_paths = {p: induced_path_map(g, p) for p in fp_g}
-    pp = set_pushout(fp_e, fp_f, fp_g, f_paths, g_paths, labels=("E", "F"),
+    pp = set_pushout(fp_e, fp_f, fp_g, f_paths, g_paths, labels=_SIDES,
                      sort_key=Path.sort_key)
     h = {}
     for rep, members in pp.classes.items():

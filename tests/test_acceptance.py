@@ -13,8 +13,8 @@ from quivpush.morphism import (GraphHom, admissible_equiv_crtbpog, classify_hom,
                                compose, is_admissible, is_hereditary,
                                regular_vertices)
 from quivpush.pushout import (check_theorem_preconditions, class_id,
-                              path_pushout_compare, set_pushout,
-                              set_universal_map)
+                              path_pushout_compare, pushout_square,
+                              set_pushout, set_universal_map)
 from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                                    verify_path_pullback)
 from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
@@ -88,12 +88,13 @@ def test_criterion_05_h_bijectivity_both_directions():
     good = 0
     for i in range(200):
         f, g = randgen.one_color_instance(randgen.case_rng(105, i))
-        good += path_pushout_compare(f, g, 4).bijective
+        good += path_pushout_compare(f, g, 4, pushout_square(f, g)).bijective
     broken = 0
     for i in range(50):
         f, g = randgen.one_color_violation(randgen.case_rng(1050, i))
-        flags = check_theorem_preconditions(f, g)
-        report = path_pushout_compare(f, g, 4)
+        po = pushout_square(f, g)
+        flags = check_theorem_preconditions(f, g, po)
+        report = path_pushout_compare(f, g, 4, po)
         broken += (not flags.one_color) and (not report.bijective)
     _report(5, "h-bijectivity", good == 200 and broken == 50,
             f"hypotheses {good}/200, violations {broken}/50",

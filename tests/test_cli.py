@@ -325,6 +325,21 @@ def test_eval_bad_expression(tmp_path, capsys):
     assert main(["eval", path, "chi[nope]"]) == 2
 
 
+@pytest.mark.parametrize("expression, message", [
+    ("2*3", "expected chi[...] after '2*'"),
+    ("2 3", "expected + or - before term 2"),
+    ("chi[v] chi[w]", "expected + or - before term 2"),
+    ("chi[e.]", "empty id inside chi[...]"),
+    ("chi[..e]", "empty id inside chi[...]"),
+], ids=["2*3", "2 3", "chi[v] chi[w]", "chi[e.]", "chi[..e]"])
+def test_eval_refuses_malformed_expressions(tmp_path, capsys, expression, message):
+    path = _write(tmp_path, "edge.json", EDGE)
+    assert main(["eval", path, expression]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"parse error: <expression>: {message}\n"
+
+
 @pytest.mark.parametrize("mode", [[], ["--leavitt"]], ids=["path", "leavitt"])
 def test_eval_refuses_a_word_that_is_not_a_path(monkeypatch, capsys, mode):
     monkeypatch.chdir(ROOT / "tests" / "data")

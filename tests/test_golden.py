@@ -36,6 +36,8 @@ GOLDEN = [
      "f952059dee04e56df0781aa3160e537d610571f69be4fc567ec548427bd67fa3"),
     (["pushout", "admpush_f.json", "admpush_g.json"],
      "28f73a5418dc620f5d641460141bcf5882b5c5e0d340bf2d340ab14ab54ce276"),
+    (["pushout", "union_f.json", "union_g.json"],
+     "68fb63fc78be52754b2261084a11b9cb616af96fa924e67c3f55d76d083d3c6c"),
     (["classify", "admpush_g.json"],
      "2f2d39b1c7657576f60b5e3bcf52732bdef1328080709a15758f7b4ee4697f3d"),
     (["classify", "union_f.json"],

@@ -4,7 +4,7 @@ from quivpush import proptest
 from quivpush.graph import Graph, validate_graph
 from quivpush.morphism import GraphHom, validate_hom
 from quivpush.proptest import SUITES, minimize_graph_pair, minimize_legs, run_suite
-from quivpush.pushout import path_pushout_compare
+from quivpush.pushout import path_pushout_compare, pushout_square
 from quivpush.randgen import case_rng, one_color_violation
 
 
@@ -32,7 +32,7 @@ def test_minimizer_strips_decoration_from_violation():
         if not (ff.domain.vertices and ff.codomain.vertices
                 and gg.codomain.vertices):
             return False
-        return not path_pushout_compare(ff, gg, 2).bijective
+        return not path_pushout_compare(ff, gg, 2, pushout_square(ff, gg)).bijective
 
     assert fails(f, g)
     small_f, small_g = minimize_legs(fails, f, g)

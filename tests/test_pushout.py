@@ -1,10 +1,16 @@
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivpush import pushout
+from quivpush.cli import main
 from quivpush.graph import Graph, union_graph
-from quivpush.morphism import GraphHom, classify_hom
+from quivpush.jsonio import load_hom
+from quivpush.leavitt import verify_leavitt_pullback
+from quivpush.morphism import DomainMismatch, GraphHom, classify_hom
+from quivpush.path_algebra import verify_path_pullback
 from quivpush.pushout import (PreconditionError, breakarrow_identity,
                               check_theorem_preconditions, class_id,
                               graph_pushout, graph_universal_map,
@@ -16,6 +22,7 @@ from quivpush.randgen import (admpush_instance, case_rng, one_color_instance,
 
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 EMPTY = Graph(())
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_set_pushout_empty_apex_is_disjoint_union():
@@ -179,7 +186,7 @@ def test_graph_universal_map_against_enumerated_cones(seed):
 
 def test_flags_empty_domain_all_true():
     f = GraphHom(EMPTY, EDGE, {}, {})
-    flags = check_theorem_preconditions(f, f)
+    flags = check_theorem_preconditions(f, f, pushout_square(f, f))
     assert all(flags.as_dict().values())
 
 
@@ -189,7 +196,7 @@ def test_flags_glued_loops_violate_one_color():
     point = Graph(["z"])
     f = GraphHom(point, loop_e, {"z": "u"}, {})
     g = GraphHom(point, loop_f, {"z": "up"}, {})
-    flags = check_theorem_preconditions(f, g)
+    flags = check_theorem_preconditions(f, g, pushout_square(f, g))
     assert flags.vertex_injectivity
     assert not flags.one_color
     assert flags.p2
@@ -197,23 +204,24 @@ def test_flags_glued_loops_violate_one_color():
 
 def test_path_compare_identity_legs():
     ident = GraphHom.identity(EDGE)
-    assert path_pushout_compare(ident, ident, 4).bijective
+    assert path_pushout_compare(ident, ident, 4, pushout_square(ident, ident)).bijective
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_path_compare_bijective_under_hypotheses(seed):
     f, g = one_color_instance(case_rng(seed, 8))
-    assert path_pushout_compare(f, g, 4).bijective
+    assert path_pushout_compare(f, g, 4, pushout_square(f, g)).bijective
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_path_compare_fails_on_one_color_violation(seed):
     f, g = one_color_violation(case_rng(seed, 9))
-    flags = check_theorem_preconditions(f, g)
+    po = pushout_square(f, g)
+    flags = check_theorem_preconditions(f, g, po)
     assert not flags.one_color
-    report = path_pushout_compare(f, g, 2)
+    report = path_pushout_compare(f, g, 2, po)
     assert not report.bijective and not report.surjective
 
 
@@ -270,7 +278,7 @@ def test_admpush_probe(seed):
 @given(st.integers(0, 10**6))
 def test_breakarrow_identity_on_admissible_pushouts(seed):
     f, g = one_color_instance(case_rng(seed, 12), need_one_sided=True)
-    ok, witnesses = breakarrow_identity(f, g)
+    ok, witnesses = breakarrow_identity(f, g, pushout_square(f, g))
     assert ok, witnesses
 
 
@@ -280,3 +288,47 @@ def test_pushout_square_routes_unions_through_original_ids():
     po = pushout_square(f, g)
     assert po.graph == union_graph(f_graph, g_graph)
     assert po.iota_left.is_inclusion() and po.iota_right.is_inclusion()
+
+
+@pytest.mark.parametrize("legs, builds", [(("admpush_f.json", "admpush_g.json"), 1),
+                                          (("union_f.json", "union_g.json"), 0)],
+                         ids=["quotient", "union"])
+def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs, builds):
+    """The flags, breaking-arrow check and window all read the one square
+    pushout_square builds; only the quotient route calls graph_pushout."""
+    calls = []
+    original = pushout.graph_pushout
+
+    def spy(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(pushout, "graph_pushout", spy)
+    monkeypatch.chdir(DATA)
+    assert main(["verify", "--leavitt", *legs]) == 0
+    assert len(calls) == builds
+
+
+def test_graph_universal_map_on_a_union_square():
+    f, g = load_hom(DATA / "union_f.json"), load_hom(DATA / "union_g.json")
+    po = pushout_square(f, g)
+    h = graph_universal_map(po, po.iota_left, po.iota_right)
+    assert h.domain == h.codomain == po.graph
+    assert h.f0 == {v: v for v in po.graph.vertices}
+    assert h.f1 == {e: e for e in po.graph.edges}
+
+
+def _mismatched_inclusions():
+    """Inclusions of {a} into {a, x} and of {a, b} into {a, b, y}: legs whose
+    domains differ, so they have no pushout square."""
+    f = GraphHom.inclusion(Graph(["a"]), Graph(["a", "x"]))
+    g = GraphHom.inclusion(Graph(["a", "b"]), Graph(["a", "b", "y"]))
+    return f, g
+
+
+@pytest.mark.parametrize("build", [pushout_square, verify_path_pullback,
+                                   verify_leavitt_pullback],
+                         ids=lambda fn: fn.__name__)
+def test_mismatched_domains_have_no_square(build):
+    with pytest.raises(DomainMismatch):
+        build(*_mismatched_inclusions())
