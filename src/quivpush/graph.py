@@ -10,6 +10,12 @@ A word is a sequence of letters (e, is_ghost): the edge e runs from s(e) to
 t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
 the monomials that the Leavitt normal form multiplies out.
 
+A Path is a tuple (typing.NamedTuple), as is the Leavitt monomial built
+from two of them, so that the dict lookups keyed by them hash and compare
+in C.  Being tuples, they compare equal to plain tuples of the same fields,
+order as tuples and encode to JSON as lists: nothing may sort raw Paths
+(order them by Path.sort_key) or serialize one to JSON (write str(path)).
+
 Graphs are frozen values: vertex and edge sets are frozensets, the source
 and target maps are read-only, and no attribute can be reassigned.  Derived
 tables (the hash, out-adjacency, vertex classes and special edges) are
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -31,8 +38,7 @@ class IncompatibleOverlap(GraphError):
     """Shared ids on which two graphs disagree; union/intersection undefined."""
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A finite path: a lone vertex (length 0) or a nonempty composable edge tuple."""
 
     vertex: str | None = None
@@ -40,14 +46,14 @@ class Path:
 
     @staticmethod
     def at(vertex: str) -> "Path":
-        return Path(vertex=vertex)
+        return Path(vertex)
 
     @staticmethod
     def of(edges) -> "Path":
         edges = tuple(edges)
         if not edges:
             raise GraphError("edge sequence path must be nonempty; use Path.at for vertices")
-        return Path(vertex=None, edges=edges)
+        return Path(None, edges)
 
     @property
     def is_vertex(self) -> bool:

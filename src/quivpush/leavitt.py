@@ -29,11 +29,16 @@ pullback of every window monomial, and builds them in the other direction:
 one pass over the domain's pairs alpha' beta'* maps each domain path forward
 once and adds the normal form of alpha' beta'* to the column of
 (h alpha')(h beta')*.
+
+An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
+and compare in C; like a Path it is never sorted raw or written to JSON
+(see the graph module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import QQ
 from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
@@ -41,7 +46,7 @@ from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
 from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, HomError, check_valid_hom,
                        breaking_vertices, is_hereditary, is_saturated,
-                       regular_vertices, CATEGORY_CRTBPOG)
+                       regular_vertices, CATEGORY_CRTBPOG, _path_image)
 from .pushout import (PreconditionError, breakarrow_identity,
                       check_theorem_preconditions, pushout_square)
 from .path_algebra import LinearCombination, path_preimages
@@ -51,8 +56,7 @@ class DescentError(HomError):
     """A Cuntz-Krieger descent identity failed; names the violating generator."""
 
 
-@dataclass(frozen=True)
-class LMonomial:
+class LMonomial(NamedTuple):
     """The class of alpha beta* with t(alpha) = t(beta) in the base graph."""
 
     alpha: Path
@@ -553,20 +557,22 @@ def _pullback_columns(h: GraphHom, basis, max_total: int, field) -> dict:
     One pass over the domain's pairs alpha' beta'* with a common end vertex
     adds the normal form of each to the column of (h alpha')(h beta')*, if
     that is in basis.  Paths keep their lengths under h, so these are the
-    pairs that _pull visits.
+    pairs that _pull visits.  Each pair enters with coefficient 1 and CK2
+    rewriting only negates, so the columns are rewritten over int and each
+    coefficient is converted once; one that is zero in the field is dropped.
     """
     _require_pullback(h, field)
-    dom, f0, f1 = h.domain, h.f0, h.f1
-    zero, one = field.zero, field.one
+    dom = h.domain
     ends = _paths_by_end(dom, max_total)
-    image = {p: Path.at(f0[p.vertex]) if p.is_vertex else Path.of([f1[e] for e in p.edges])
-             for into in ends.values() for p in into}
+    image = {p: _path_image(h, p) for into in ends.values() for p in into}
     cols = {m: {} for m in basis}
     for pair in _end_pairs(ends, max_total):
         col = cols.get(LMonomial(image[pair.alpha], image[pair.beta]))
         if col is not None:
-            _ck2_accumulate(dom, pair, one, col, zero)
-    return {m: {t: c for t, c in col.items() if c != zero} for m, col in cols.items()}
+            _ck2_accumulate(dom, pair, 1, col, 0)
+    zero, from_int = field.zero, field.from_int
+    return {m: {t: x for t, c in col.items() if c and (x := from_int(c)) != zero}
+            for m, col in cols.items()}
 
 
 def _indexed(columns: dict, monos, idx: dict, d: int, offset: int = 0) -> list:

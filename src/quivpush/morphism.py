@@ -215,7 +215,15 @@ def induced_path_map(h: GraphHom, p: Path) -> Path:
     for e, nxt in zip(edges, edges[1:]):
         if dom.tgt[e] != dom.src[nxt]:
             raise HomError(f"{p} is not a path of the domain")
-    return Path.of(h.f1[e] for e in edges)
+    return _path_image(h, p)
+
+
+def _path_image(h: GraphHom, p: Path) -> Path:
+    """induced_path_map without its checks, for a path known to lie in the
+    domain, such as one that graph.paths_up_to enumerated."""
+    if p.is_vertex:
+        return Path.at(h.f0[p.vertex])
+    return Path.of([h.f1[e] for e in p.edges])
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .graph import (Graph, Path, is_acyclic, longest_path_length,
-                    paths_up_to, require_tail_free)
+from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
+                    longest_path_length, paths_up_to, require_tail_free)
 from .linalg import rank
-from .morphism import GraphHom, DomainMismatch, check_valid_hom, induced_path_map
+from .morphism import GraphHom, DomainMismatch, check_valid_hom, _path_image
 from .pushout import PreconditionError, check_theorem_preconditions, pushout_square
 
 
@@ -91,6 +91,13 @@ class PAElement(LinearCombination):
 
     @staticmethod
     def basis(graph, path: Path, field=QQ):
+        """chi_path; raises GraphError unless path is a path of graph.  The
+        constructor does not check its terms."""
+        if path.is_vertex:
+            if path.vertex not in graph.vertices:
+                raise GraphError(f"unknown vertex {path.vertex!r}")
+        else:
+            check_word(graph, [(e, False) for e in path.edges])
         return PAElement(graph, field, {path: field.one})
 
     def __mul__(self, other):
@@ -226,15 +233,15 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
         e_idx = {q: i for i, q in enumerate(pe[d])}
         f_idx = {q: len(pe[d]) + i for i, q in enumerate(pf[d])}
         # a valid hom maps each length-d path onto one length-d path
-        e_in_p = {x: induced_path_map(po.iota_left, x) for x in pe[d]}
-        f_in_p = {x: induced_path_map(po.iota_right, x) for x in pf[d]}
+        e_in_p = {x: _path_image(po.iota_left, x) for x in pe[d]}
+        f_in_p = {x: _path_image(po.iota_right, x) for x in pf[d]}
         stacked = [{p_idx[q]: QQ.one} for q in [*e_in_p.values(), *f_in_p.values()]]
         r_stacked = rank(stacked, QQ)
         injective = r_stacked == len(pp[d])
         commutes = True
         constraint = []
         for q in pg[d]:
-            fq, gq = induced_path_map(f, q), induced_path_map(g, q)
+            fq, gq = _path_image(f, q), _path_image(g, q)
             commutes = commutes and e_in_p[fq] == f_in_p[gq]
             constraint.append({e_idx[fq]: QQ.one, f_idx[gq]: -QQ.one})
         dim_fiber = len(pe[d]) + len(pf[d]) - rank(constraint, QQ)

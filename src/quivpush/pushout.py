@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, GraphError, Path, paths_up_to, require_tail_free, union_graph
 from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
-                       breaking_vertices, induced_path_map, _injective)
+                       breaking_vertices, _injective, _path_image)
 
 
 class PreconditionError(Exception):
@@ -285,13 +285,13 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     """
     E, F, G = f.codomain, g.codomain, f.domain
     fp_e, fp_f, fp_g = paths_up_to(E, n), paths_up_to(F, n), paths_up_to(G, n)
-    f_paths = {p: induced_path_map(f, p) for p in fp_g}
-    g_paths = {p: induced_path_map(g, p) for p in fp_g}
+    f_paths = {p: _path_image(f, p) for p in fp_g}
+    g_paths = {p: _path_image(g, p) for p in fp_g}
     pp = set_pushout(fp_e, fp_f, fp_g, f_paths, g_paths, labels=_SIDES,
                      sort_key=Path.sort_key)
     h = {}
     for rep, members in pp.classes.items():
-        images = {induced_path_map(po.iota_left if side == "E" else po.iota_right, q)
+        images = {_path_image(po.iota_left if side == "E" else po.iota_right, q)
                   for side, q in members}
         if len(images) != 1:
             raise GraphError(f"natural path map ill defined on class of {rep}")

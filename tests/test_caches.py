@@ -4,9 +4,9 @@ and the immutability that keeps those tables from going stale."""
 import pytest
 
 from quivpush.fields import QQ
-from quivpush.graph import (Graph, GraphError, check_word, classify_vertices,
+from quivpush.graph import (Graph, GraphError, Path, check_word, classify_vertices,
                             paths_up_to)
-from quivpush.leavitt import (l_pullback, monomial_element, normal_form,
+from quivpush.leavitt import (LMonomial, l_pullback, monomial_element, normal_form,
                               vertex_monomial)
 from quivpush.morphism import GraphHom, classify_hom, induced_path_map
 from quivpush.path_algebra import path_preimages
@@ -133,3 +133,20 @@ def test_equal_graphs_hash_alike():
     b = Graph.build(["v", "u"], [("e", "u", "v")])
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != Graph.build(["u", "v"], [("e", "v", "u")])
+
+
+def test_paths_and_monomials_are_frozen_values():
+    p = Path.of(["e"])
+    m = LMonomial(p, Path.at("v"))
+    for obj, attr in ((p, "vertex"), (p, "edges"), (m, "alpha"), (m, "beta"), (p, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert p == Path.of(("e",)) and hash(p) == hash(Path.of(("e",)))
+    twin = LMonomial(Path.of(["e"]), Path.at("v"))
+    assert m is not twin and m == twin and hash(m) == hash(twin)
+    assert Path.at("v") != Path.of(["v"])
+    for mono in (m, vertex_monomial("v"), LMonomial(p, p)):
+        for path in (mono.alpha, mono.beta, Path.at("v"), Path.of(["v"])):
+            assert mono != path and path != mono

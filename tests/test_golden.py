@@ -30,6 +30,8 @@ GOLDEN = [
      "63540be94ee377a7d2225f60dd66b3f9c44292eda01c50fb73000d936c608068"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "admpush_f.json", "admpush_g.json"],
      "363db25ff0b3fd01564b9f5cbd246c1ef516b56cb1d13007f98677caa46b97ee"),
+    (["verify", "--leavitt", "--field", "fp:2", "admpush_f.json", "admpush_g.json"],
+     "6fa718f85d095cbb1ceb7726bb29c2c1a15e513ffa899c0471f3ccd47ec266a0"),
     (["verify", "--path", "path_f.json", "path_g.json"],
      "c2d19b848ee8c6983e60ca0c8f48d4cde234dfcf0d3484c298c7eaf44c334549"),
     (["pushout", "onecolor_f.json", "onecolor_g.json"],

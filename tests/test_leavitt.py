@@ -359,7 +359,7 @@ def _assert_window_columns_match_oracle(h, n, field):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from(["q", "fp:7"]), st.integers(0, 4))
+@given(st.integers(0, 10**6), st.sampled_from(["q", "fp:7", "fp:2"]), st.integers(0, 4))
 def test_window_columns_match_per_monomial_pullbacks(seed, field_name, n):
     h = random_crtbpog_hom(case_rng(seed, 41))
     _assert_window_columns_match_oracle(h, n, field_from_name(field_name))
@@ -367,7 +367,7 @@ def test_window_columns_match_per_monomial_pullbacks(seed, field_name, n):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([leavitt_union_instance, admpush_instance]),
-       st.sampled_from(["q", "fp:7"]), st.integers(0, 4))
+       st.sampled_from(["q", "fp:7", "fp:2"]), st.integers(0, 4))
 def test_pushout_square_columns_match_per_monomial_pullbacks(seed, instance, field_name, n):
     """All four homs of a criterion-11 square: both legs and both injections."""
     f, g = instance(case_rng(seed, 42))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivpush.fields import QQ, FieldError, PrimeField, field_from_name
-from quivpush.graph import Graph, Path, paths_up_to, union_graph
+from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
 from quivpush.morphism import GraphHom, compose
 from quivpush import path_algebra
 from quivpush.path_algebra import (DegreeCheck, PAElement, pa_mul, pa_pullback,
@@ -85,6 +85,19 @@ def test_pa_mul_associative_and_bilinear(seed):
 def test_unit_single_vertex():
     g = Graph(["v"])
     assert pa_unit(g) == PAElement.basis(g, Path.at("v"))
+
+
+def test_basis_refuses_what_is_not_a_path():
+    """a: u->v and b: w->u, so a.b does not compose; the raw constructor
+    stays unchecked, basis checks its one path."""
+    g = Graph.build(["u", "v", "w"], [("a", "u", "v"), ("b", "w", "u")])
+    with pytest.raises(GraphError, match="not a path: a ends at v, b starts at w"):
+        PAElement.basis(g, Path.of(["a", "b"]))
+    with pytest.raises(GraphError, match="unknown edge 'c'"):
+        PAElement.basis(g, Path.of(["c"]))
+    with pytest.raises(GraphError, match="unknown vertex 'x'"):
+        PAElement.basis(g, Path.at("x"))
+    assert str(PAElement.basis(g, Path.of(["b", "a"]))) == "1*chi[b.a]"
 
 
 @settings(max_examples=20, deadline=None)
