@@ -16,9 +16,8 @@ from .pushout import (PreconditionError, PushoutGraph, SetPushout,
                       pushout_square, set_pushout, set_universal_map)
 from .path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                            verify_path_pullback)
-from .leavitt import (KernelPresentation, LElement, LMonomial,
-                      graded_ideal_generators, ker_generators, l_mul,
-                      l_pullback, l_unit, leavitt_dimension_enumerated,
+from .leavitt import (LElement, LMonomial, ker_generators, l_mul, l_pullback,
+                      l_unit, leavitt_dimension_enumerated,
                       leavitt_dimension_oracle, normal_form,
                       verify_leavitt_pullback)
 

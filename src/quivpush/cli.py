@@ -15,8 +15,7 @@ import sys
 
 from .fields import QQ, FieldError, field_from_name
 from .graph import (Graph, GraphError, IncompatibleOverlap, Path, check_word,
-                    intersection_graph, require_tail_free, union_graph,
-                    validate_graph)
+                    intersection_graph, union_graph, validate_graph)
 from .morphism import (GraphHom, HomError, classify_hom, is_admissible,
                        validate_hom)
 from .pushout import (PreconditionError, check_theorem_preconditions,
@@ -101,8 +100,9 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
     """Parse a linear combination like '3/2*chi[e1.e2] - chi[v]'.
 
     Ghost markers (chi[e*]) force Leavitt mode; bare coefficients multiply
-    the unit.  Graphs with omega tails are refused in both modes, and so are
-    graphs with an id that chi[...] cannot name.
+    the unit.  Graphs with omega tails are refused in both modes with
+    PreconditionError("tail-free"), and graphs with an id that chi[...]
+    cannot name with ExprError.
     """
     unnamed = _unnameable_ids(g)
     if unnamed:
@@ -138,7 +138,9 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         atoms.append((sign, coef, chi))
     if any(chi and "*" in chi for _, _, chi in atoms):
         leavitt = True
-    require_tail_free(g, "Leavitt path algebra" if leavitt else "path algebra")
+    if g.has_tails:
+        algebra = "Leavitt path algebra" if leavitt else "path algebra"
+        raise PreconditionError("tail-free", f"the {algebra} rejects graphs with omega tails")
 
     def term_element(sign, coef, chi):
         scalar = field.one if coef is None else field.parse(coef)

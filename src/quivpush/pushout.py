@@ -179,11 +179,15 @@ def pushout_square(f: GraphHom, g: GraphHom) -> PushoutGraph:
     Routed through the union graph when both legs are inclusions whose domain
     is the full overlap, through graph_pushout otherwise.  The union route
     keeps original ids, which admissible-union instances and their
-    certificates rely on.
+    certificates rely on.  Graphs with omega tails are refused on both
+    routes, by the precondition tail-free.
     """
     if f.domain != g.domain:
         raise DomainMismatch("pushout legs must share their domain")
     E, F, G = f.codomain, g.codomain, f.domain
+    for name, graph in (("domain", G), ("left codomain", E), ("right codomain", F)):
+        if graph.has_tails:
+            raise PreconditionError("tail-free", f"the {name} has omega tails")
     if (f.is_inclusion() and g.is_inclusion()
             and E.vertices & F.vertices == G.vertices
             and E.edges & F.edges == G.edges):

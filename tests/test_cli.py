@@ -289,9 +289,29 @@ def test_eval_path_algebra_expression(tmp_path, capsys):
 @pytest.mark.parametrize("expression", ["chi[v]", "chi[e]", "2", "chi[e*]"])
 def test_eval_rejects_tailed_graphs(tmp_path, capsys, mode, expression):
     path = _write(tmp_path, "tailed.json", TAILED_EDGE)
-    assert main(["eval", *mode, path, expression]) == 1
+    assert main(["eval", *mode, path, expression]) == 3
     err = capsys.readouterr().err
-    assert "rejects graphs with omega tails" in err and "Traceback" not in err
+    assert "refused: precondition tail-free" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["pushout"], ["verify", "--path"],
+                                     ["verify", "--leavitt"]],
+                         ids=["pushout", "verify-path", "verify-leavitt"])
+def test_tailed_union_legs_are_refused(tmp_path, capsys, command):
+    """Inclusion legs whose domain is the full overlap, so the pushout is
+    their union, with a tail on the left codomain: refused before any check
+    runs, by name."""
+    base = {"vertices": ["v", "h"], "edges": [{"id": "e", "src": "v", "tgt": "h"}],
+            "omega_tails": []}
+    left = {**base, "vertices": ["v", "h", "x"], "omega_tails": [["v", "h"]]}
+    right = {**base, "vertices": ["v", "h", "y"]}
+    legs = [_write(tmp_path, name, {"domain": base, "codomain": cod,
+                                    "f0": {"v": "v", "h": "h"}, "f1": {"e": "e"}})
+            for name, cod in (("f.json", left), ("g.json", right))]
+    assert main([*command, *legs]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tail-free" in err and "Traceback" not in err
 
 
 def test_repeated_main_calls_match_fresh_runs(monkeypatch, capsys):

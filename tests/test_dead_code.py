@@ -4,6 +4,9 @@ package is used somewhere in src/, tests/ or bench/.
 A use is a name or an attribute access outside the object's own
 definition; an import alone is not a use, so a re-export in __init__ does
 not keep an unused function alive.
+
+A drift guard rides along: every refusal flag that src/ spells out is
+documented in the README's exit-code paragraph.
 """
 
 import ast
@@ -43,3 +46,20 @@ def test_every_public_definition_is_used():
                                 for where, line in uses[node.name])):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_readme_names_every_refusal_flag():
+    """The string-literal flag of each PreconditionError(...) call in src/
+    appears, in backticks, in the README paragraph on exit codes."""
+    flags = set()
+    for _, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "PreconditionError"
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                flags.add(node.args[0].value)
+    assert flags, "no PreconditionError flag found in src/"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Exit codes:"):].split("\n\n", 1)[0]
+    undocumented = sorted(f for f in flags if f"`{f}`" not in paragraph)
+    assert not undocumented, "refusal flags missing from README: " + ", ".join(undocumented)

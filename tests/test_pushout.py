@@ -332,3 +332,26 @@ def _mismatched_inclusions():
 def test_mismatched_domains_have_no_square(build):
     with pytest.raises(DomainMismatch):
         build(*_mismatched_inclusions())
+
+
+def _tailed_inclusions(route):
+    """Inclusion legs (the only homs tailed graphs admit) into a left
+    codomain with the tail (v, h).  On the union route the domain is the
+    full overlap of the codomains; on the quotient route they also share h."""
+    left = Graph.build(["v", "h", "x"], [("e", "v", "h")], [("v", "h")])
+    if route == "union":
+        dom = Graph.build(["v", "h"], [("e", "v", "h")])
+        right = Graph.build(["v", "h", "y"], [("e", "v", "h")])
+    else:
+        dom, right = Graph(["v"]), Graph(["v", "h"])
+    return GraphHom.inclusion(dom, left), GraphHom.inclusion(dom, right)
+
+
+@pytest.mark.parametrize("route", ["union", "quotient"])
+@pytest.mark.parametrize("build", [pushout_square, verify_path_pullback,
+                                   verify_leavitt_pullback],
+                         ids=lambda fn: fn.__name__)
+def test_tailed_legs_are_refused_by_name(build, route):
+    with pytest.raises(PreconditionError) as info:
+        build(*_tailed_inclusions(route))
+    assert info.value.flag == "tail-free"
