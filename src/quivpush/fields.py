@@ -1,7 +1,7 @@
 """Exact scalars: arbitrary-precision rationals and prime fields.
 
 All algebra modules are parameterized by a field object exposing
-``zero``, ``one``, ``from_int`` and ``parse``.  Elements support the
+``zero``, ``one``, ``characteristic`` and ``parse``.  Elements support the
 usual arithmetic operators exactly; there is no floating point anywhere.
 """
 
@@ -48,12 +48,6 @@ class Fp:
             return NotImplemented
         return Fp(self.p, self.v - other.v)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, other.v - self.v)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -97,12 +91,10 @@ class RationalField:
     """The rationals, backed by fractions.Fraction."""
 
     name = "q"
+    characteristic = 0
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -160,13 +152,10 @@ class PrimeField:
             raise FieldError(f"prime {p} exceeds 2^31")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.name = f"fp:{p}"
         self.zero = Fp(p, 0)
         self.one = Fp(p, 1)
-
-    def from_int(self, n: int) -> Fp:
-        return Fp(self.p, n)
 
     def parse(self, text: str) -> Fp:
         frac = RationalField().parse(text)

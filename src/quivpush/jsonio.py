@@ -43,6 +43,8 @@ def graph_to_obj(g: Graph) -> dict:
 def graph_from_obj(obj, path=None) -> Graph:
     if not isinstance(obj, dict):
         raise FormatError("graph must be a JSON object", path)
+    if unknown := set(obj) - {"vertices", "edges", "omega_tails"}:
+        raise FormatError(f"unknown graph key {min(unknown)!r}", path)
     vertices = obj.get("vertices", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FormatError("'vertices' must be a list of strings", path)
@@ -55,6 +57,8 @@ def graph_from_obj(obj, path=None) -> Graph:
     for item in edges:
         if not isinstance(item, dict) or not {"id", "src", "tgt"} <= set(item):
             raise FormatError("each edge needs 'id', 'src' and 'tgt'", path)
+        if unknown := set(item) - {"id", "src", "tgt"}:
+            raise FormatError(f"unknown edge key {min(unknown)!r}", path)
         e, u, w = item["id"], item["src"], item["tgt"]
         for key, x in (("id", e), ("src", u), ("tgt", w)):
             if not isinstance(x, str):
@@ -94,6 +98,8 @@ def hom_from_obj(obj, path=None, base_dir=None, inputs=None) -> GraphHom:
     for key in ("domain", "codomain", "f0", "f1"):
         if key not in obj:
             raise FormatError(f"missing {key!r}", path)
+    if unknown := set(obj) - {"domain", "codomain", "f0", "f1"}:
+        raise FormatError(f"unknown homomorphism key {min(unknown)!r}", path)
 
     def resolve(side):
         value = obj[side]

@@ -351,12 +351,12 @@ def leavitt_dimension_oracle(g: Graph) -> int:
     for m in monos:
         v = m.alpha.target(g)
         if v in reg:
-            row = {index[m]: QQ.one}
+            row = {index[m]: 1}
             for e in out[v]:
                 row[index[LMonomial(Path.of(m.alpha.edges + (e,)),
-                                    Path.of(m.beta.edges + (e,)))]] = -QQ.one
+                                    Path.of(m.beta.edges + (e,)))]] = -1
             rows.append(row)
-    return len(monos) - rank(rows, QQ)
+    return len(monos) - rank(rows, 0)
 
 
 @dataclass(frozen=True)
@@ -501,14 +501,15 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
 
 def _pullback_columns(h: GraphHom, basis, max_total: int, field) -> dict:
     """The pullback along h of each codomain monomial in basis, of total
-    <= max_total, as {domain monomial: nonzero coefficient}.
+    <= max_total, as {domain monomial: nonzero int coefficient}.
 
     One pass over the domain's pairs alpha' beta'* with a common end vertex
     adds the normal form of each to the column of (h alpha')(h beta')*, if
     that is in basis.  Paths keep their lengths under h, so these are the
     pairs that _pull visits.  Each pair enters with coefficient 1 and CK2
-    rewriting only negates, so the columns are rewritten over int and each
-    coefficient is converted once; one that is zero in the field is dropped.
+    rewriting only negates, so the columns hold ints; linalg.rank reduces
+    them in the field's characteristic, and field itself only picks the
+    descent check of _require_pullback.
     """
     _require_pullback(h, field)
     dom = h.domain
@@ -519,9 +520,7 @@ def _pullback_columns(h: GraphHom, basis, max_total: int, field) -> dict:
         col = cols.get(LMonomial(image[pair.alpha], image[pair.beta]))
         if col is not None:
             _ck2_accumulate(dom, pair, 1, col, 0)
-    zero, from_int = field.zero, field.from_int
-    return {m: {t: x for t, c in col.items() if c and (x := from_int(c)) != zero}
-            for m, col in cols.items()}
+    return {m: {t: c for t, c in col.items() if c} for m, col in cols.items()}
 
 
 def _indexed(columns: dict, monos, idx: dict, d: int, offset: int = 0) -> list:
@@ -573,13 +572,13 @@ def _window_cross_check(f, g, po, n, field):
         image_cols = [{**left, **right} for left, right in
                       zip(_indexed(iota_e_cols, p_d, e_idx, d),
                           _indexed(iota_f_cols, p_d, f_idx, d, len(e_d)))]
-        dim_image = rank(image_cols, field)
+        dim_image = rank(image_cols, field.characteristic)
         injective = dim_image == len(image_cols)
 
         # the fiber's constraint matrix is [f* | -g*]; negating the g*
         # columns leaves the rank unchanged
         constraint = (_indexed(f_cols, e_d, g_idx, d)
                       + _indexed(g_cols, f_d, g_idx, d))
-        dim_fiber = len(e_d) + len(f_d) - rank(constraint, field)
+        dim_fiber = len(e_d) + len(f_d) - rank(constraint, field.characteristic)
         checks.append(WindowCheck(d, len(p_d), dim_image, dim_fiber, injective))
     return checks

@@ -7,9 +7,9 @@ that the eval command reads back.  Its subclasses differ only in the
 product.  A PAElement's terms are basis paths and its product is bilinear
 concatenation.  The pullback along a homomorphism sends a basis path to the
 sum over its path preimages, and the theorem verifier compares graded
-components of the pushout algebra with the fiber product by exact sparse
-elimination over the rationals: on each graded component a pullback matrix
-has a single 1 per row.
+components of the pushout algebra with the fiber product by the exact rank
+over Q of integer matrices: on each graded component a pullback matrix has
+a single 1 per row.
 """
 
 from __future__ import annotations
@@ -235,16 +235,16 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
         # a valid hom maps each length-d path onto one length-d path
         e_in_p = {x: _path_image(po.iota_left, x) for x in pe[d]}
         f_in_p = {x: _path_image(po.iota_right, x) for x in pf[d]}
-        stacked = [{p_idx[q]: QQ.one} for q in [*e_in_p.values(), *f_in_p.values()]]
-        r_stacked = rank(stacked, QQ)
+        stacked = [{p_idx[q]: 1} for q in [*e_in_p.values(), *f_in_p.values()]]
+        r_stacked = rank(stacked, 0)
         injective = r_stacked == len(pp[d])
         commutes = True
         constraint = []
         for q in pg[d]:
             fq, gq = _path_image(f, q), _path_image(g, q)
             commutes = commutes and e_in_p[fq] == f_in_p[gq]
-            constraint.append({e_idx[fq]: QQ.one, f_idx[gq]: -QQ.one})
-        dim_fiber = len(pe[d]) + len(pf[d]) - rank(constraint, QQ)
+            constraint.append({e_idx[fq]: 1, f_idx[gq]: -1})
+        dim_fiber = len(pe[d]) + len(pf[d]) - rank(constraint, 0)
         surjective = commutes and r_stacked == dim_fiber
         checks.append(DegreeCheck(d, len(pp[d]), r_stacked, dim_fiber,
                                   commutes, injective, surjective))

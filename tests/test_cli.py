@@ -119,6 +119,38 @@ def test_omega_tails_must_be_a_list(tmp_path, capsys, tails):
         assert err == f"parse error: {path}: 'omega_tails' must be a list\n"
 
 
+MISSPELLED = {"vertices": ["u", "v"], "edge": [{"id": "e", "src": "u", "tgt": "v"}]}
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (graph_from_obj, MISSPELLED, "unknown graph key 'edge'"),
+    (graph_from_obj, {**EDGE, "omega_tail": []}, "unknown graph key 'omega_tail'"),
+    (graph_from_obj, {"vertices": ["v", "w"],
+                      "edges": [{"id": "e", "src": "v", "tgt": "w", "weight": 2}]},
+     "unknown edge key 'weight'"),
+    (hom_from_obj, {"domain": LOOP, "codomain": LOOP, "f0": {"u": "u"},
+                    "f1": {"l": "l"}, "f2": {}}, "unknown homomorphism key 'f2'"),
+    (hom_from_obj, {"domain": MISSPELLED, "codomain": MISSPELLED,
+                    "f0": {"u": "u", "v": "v"}, "f1": {}}, "unknown graph key 'edge'"),
+])
+def test_unknown_keys_are_parse_errors(read, obj, message):
+    with pytest.raises(FormatError, match=message):
+        read(obj)
+
+
+def test_misspelled_graph_key_is_refused_by_the_cli(tmp_path, capsys):
+    """A graph file whose 'edges' key is misspelled does not read as an
+    edgeless graph: classify and eval name the key and exit 2."""
+    graph = _write(tmp_path, "g.json", MISSPELLED)
+    hom = _write(tmp_path, "ident.json", {"domain": "g.json", "codomain": "g.json",
+                                          "f0": {"u": "u", "v": "v"}, "f1": {}})
+    for argv in (["classify", hom], ["eval", graph, "chi[u]"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"parse error: {graph}: unknown graph key 'edge'\n"
+
+
 def test_stray_hom_keys_make_the_hom_invalid(tmp_path, capsys):
     """f0 and f1 keys outside the domain are violations, not extra images
     that break injectivity."""

@@ -5,8 +5,9 @@ A use is a name or an attribute access outside the object's own
 definition; an import alone is not a use, so a re-export in __init__ does
 not keep an unused function alive.
 
-A drift guard rides along: every refusal flag that src/ spells out is
-documented in the README's exit-code paragraph.
+Two drift guards ride along: every refusal flag that src/ spells out is
+documented in the README's exit-code paragraph, and field objects stay out
+of linalg, whose matrices hold ints.
 """
 
 import ast
@@ -63,3 +64,21 @@ def test_readme_names_every_refusal_flag():
     paragraph = readme[readme.index("Exit codes:"):].split("\n\n", 1)[0]
     undocumented = sorted(f for f in flags if f"`{f}`" not in paragraph)
     assert not undocumented, "refusal flags missing from README: " + ", ".join(undocumented)
+
+
+def test_linalg_knows_no_field_objects():
+    """linalg imports no quivpush module, and no identifier in src/ is named
+    from_int: the matrices src/ ranks hold ints, and only linalg says how
+    their entries are reduced."""
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    own = [ast.unparse(node) for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom)
+           and (node.level or (node.module or "").split(".")[0] == "quivpush")
+           or isinstance(node, ast.Import)
+           and any(alias.name.split(".")[0] == "quivpush" for alias in node.names)]
+    assert not own, "linalg imports from quivpush: " + "; ".join(own)
+    from_int = [f"{path.relative_to(ROOT)}:{node.lineno}"
+                for path, tree in _trees(PACKAGE) for node in ast.walk(tree)
+                if any(getattr(node, key, None) == "from_int"
+                       for key in ("id", "attr", "name", "arg"))]
+    assert not from_int, "from_int in src/: " + ", ".join(from_int)

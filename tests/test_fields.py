@@ -1,6 +1,6 @@
 import pytest
 
-from quivpush.fields import FieldError, PrimeField, _is_prime, field_from_name
+from quivpush.fields import QQ, FieldError, PrimeField, _is_prime, field_from_name
 
 
 def _trial_division(n):
@@ -43,3 +43,8 @@ def test_primality_outside_the_exact_range_is_refused():
     # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
     with pytest.raises(FieldError):
         _is_prime(3215031751)
+
+
+def test_characteristic():
+    assert QQ.characteristic == 0
+    assert field_from_name("fp:7").characteristic == 7

@@ -1,11 +1,12 @@
 from hypothesis import given, settings, strategies as st
 
-from quivpush.fields import QQ, PrimeField, field_from_name
+from quivpush.fields import field_from_name
 from quivpush.linalg import rank
 
 
 def dense_rank(matrix, field) -> int:
-    """Reference oracle: textbook elimination on a dense list of lists."""
+    """Reference oracle: textbook elimination on a dense list of lists of
+    field elements, dividing by each pivot."""
     m = [list(row) for row in matrix]
     r = 0
     for col in range(len(m[0]) if m else 0):
@@ -25,22 +26,45 @@ def sparse(matrix):
 
 
 def lift(matrix, field):
-    return [[field.from_int(x) for x in row] for row in matrix]
+    return [[field.one * x for x in row] for row in matrix]
 
 
 def test_rank_basics():
-    assert rank([], QQ) == 0
-    assert rank([{}, {}], QQ) == 0
-    assert rank(sparse(lift([[0, 0], [0, 0]], QQ)), QQ) == 0
-    assert rank(sparse(lift([[1, 0], [0, 1]], QQ)), QQ) == 2
-    assert rank(sparse(lift([[1, 2], [2, 4]], QQ)), QQ) == 1
-    assert rank(sparse(lift([[1, 2, 3], [4, 5, 6], [7, 8, 9]], QQ)), QQ) == 2
+    assert rank([], 0) == 0
+    assert rank([{}, {}], 0) == 0
+    assert rank(sparse([[0, 0], [0, 0]]), 0) == 0
+    assert rank(sparse([[1, 0], [0, 1]]), 0) == 2
+    assert rank(sparse([[1, 2], [2, 4]]), 0) == 1
+    assert rank(sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 0) == 2
     # columns need not be contiguous or start at zero
-    assert rank([{5: QQ.one}, {9: QQ.one, 5: -QQ.one}, {9: QQ.one}], QQ) == 2
-    # determinant 7: full rank over QQ, rank one mod 7
-    f7 = PrimeField(7)
-    assert rank(sparse(lift([[1, 2], [3, 13]], QQ)), QQ) == 2
-    assert rank(sparse(lift([[1, 2], [3, 13]], f7)), f7) == 1
+    assert rank([{5: 1}, {9: 1, 5: -1}, {9: 1}], 0) == 2
+    # determinant 7: full rank over Q, rank one mod 7
+    assert rank(sparse([[1, 2], [3, 13]]), 0) == 2
+    assert rank(sparse([[1, 2], [3, 13]]), 7) == 1
+
+
+def test_rank_mod_p_reduces_every_entry():
+    # nonzero ints that vanish mod p are zero entries
+    assert rank([{3: 7, 5: 14}], 7) == 0
+    assert rank([{3: 7, 5: 14}], 0) == 1
+    # negative entries: determinant -7, and -7 vanishes mod 7
+    assert rank(sparse([[-1, 3], [1, 4]]), 0) == 2
+    assert rank(sparse([[-1, 3], [1, 4]]), 7) == 1
+    assert rank(sparse([[-1, -3], [2, 6], [0, -7]]), 0) == 2
+    assert rank(sparse([[-1, -3], [2, 6], [0, -7]]), 7) == 1
+    # -1 = 1 mod 2
+    assert rank(sparse([[1, -1], [-1, 1], [1, 1]]), 2) == 1
+    assert rank(sparse([[1, -1], [-1, 1], [1, 1]]), 0) == 2
+
+
+def test_pivot_row_with_common_factor():
+    """A pivot row whose entries share a factor, then rows that depend on
+    it: [[6, 4], [9, 6]] is 2*[3, 2] and 3*[3, 2]."""
+    assert rank(sparse([[6, 4], [9, 6]]), 0) == 1
+    assert rank(sparse([[6, 4], [9, 6], [3, 2], [-12, -8]]), 0) == 1
+    assert rank(sparse([[6, 4], [9, 6], [0, 5]]), 0) == 2
+    assert rank(sparse([[6, 4], [9, 7]]), 0) == 2
+    assert rank(sparse([[6, 4], [9, 6]]), 2) == 1
 
 
 matrices = st.integers(0, 5).flatmap(
@@ -48,17 +72,16 @@ matrices = st.integers(0, 5).flatmap(
                                     max_size=width), max_size=6))
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices, st.sampled_from(["q", "fp:7", "fp:2147483647"]))
-def test_sparse_rank_matches_dense_oracle(matrix, name):
-    field = field_from_name(name)
-    lifted = lift(matrix, field)
-    transposed = [list(col) for col in zip(*lifted)]
-    expect = dense_rank(lifted, field)
-    assert rank(sparse(lifted), field) == expect
-    assert rank(sparse(transposed), field) == expect
+@settings(max_examples=200, deadline=None)
+@given(matrices, st.sampled_from([0, 2, 7, 2**31 - 1]))
+def test_sparse_rank_matches_dense_oracle(matrix, p):
+    field = field_from_name(f"fp:{p}" if p else "q")
+    expect = dense_rank(lift(matrix, field), field)
+    transposed = [list(col) for col in zip(*matrix)]
+    assert rank(sparse(matrix), p) == expect
+    assert rank(sparse(transposed), p) == expect
     # explicit zeros and empty rows change nothing
-    assert rank(sparse(lifted) + [{}], field) == expect
+    assert rank(sparse(matrix) + [{}], p) == expect
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,5 +90,4 @@ def test_sparse_rank_matches_dense_oracle(matrix, name):
        .filter(lambda rows: len({len(r) for r in rows}) == 1))
 def test_big_prime_rank_matches_rational_rank(rows):
     # 0/1 matrices: any prime beyond the max minor magnitude is safe
-    f = PrimeField(32003)
-    assert rank(sparse(lift(rows, f)), f) == rank(sparse(lift(rows, QQ)), QQ)
+    assert rank(sparse(rows), 32003) == rank(sparse(rows), 0)

@@ -24,12 +24,12 @@ def _chi(g, *edges, vertex=None, field=QQ):
 
 def test_prime_field_arithmetic():
     f7 = PrimeField(7)
-    a = f7.from_int(3)
-    assert a + a == f7.from_int(6)
-    assert a * a == f7.from_int(2)
+    a = f7.one * 3
+    assert a + a == f7.one * 6
+    assert a * a == f7.one * 2
     assert a / a == f7.one
-    assert -a == f7.from_int(4)
-    assert f7.parse("1/2") == f7.from_int(4)
+    assert -a == f7.one * 4
+    assert f7.parse("1/2") == f7.one * 4
 
 
 def test_field_from_name():
