@@ -7,6 +7,7 @@ usual arithmetic operators exactly; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 MAX_PRIME = 2**31
@@ -178,13 +179,17 @@ QQ = RationalField()
 
 
 def field_from_name(name: str):
-    """Resolve a CLI field spec: 'q' or 'fp:<prime>'."""
+    """Resolve a CLI field spec: 'q', or 'fp:' and a prime in ASCII digits
+    without a leading zero, so that each field has one spelling."""
     if name == "q":
         return QQ
+    digits = re.fullmatch(r"fp:([1-9][0-9]*)", name)
+    if digits:
+        # more digits than MAX_PRIME has: too large, and int() may refuse them
+        if len(digits[1]) > len(str(MAX_PRIME)):
+            raise FieldError(f"a prime of {len(digits[1])} digits exceeds 2^31")
+        return PrimeField(int(digits[1]))
     if name.startswith("fp:"):
-        try:
-            p = int(name[3:])
-        except ValueError as exc:
-            raise FieldError(f"bad field spec {name!r}") from exc
-        return PrimeField(p)
+        raise FieldError(f"bad field spec {name!r} (expected 'fp:' and a prime "
+                         "in decimal digits without a leading zero)")
     raise FieldError(f"unknown field {name!r} (expected 'q' or 'fp:<prime>')")

@@ -24,11 +24,18 @@ acyclic graph) pair up the paths of graph.paths_up_to that share an end
 vertex.  The pullback along a CRTBPOG morphism pairs path preimages the same
 way: alpha beta* goes to the sum of alpha' beta'* over preimages alpha' of
 alpha and beta' of beta with a common end vertex, brought back to normal
-form over the domain.  The pullback verifier's window cross-check needs the
-pullback of every window monomial, and builds them in the other direction:
-one pass over the domain's pairs alpha' beta'* maps each domain path forward
-once and adds the normal form of alpha' beta'* to the column of
-(h alpha')(h beta')*.
+form over the domain.  Each pair enters with 1 and the rewriting only
+negates, so that pullback is an int column; the morphism keeps it in its
+leavitt_pullbacks table, and every later pullback of the monomial, over any
+field, scales the stored column by the coefficient.
+
+The pullback verifier's window cross-check needs the pullback of every
+window monomial, and builds them in the other direction: one pass over the
+domain's pairs alpha' beta'* maps each domain path forward once and adds
+the normal form of alpha' beta'* to the column of (h alpha')(h beta')*.  It
+enumerates the paths and pairs of each graph of the square once; that one
+list gives the graph's window, grouped by degree, and the columns of every
+morphism out of the graph.
 
 An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
 and compare in C; like a Path it is never sorted raw or written to JSON
@@ -216,20 +223,36 @@ def _require_pullback(h: GraphHom, field):
         h.descent_fields.add(field)
 
 
+def _pull_column(h: GraphHom, mono: LMonomial) -> dict:
+    """The sum of alpha' beta'* over every path preimage alpha' of alpha and
+    beta' of beta that end at one vertex, in normal form over the domain, as
+    {normal monomial: nonzero int}: each pair enters with 1 and CK2
+    rewriting only negates."""
+    E = h.domain
+    col = {}
+    betas = {}
+    for beta in path_preimages(h, mono.beta):
+        betas.setdefault(beta.target(E), []).append(beta)
+    for alpha in path_preimages(h, mono.alpha):
+        for beta in betas.get(alpha.target(E), ()):
+            _ck2_accumulate(E, LMonomial(alpha, beta), 1, col, 0)
+    return {t: k for t, k in col.items() if k}
+
+
 def _pull(h: GraphHom, terms: dict, field) -> LElement:
-    """The sum, over the terms c alpha beta*, of c alpha' beta'* for every
-    path preimage alpha' of alpha and beta' of beta that end at one vertex,
-    in normal form over the domain."""
-    E, zero = h.domain, field.zero
+    """The sum, over the terms c alpha beta*, of c times the pullback of
+    alpha beta* (see _pull_column).  Each monomial's pullback is computed
+    once per hom and kept in h.leavitt_pullbacks."""
+    table = h.leavitt_pullbacks
     acc = {}
     for mono, c in terms.items():
-        betas = {}
-        for beta in path_preimages(h, mono.beta):
-            betas.setdefault(beta.target(E), []).append(beta)
-        for alpha in path_preimages(h, mono.alpha):
-            for beta in betas.get(alpha.target(E), ()):
-                _ck2_accumulate(E, LMonomial(alpha, beta), c, acc, zero)
-    return LElement(E, field, acc)
+        col = table.get(mono)
+        if col is None:
+            col = table[mono] = _pull_column(h, mono)
+        for t, k in col.items():
+            x = c if k == 1 else c * k
+            acc[t] = acc[t] + x if t in acc else x
+    return LElement(h.domain, field, acc)
 
 
 def verify_descent(h: GraphHom, field=QQ):
@@ -317,13 +340,32 @@ def _end_pairs(ends: dict, max_total: int):
                 yield LMonomial(alpha, beta)
 
 
+class _Pairs(NamedTuple):
+    """One enumeration of a graph for the window cross-check: its paths of
+    length <= n by end vertex (see _paths_by_end), every alpha beta* among
+    them with total <= n, and the NORMAL ones, the window, grouped by
+    degree in enumeration order."""
+
+    ends: dict
+    pairs: list
+    window: dict
+
+
+def _pair_lists(g: Graph, n: int) -> _Pairs:
+    ends = _paths_by_end(g, n)
+    pairs = list(_end_pairs(ends, n))
+    designated = g.designated
+    window = {}
+    for m in pairs:
+        if is_normal(m, designated):
+            window.setdefault(len(m.alpha.edges) - len(m.beta.edges), []).append(m)
+    return _Pairs(ends, pairs, window)
+
+
 def normal_monomials_window(g: Graph, max_total: int) -> list:
     """All NORMAL monomials with |alpha| + |beta| <= max_total, sorted."""
-    designated = g.designated
-    result = [m for m in _end_pairs(_paths_by_end(g, max_total), max_total)
-              if is_normal(m, designated)]
-    result.sort(key=LMonomial.sort_key)
-    return result
+    return sorted((m for ms in _pair_lists(g, max_total).window.values() for m in ms),
+                  key=LMonomial.sort_key)
 
 
 def all_pair_monomials(g: Graph) -> list:
@@ -499,27 +541,26 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
                                  tuple(failures))
 
 
-def _pullback_columns(h: GraphHom, basis, max_total: int, field) -> dict:
-    """The pullback along h of each codomain monomial in basis, of total
-    <= max_total, as {domain monomial: nonzero int coefficient}.
+def _pullback_columns(h: GraphHom, dom: _Pairs, window: dict, field) -> dict:
+    """The pullback along h of each codomain monomial in window (degree ->
+    monomials), as {domain monomial: nonzero int coefficient}.
 
-    One pass over the domain's pairs alpha' beta'* with a common end vertex
+    One pass over the domain's pairs alpha' beta'* (dom, see _pair_lists)
     adds the normal form of each to the column of (h alpha')(h beta')*, if
-    that is in basis.  Paths keep their lengths under h, so these are the
+    that is in window.  Paths keep their lengths under h, so these are the
     pairs that _pull visits.  Each pair enters with coefficient 1 and CK2
     rewriting only negates, so the columns hold ints; linalg.rank reduces
     them in the field's characteristic, and field itself only picks the
     descent check of _require_pullback.
     """
     _require_pullback(h, field)
-    dom = h.domain
-    ends = _paths_by_end(dom, max_total)
-    image = {p: _path_image(h, p) for into in ends.values() for p in into}
-    cols = {m: {} for m in basis}
-    for pair in _end_pairs(ends, max_total):
+    E = h.domain
+    image = {p: _path_image(h, p) for into in dom.ends.values() for p in into}
+    cols = {m: {} for ms in window.values() for m in ms}
+    for pair in dom.pairs:
         col = cols.get(LMonomial(image[pair.alpha], image[pair.beta]))
         if col is not None:
-            _ck2_accumulate(dom, pair, 1, col, 0)
+            _ck2_accumulate(E, pair, 1, col, 0)
     return {m: {t: c for t, c in col.items() if c} for m, col in cols.items()}
 
 
@@ -540,29 +581,19 @@ def _indexed(columns: dict, monos, idx: dict, d: int, offset: int = 0) -> list:
 def _window_cross_check(f, g, po, n, field):
     """Rank checks, degree by degree, on the windows of NORMAL monomials
     with total <= n: the image of L(P) in L(E) x L(F) and the fiber of
-    L(E) x L(F) -> L(G).  Each of the four pullbacks (iota_E, iota_F, f, g)
-    is built for its whole window in one pass over its domain's pairs; see
-    _pullback_columns."""
-    E, F, G = f.codomain, g.codomain, f.domain
-    bases = {"P": normal_monomials_window(po.graph, n),
-             "E": normal_monomials_window(E, n),
-             "F": normal_monomials_window(F, n),
-             "G": normal_monomials_window(G, n)}
-    iota_e_cols = _pullback_columns(po.iota_left, bases["P"], n, field)
-    iota_f_cols = _pullback_columns(po.iota_right, bases["P"], n, field)
-    f_cols = _pullback_columns(f, bases["E"], n, field)
-    g_cols = _pullback_columns(g, bases["F"], n, field)
-    degrees = sorted({m.degree for ms in bases.values() for m in ms})
-    by_deg = {name: {d: [] for d in degrees} for name in bases}
-    for name, ms in bases.items():
-        for m in ms:
-            by_deg[name][m.degree].append(m)
+    L(E) x L(F) -> L(G).  Each of P, E, F and G is enumerated once (see
+    _pair_lists); its window, and the columns of every hom out of it, come
+    from that one enumeration, G's serving both f and g.  Rows and columns
+    keep enumeration order: no rank depends on it."""
+    # the enumerations of the four graphs of the square, named after them
+    P, E, F, G = (_pair_lists(x, n) for x in (po.graph, f.codomain, g.codomain, f.domain))
+    iota_e_cols = _pullback_columns(po.iota_left, E, P.window, field)
+    iota_f_cols = _pullback_columns(po.iota_right, F, P.window, field)
+    f_cols = _pullback_columns(f, G, E.window, field)
+    g_cols = _pullback_columns(g, G, F.window, field)
     checks = []
-    for d in degrees:
-        p_d = by_deg["P"][d]
-        e_d = by_deg["E"][d]
-        f_d = by_deg["F"][d]
-        g_d = by_deg["G"][d]
+    for d in sorted(P.window.keys() | E.window.keys() | F.window.keys() | G.window.keys()):
+        p_d, e_d, f_d, g_d = (x.window.get(d, []) for x in (P, E, F, G))
         e_idx = {m: i for i, m in enumerate(e_d)}
         f_idx = {m: i for i, m in enumerate(f_d)}
         g_idx = {m: i for i, m in enumerate(g_d)}

@@ -31,7 +31,10 @@ class GraphHom:
     """A pair of maps (vertices, edges) with commuting source/target squares.
 
     Frozen like Graph: f0 and f1 are read-only and attributes cannot be
-    reassigned, so the derived tables below are computed once per hom.
+    reassigned, so the derived tables below are computed once per hom.  One
+    of them, leavitt_pullbacks, keeps the Leavitt pullback of each codomain
+    monomial that has been pulled back along this hom, so every later pull
+    of that monomial, over any field, is a table read.
     """
 
     __setattr__ = __delattr__ = _immutable
@@ -131,6 +134,14 @@ class GraphHom:
         """Fields over which the Leavitt descent identities have been
         verified for this hom (see leavitt.l_pullback)."""
         return set()
+
+    @derived
+    def leavitt_pullbacks(self) -> dict:
+        """Codomain Leavitt monomial -> its pullback along this hom, as
+        {domain normal monomial: nonzero int}, filled on demand by
+        leavitt._pull.  The entries are ints whatever the field, so one
+        table serves every field."""
+        return {}
 
 
 @dataclass(frozen=True)

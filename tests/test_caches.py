@@ -2,15 +2,17 @@
 and the immutability that keeps those tables from going stale."""
 
 import pytest
+from test_leavitt import _pullback_through_extended_hom
 
-from quivpush.fields import QQ
+from quivpush.fields import QQ, field_from_name
 from quivpush.graph import (Graph, GraphError, Path, check_word, classify_vertices,
                             paths_up_to)
 from quivpush.leavitt import (LMonomial, l_pullback, monomial_element, normal_form,
-                              vertex_monomial)
+                              normal_monomials_window, vertex_monomial)
 from quivpush.morphism import GraphHom, classify_hom, induced_path_map
 from quivpush.path_algebra import path_preimages
-from quivpush.randgen import case_rng, random_general_hom, random_graph, random_tb_hom
+from quivpush.randgen import (case_rng, random_crtbpog_hom, random_general_hom, random_graph,
+                              random_tb_hom)
 
 SEEDS = range(40)
 
@@ -100,6 +102,28 @@ def test_descent_is_recorded_per_field():
     assert not h.descent_fields
     l_pullback(h, monomial_element(g, vertex_monomial("u"), QQ))
     assert h.descent_fields == {QQ}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pullback_table_is_field_independent(seed):
+    """One hom's table of Leavitt pullbacks serves every field.  Each window
+    monomial is pulled back over q, fp:2 and fp:7 in turn on the same hom,
+    so every column is read back over a field other than the one that
+    filled it; a column holding field elements instead of ints would give
+    a wrong result or raise.  The references are a fresh hom per field and
+    the extended-graph oracle."""
+    h = random_crtbpog_hom(case_rng(seed, 73))
+    fields = [field_from_name(name) for name in ("q", "fp:2", "fp:7")]
+    fresh = {field: GraphHom(h.domain, h.codomain, h.f0, h.f1) for field in fields}
+    window = normal_monomials_window(h.codomain, 3)
+    for mono in window:
+        for field in fields:
+            x = monomial_element(h.codomain, mono, field)
+            got = l_pullback(h, x)
+            assert got == l_pullback(fresh[field], x)
+            assert got == _pullback_through_extended_hom(h, x)
+    assert h.leavitt_pullbacks.keys() == set(window)
+    assert all(type(k) is int for col in h.leavitt_pullbacks.values() for k in col.values())
 
 
 def test_graphs_and_homs_are_frozen():

@@ -317,6 +317,18 @@ def test_eval_path_algebra_expression(tmp_path, capsys):
     assert cert["checks"][0]["result"] == "1*chi[v] + 3/2*chi[e]"
 
 
+@pytest.mark.parametrize("spec", ["fp:+7", "fp: 7", "fp:0_7", "fp:007", "fp:٧", "fp:7 "])
+def test_field_has_one_spelling(tmp_path, capsys, spec):
+    """Only fp:7 names Z/7; every other spelling that int() reads as 7 is a
+    parse error, so one field cannot get two certificates."""
+    path = _write(tmp_path, "loop.json", LOOP)
+    assert main(["eval", path, "chi[l.l*] - 2*chi[u]", "--field", "fp:7"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["field"] == "fp:7"
+    assert main(["eval", path, "chi[l.l*] - 2*chi[u]", "--field", spec]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "parse error: bad field spec" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", [[], ["--leavitt"]], ids=["path", "leavitt"])
 @pytest.mark.parametrize("expression", ["chi[v]", "chi[e]", "2", "chi[e*]"])
 def test_eval_rejects_tailed_graphs(tmp_path, capsys, mode, expression):

@@ -48,3 +48,19 @@ def test_primality_outside_the_exact_range_is_refused():
 def test_characteristic():
     assert QQ.characteristic == 0
     assert field_from_name("fp:7").characteristic == 7
+
+
+@pytest.mark.parametrize("name, p", [("fp:2", 2), ("fp:7", 7), ("fp:2147483647", 2**31 - 1)])
+def test_canonical_prime_field_specs(name, p):
+    field = field_from_name(name)
+    assert field.p == p and field.name == name
+
+
+# int() reads every one of these as 7 (or as a huge or non-prime number),
+# so each would give Z/7 a second spelling, and a second certificate
+@pytest.mark.parametrize("name", ["fp:+7", "fp: 7", "fp:7 ", "fp:7\n", "fp:0_7", "fp:007",
+                                  "fp:07", "fp:٧", "fp:７", "fp:-7", "fp:7.0", "fp:",
+                                  "fp:0", "FP:7", "fp :7", "fp:" + "9" * 5000])
+def test_non_canonical_prime_field_specs_are_refused(name):
+    with pytest.raises(FieldError):
+        field_from_name(name)

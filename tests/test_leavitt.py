@@ -340,24 +340,34 @@ def test_window_term_outside_its_window_is_an_error(monkeypatch):
     """Pullbacks keep every term inside its window; a window missing one of
     those terms raises instead of dropping the column."""
     ident = GraphHom.identity(EDGE)
-    full = leavitt.normal_monomials_window
-    monkeypatch.setattr(leavitt, "normal_monomials_window",
-                        lambda g, n: full(g, n)[:-1] if g is EDGE else full(g, n))
+    full = leavitt._pair_lists
+    e = edge_monomial(EDGE, "e")
+
+    def without_e(g, n):
+        pairs = full(g, n)
+        if g is not EDGE:
+            return pairs
+        return pairs._replace(window={d: [m for m in ms if m != e]
+                                      for d, ms in pairs.window.items()})
+
+    monkeypatch.setattr(leavitt, "_pair_lists", without_e)
     with pytest.raises(HomError, match="degree 1: the pullback of e has the term e outside"):
         verify_leavitt_pullback(ident, ident, 2)
 
 
 def _assert_window_columns_match_oracle(h, n, field):
     """The window cross-check builds all columns of a window in one pass
-    over the domain's pairs.  The slow reference pulls back each window
-    monomial on its own; the two must agree term by term, so an empty
-    column, or a term whose coefficients cancel, must be absent from both.
-    The columns hold ints, compared in the field: a coefficient that
-    vanishes mod p drops out."""
+    over the pairs that it enumerates once per domain graph and shares
+    among the windows and the homs out of that graph.  The slow reference
+    pulls back each window monomial on its own; the two must agree term by
+    term, so an empty column, or a term whose coefficients cancel, must be
+    absent from both.  The columns hold ints, compared in the field: a
+    coefficient that vanishes mod p drops out."""
     basis = normal_monomials_window(h.codomain, n)
     oracle = {m: l_pullback(h, monomial_element(h.codomain, m, field)).terms
               for m in basis}
-    columns = leavitt._pullback_columns(h, basis, n, field)
+    columns = leavitt._pullback_columns(h, leavitt._pair_lists(h.domain, n),
+                                        leavitt._pair_lists(h.codomain, n).window, field)
     assert all(type(c) is int for col in columns.values() for c in col.values())
     in_field = {m: {t: x for t, c in col.items() if (x := field.one * c) != field.zero}
                 for m, col in columns.items()}
