@@ -88,7 +88,7 @@ def _tokenize(text):
     return tokens
 
 
-def _parse_component(comp, g: Graph):
+def _parse_component(comp):
     ghost = comp.endswith("*")
     name = comp[:-1] if ghost else comp
     if not name:
@@ -151,7 +151,7 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
             return unit.scale(scalar)
         if not chi:
             raise ExprError("empty chi[...]")
-        parsed = [_parse_component(c, g) for c in chi.split(".")]
+        parsed = [_parse_component(c) for c in chi.split(".")]
         if len(parsed) == 1 and not parsed[0][1]:
             name = parsed[0][0]
             if name in g.vertices and name in g.edges:

@@ -157,6 +157,8 @@ def load_json(path, inputs=None):
         raise FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", path)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.msg, path, exc.lineno, exc.colno)
+    except RecursionError:
+        raise FormatError("arrays or objects nested too deeply", path) from None
 
 
 def load_graph(path, inputs=None) -> Graph:

@@ -34,7 +34,8 @@ class GraphHom:
     reassigned, so the derived tables below are computed once per hom.  One
     of them, leavitt_pullbacks, keeps the Leavitt pullback of each codomain
     monomial that has been pulled back along this hom, so every later pull
-    of that monomial, over any field, is a table read.
+    of that monomial, over any field, is a table read; leavitt_descent
+    verifies the Leavitt descent identities once per hom, not per field.
     """
 
     __setattr__ = __delattr__ = _immutable
@@ -130,10 +131,12 @@ class GraphHom:
         return _fibers(self.f1, self.domain.edges)
 
     @derived
-    def descent_fields(self) -> set:
-        """Fields over which the Leavitt descent identities have been
-        verified for this hom (see leavitt.l_pullback)."""
-        return set()
+    def leavitt_descent(self) -> bool:
+        """True once leavitt.verify_descent, run on first access, has passed
+        on this hom; the pullbacks are int columns, so this serves every field."""
+        from .leavitt import verify_descent
+        verify_descent(self)
+        return True
 
     @derived
     def leavitt_pullbacks(self) -> dict:

@@ -245,7 +245,7 @@ def suite_kerver(rng) -> CaseResult:
 
 def suite_breakarrow(rng) -> CaseResult:
     f, g = randgen.one_color_instance(rng, need_one_sided=True)
-    ok, witnesses = breakarrow_identity(f, g, pushout_square(f, g))
+    ok, witnesses = breakarrow_identity(f, pushout_square(f, g))
     if ok:
         return CaseResult(True)
     return CaseResult(False, f"breaking-arrow sets differ at {witnesses}",

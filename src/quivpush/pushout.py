@@ -240,7 +240,7 @@ def check_theorem_preconditions(f: GraphHom, g: GraphHom, po: PushoutGraph) -> T
     return TheoremFlags(vertex_injectivity, one_color, one_sided, p1, p2)
 
 
-def breakarrow_identity(f: GraphHom, g: GraphHom, po: PushoutGraph):
+def breakarrow_identity(f: GraphHom, po: PushoutGraph):
     """The breaking-arrow set identity, checked at every vertex of the left
     codomain that is the unique preimage of its class: edges from it into the
     complement of the shared image match, through the injection, the pushout

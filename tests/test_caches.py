@@ -4,7 +4,8 @@ and the immutability that keeps those tables from going stale."""
 import pytest
 from test_leavitt import _pullback_through_extended_hom
 
-from quivpush.fields import QQ, field_from_name
+from quivpush import leavitt
+from quivpush.fields import field_from_name
 from quivpush.graph import (Graph, GraphError, Path, check_word, classify_vertices,
                             paths_up_to)
 from quivpush.leavitt import (LMonomial, l_pullback, monomial_element, normal_form,
@@ -96,12 +97,25 @@ def test_path_preimages_match_enumeration(seed):
             assert sorted(path_preimages(h, p), key=lambda q: q.sort_key()) == want
 
 
-def test_descent_is_recorded_per_field():
+def test_descent_is_verified_once_per_hom(monkeypatch):
+    """Pulling back along one hom over q, fp:2 and fp:7 verifies its
+    descent identities once: the pullbacks are int columns, so one check
+    serves every field."""
+    calls = []
+    verify = leavitt.verify_descent
+
+    def counted(h):
+        calls.append(h)
+        verify(h)
+
+    monkeypatch.setattr(leavitt, "verify_descent", counted)
     g = Graph.build(["u", "v"], [("e", "u", "v")])
     h = GraphHom.identity(g)
-    assert not h.descent_fields
-    l_pullback(h, monomial_element(g, vertex_monomial("u"), QQ))
-    assert h.descent_fields == {QQ}
+    for name in ("q", "fp:2", "fp:7"):
+        field = field_from_name(name)
+        x = monomial_element(g, vertex_monomial("u"), field)
+        assert l_pullback(h, x) == x
+    assert calls == [h]
 
 
 @pytest.mark.parametrize("seed", range(20))

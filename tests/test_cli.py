@@ -91,6 +91,22 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys, opener):
+    """Nesting beyond the decoder's recursion limit is a named parse error
+    in every command that reads the file, not a RecursionError."""
+    path = _write(tmp_path, "deep.json", opener * 100_000)
+    point = _write(tmp_path, "point.json", {"domain": {"vertices": ["a"]},
+                                            "codomain": {"vertices": ["a"]},
+                                            "f0": {"a": "a"}, "f1": {}})
+    for argv in (["classify", path], ["eval", path, "1"],
+                 ["verify", "--leavitt", path, point], ["verify", "--path", point, path]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"parse error: {path}: arrays or objects nested too deeply\n"
+
+
 @pytest.mark.parametrize("hom, field", [
     ({"domain": {"vertices": ["v"], "edges": [{"id": ["x"], "src": "v", "tgt": "v"}]},
       "codomain": LOOP, "f0": {"v": "u"}, "f1": {}}, "edge 'id'"),

@@ -7,7 +7,8 @@ not keep an unused function alive.
 
 Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
-of linalg, whose matrices hold ints.
+of linalg, whose matrices hold ints.  A last guard fails on a parameter
+that its function never reads.
 """
 
 import ast
@@ -82,3 +83,32 @@ def test_linalg_knows_no_field_objects():
                 if any(getattr(node, key, None) == "from_int"
                        for key in ("id", "attr", "name", "arg"))]
     assert not from_int, "from_int in src/: " + ", ".join(from_int)
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a function or lambda in src/ is read in its body.
+    Exempt are dunder methods, whose signatures Python fixes, the cmd_*
+    handlers, which argparse calls with one signature, _immutable, which
+    stands in for __setattr__ and __delattr__, and the receiver self, which
+    a method takes whether or not it reads it."""
+    unread = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if (node.name.startswith("__") and node.name.endswith("__")
+                        or node.name.startswith("cmd_") or node.name == "_immutable"):
+                    continue
+                name = node.name
+            elif isinstance(node, ast.Lambda):
+                name = "lambda"
+            else:
+                continue
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.relative_to(ROOT)}:{node.lineno} {name}({p})"
+                       for p in params if p not in read and p != "self"]
+    assert not unread, "parameters never read: " + ", ".join(unread)

@@ -367,7 +367,7 @@ def _assert_window_columns_match_oracle(h, n, field):
     oracle = {m: l_pullback(h, monomial_element(h.codomain, m, field)).terms
               for m in basis}
     columns = leavitt._pullback_columns(h, leavitt._pair_lists(h.domain, n),
-                                        leavitt._pair_lists(h.codomain, n).window, field)
+                                        leavitt._pair_lists(h.codomain, n).window)
     assert all(type(c) is int for col in columns.values() for c in col.values())
     in_field = {m: {t: x for t, c in col.items() if (x := field.one * c) != field.zero}
                 for m, col in columns.items()}

@@ -278,7 +278,7 @@ def test_admpush_probe(seed):
 @given(st.integers(0, 10**6))
 def test_breakarrow_identity_on_admissible_pushouts(seed):
     f, g = one_color_instance(case_rng(seed, 12), need_one_sided=True)
-    ok, witnesses = breakarrow_identity(f, g, pushout_square(f, g))
+    ok, witnesses = breakarrow_identity(f, pushout_square(f, g))
     assert ok, witnesses
 
 
