@@ -141,9 +141,25 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(path):
+    """An object_pairs_hook that refuses an object naming one key twice,
+    which json.loads would otherwise collapse to the last value."""
+    def hook(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise FormatError(f"duplicate key {key!r}", path)
+                seen.add(key)
+        return obj
+    return hook
+
+
 def load_json(path, inputs=None):
-    """Parse a JSON file.  When inputs is a list, append the certificate
-    record {"path", "sha256"} of the bytes that were parsed."""
+    """Parse a JSON file; an object that repeats a key is refused.  When
+    inputs is a list, append the certificate record {"path", "sha256"} of
+    the bytes that were parsed."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -152,7 +168,7 @@ def load_json(path, inputs=None):
     if inputs is not None:
         inputs.append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys(path))
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", path)
     except json.JSONDecodeError as exc:

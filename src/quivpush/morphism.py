@@ -31,11 +31,8 @@ class GraphHom:
     """A pair of maps (vertices, edges) with commuting source/target squares.
 
     Frozen like Graph: f0 and f1 are read-only and attributes cannot be
-    reassigned, so the derived tables below are computed once per hom.  One
-    of them, leavitt_pullbacks, keeps the Leavitt pullback of each codomain
-    monomial that has been pulled back along this hom, so every later pull
-    of that monomial, over any field, is a table read; leavitt_descent
-    verifies the Leavitt descent identities once per hom, not per field.
+    reassigned, so the derived graph tables below (validation problems,
+    classification, vertex and edge fibers) are computed once per hom.
     """
 
     __setattr__ = __delattr__ = _immutable
@@ -129,22 +126,6 @@ class GraphHom:
     def edge_fibers(self):
         """Codomain edge -> sorted tuple of its domain preimages (image only)."""
         return _fibers(self.f1, self.domain.edges)
-
-    @derived
-    def leavitt_descent(self) -> bool:
-        """True once leavitt.verify_descent, run on first access, has passed
-        on this hom; the pullbacks are int columns, so this serves every field."""
-        from .leavitt import verify_descent
-        verify_descent(self)
-        return True
-
-    @derived
-    def leavitt_pullbacks(self) -> dict:
-        """Codomain Leavitt monomial -> its pullback along this hom, as
-        {domain normal monomial: nonzero int}, filled on demand by
-        leavitt._pull.  The entries are ints whatever the field, so one
-        table serves every field."""
-        return {}
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
 from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
                               l_pullback, l_unit, leavitt_dimension_enumerated,
                               leavitt_dimension_oracle, monomial_element,
-                              normal_monomials_window, verify_descent,
-                              verify_leavitt_pullback, vertex_monomial)
+                              normal_monomials_window, verify_leavitt_pullback,
+                              vertex_monomial)
 from quivpush import randgen
 from quivpush.proptest import run_suite
+from test_leavitt import verify_descent
 
 
 def _report(number, name, ok, detail, limit=None, elapsed=None):

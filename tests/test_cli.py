@@ -167,6 +167,41 @@ def test_misspelled_graph_key_is_refused_by_the_cli(tmp_path, capsys):
         assert err == f"parse error: {graph}: unknown graph key 'edge'\n"
 
 
+POINTS = '{"vertices": ["a", "b"]}'
+
+
+@pytest.mark.parametrize("graph, hom, key", [
+    # a second "edges" would empty the graph: chi[e] named an unknown edge
+    ('{"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "tgt": "w"}], '
+     '"edges": []}', None, "edges"),
+    # a second "src" would turn e into a loop at w
+    ('{"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "src": "w", '
+     '"tgt": "w"}]}', None, "src"),
+    # a second image of a would make f0 the fold a, b -> b
+    (None, f'{{"domain": {POINTS}, "codomain": {POINTS}, '
+           f'"f0": {{"a": "a", "a": "b", "b": "b"}}, "f1": {{}}}}', "a"),
+], ids=["graph", "edge", "f0"])
+def test_duplicate_json_keys_are_parse_errors(tmp_path, capsys, graph, hom, key):
+    """An object that names a key twice is refused, naming the key, in every
+    command that reads it, instead of reading as its last value."""
+    if graph is not None:
+        bad = _write(tmp_path, "g.json", graph)
+        hom_path = _write(tmp_path, "ident.json",
+                          {"domain": "g.json", "codomain": "g.json",
+                           "f0": {"v": "v", "w": "w"}, "f1": {"e": "e"}})
+        commands = [["eval", bad, "chi[e]"]]
+    else:
+        bad = hom_path = _write(tmp_path, "fold.json", hom)
+        commands = []
+    commands += [["classify", hom_path], ["verify", "--leavitt", hom_path, hom_path],
+                 ["verify", "--path", hom_path, hom_path]]
+    for argv in commands:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"parse error: {bad}: duplicate key {key!r}\n"
+
+
 def test_stray_hom_keys_make_the_hom_invalid(tmp_path, capsys):
     """f0 and f1 keys outside the domain are violations, not extra images
     that break injectivity."""

@@ -7,8 +7,9 @@ not keep an unused function alive.
 
 Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
-of linalg, whose matrices hold ints.  A last guard fails on a parameter
-that its function never reads.
+of linalg, whose matrices hold ints.  A guard fails on a parameter that
+its function never reads, and a layering guard on a module that imports
+one above it.
 """
 
 import ast
@@ -17,6 +18,9 @@ from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quivpush"
+# each module of the package imports only modules listed before it
+LAYERS = ("fields", "linalg", "graph", "morphism", "pushout", "path_algebra",
+          "leavitt", "randgen", "proptest", "jsonio", "cli")
 
 
 def _trees(directory):
@@ -112,3 +116,38 @@ def test_every_parameter_is_read():
             unread += [f"{path.relative_to(ROOT)}:{node.lineno} {name}({p})"
                        for p in params if p not in read and p != "self"]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def _package_imports(tree):
+    """(line, module) for every package module that tree imports, at module
+    level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "quivpush":
+                continue
+            inner = parts[1:] if node.level == 0 else parts
+            if inner and inner[0]:
+                yield node.lineno, inner[0]
+            else:
+                yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "quivpush" and len(parts) > 1:
+                    yield node.lineno, parts[1]
+
+
+def test_modules_import_only_lower_layers():
+    """Every module but __init__ is in LAYERS and imports, also lazily
+    inside a function, only modules that come before it there."""
+    upward = []
+    for path, tree in _trees(PACKAGE):
+        if path.stem == "__init__":
+            continue
+        assert path.stem in LAYERS, f"{path.stem} is not in LAYERS"
+        level = LAYERS.index(path.stem)
+        upward += [f"{path.relative_to(ROOT)}:{line} imports {module}"
+                   for line, module in _package_imports(tree)
+                   if module not in LAYERS or LAYERS.index(module) >= level]
+    assert not upward, "imports against the layer order: " + ", ".join(upward)

@@ -1,13 +1,14 @@
-"""Wrong pushout squares that the Leavitt pullback verifier must reject.
+"""Wrong pushout squares that the Leavitt and path pullback verifiers must
+reject.
 
-Each fault replaces leavitt.pushout_square with a square that is not the
-pushout, so a verdict of ok would mean that the obligations named in the
-expected failures cannot say no.
+Each fault replaces leavitt.pushout_square or path_algebra.pushout_square
+with a square that is not the pushout, so a verdict of ok would mean that
+the obligations named in the expected failures cannot say no.
 
-The verifier decides obligations (2), (3) and commutativity on fibers.  A
-slow oracle here decides them in the algebra, by pulling back each
-generator as an element, and every verdict below, faulty or not, must
-agree with it."""
+The Leavitt verifier decides obligations (2), (3) and commutativity on
+fibers.  A slow oracle here decides them in the algebra, by pulling back
+each generator as an element, and every Leavitt verdict below, faulty or
+not, must agree with it."""
 
 import dataclasses
 import json
@@ -15,7 +16,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivpush import leavitt
+from quivpush import leavitt, path_algebra
 from quivpush.cli import main
 from quivpush.fields import QQ, field_from_name
 from quivpush.graph import Graph
@@ -24,8 +25,9 @@ from quivpush.leavitt import (edge_monomial, generator_monomials, ghost_monomial
                               ker_generators, l_pullback, monomial_element,
                               verify_leavitt_pullback, vertex_monomial)
 from quivpush.morphism import GraphHom
-from quivpush.pushout import pushout_square
-from quivpush.randgen import admpush_instance, case_rng, leavitt_union_instance
+from quivpush.pushout import PreconditionError, pushout_square
+from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
+                              one_color_instance)
 
 EXTRA = "extra"
 FIBER_OBLIGATIONS = ("surjectivity", "kernel-vertex", "commutes")
@@ -153,13 +155,15 @@ def _square(p_vertices, iota_e_f0, iota_f_f0):
     return square
 
 
+# b1 and b2 merge in P: neither is the whole pullback of b
+MERGED_TWINS = _square(["a", "b"], {"a": "a"}, {"b1": "b", "b2": "b"})
+# a, outside the image of f, shares its class with b1 from F
+KERNEL_HIT_FROM_F = _square(["ab", "b2"], {"a": "ab"}, {"b1": "ab", "b2": "b2"})
+
+
 @pytest.mark.parametrize("square, failures", [
-    # b1 and b2 merge in P: neither is the whole pullback of b
-    (_square(["a", "b"], {"a": "a"}, {"b1": "b", "b2": "b"}),
-     (("surjectivity", "iota_F", "b1"), ("surjectivity", "iota_F", "b2"))),
-    # a, outside the image of f, shares its class with b1 from F
-    (_square(["ab", "b2"], {"a": "ab"}, {"b1": "ab", "b2": "b2"}),
-     (("kernel-vertex", "a"),)),
+    (MERGED_TWINS, (("surjectivity", "iota_F", "b1"), ("surjectivity", "iota_F", "b2"))),
+    (KERNEL_HIT_FROM_F, (("kernel-vertex", "a"),)),
 ], ids=["merged-twins", "kernel-vertex-hit-from-F"])
 @pytest.mark.parametrize("field_name", ["q", "fp:2"])
 def test_two_vertex_squares_fail_one_fiber_obligation(monkeypatch, square, failures,
@@ -209,3 +213,116 @@ def test_coproduct_square_fails_commutes(monkeypatch, case):
     assert report.kerint_ok and report.surjectivity_ok and report.kernel_ok
     reached = {"E." + f.f0[v] for v in f.domain.vertices}
     assert {("commutes", q) for q in reached} <= set(report.failures)
+
+
+def _isolated_vertices(p):
+    """The vertices of p that no edge starts or ends at, sorted."""
+    return sorted(p.vertices - {p.src[e] for e in p.edges} - {p.tgt[e] for e in p.edges})
+
+
+def _merged_isolated(f, g):
+    """The true square with the first two vertices of P that no edge
+    touches merged into one; both injections are the true ones followed by
+    the merge.  P must have two such vertices."""
+    po = pushout_square(f, g)
+    p = po.graph
+    keep, drop = _isolated_vertices(p)[:2]
+    merged = Graph(p.vertices - {drop}, p.edges, p.src, p.tgt)
+
+    def merge(h):
+        return GraphHom(h.domain, merged,
+                        {v: keep if q == drop else q for v, q in h.f0.items()}, h.f1)
+    return dataclasses.replace(po, graph=merged, iota_left=merge(po.iota_left),
+                               iota_right=merge(po.iota_right))
+
+
+def _applies(square, f, g):
+    """Whether square can be built on the legs f, g: the merge needs two
+    isolated vertices in P."""
+    return (square is not _merged_isolated
+            or len(_isolated_vertices(pushout_square(f, g).graph)) >= 2)
+
+
+def _one_color_draws():
+    """The first 40 one_color_instance draws at seed 112 whose true square
+    verify --path accepts at n = 3 (29 of them); the others are refused."""
+    draws = []
+    for case in range(40):
+        f, g = one_color_instance(case_rng(112, case))
+        try:
+            assert path_algebra.verify_path_pullback(f, g, 3).ok
+        except PreconditionError:
+            continue
+        draws.append((f, g))
+    return draws
+
+
+# A degree is surjective only if it commutes, so a square that does not
+# commute also fails surjective.
+@pytest.mark.parametrize("square, fails", [
+    # the extra vertex idempotent is in the pushout but in no image
+    (_with_isolated_vertex, {"injective"}),
+    # the merged vertex has one image where the fiber product has two
+    (_merged_isolated, {"surjective"}),
+    (_coproduct, {"commutes", "surjective"}),
+], ids=["extra-vertex", "merged-isolated", "coproduct"])
+def test_wrong_squares_fail_one_path_obligation(monkeypatch, square, fails):
+    draws = [(f, g) for f, g in _one_color_draws() if _applies(square, f, g)]
+    assert len(draws) >= 10
+    monkeypatch.setattr(path_algebra, "pushout_square", square)
+    for f, g in draws:
+        report = path_algebra.verify_path_pullback(f, g, 3)
+        assert not report.ok
+        assert {kind for d in report.degrees
+                for kind in ("commutes", "injective", "surjective")
+                if not getattr(d, kind)} == fails
+
+
+def test_cli_verify_path_exits_1_on_a_wrong_square(monkeypatch, tmp_path, capsys):
+    f, g = _one_color_draws()[0]
+    fp, gp = str(tmp_path / "f.json"), str(tmp_path / "g.json")
+    save_json(fp, hom_to_obj(f))
+    save_json(gp, hom_to_obj(g))
+    argv = ["verify", "--path", fp, gp, "--max-degree", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(path_algebra, "pushout_square", _with_isolated_vertex)
+    assert main(argv) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["ok"] is False
+    failing = [c for c in cert["checks"] if not c["ok"]]
+    assert [c["name"] for c in failing] == ["degree_0"]
+    assert not failing[0]["injective"]
+    assert failing[0]["commutes"] and failing[0]["surjective"]
+
+
+def _fault_reports(monkeypatch):
+    """The Leavitt verifier's report on every fault square of this module,
+    over the draws its tests use, except where the legs are refused."""
+    draws = ([leavitt_union_instance(case_rng(5, case)) for case in range(10)]
+             + _one_color_draws())
+    squares = [(f, g, square) for f, g in draws
+               for square in (_with_isolated_vertex, _coproduct, _merged_isolated)
+               if _applies(square, f, g)]
+    squares += [(*EMPTY_LEGS, MERGED_TWINS), (*EMPTY_LEGS, KERNEL_HIT_FROM_F)]
+    reports = []
+    for f, g, square in squares:
+        monkeypatch.setattr(leavitt, "pushout_square", square)
+        try:
+            reports.append(verify_leavitt_pullback(f, g, 2))
+        except PreconditionError:
+            pass
+    return reports
+
+
+def test_breakarrow_fails_only_with_kernel_or_commutes(monkeypatch):
+    """At a uniquely covered vertex w of E the two sides of the breaking-
+    arrow identity can differ only on an edge e from w whose target t(e)
+    is outside f(G) while its class lies in the image of iota_F, where
+    kernel-vertex fails at t(e), or is some f(z) while its class does not,
+    where the square does not commute at z.  So on no fault square does
+    breakarrow fail alone."""
+    reports = _fault_reports(monkeypatch)
+    assert any(not r.breakarrow_ok for r in reports)
+    for r in reports:
+        assert r.breakarrow_ok or not r.kernel_ok or not r.commutes_ok, r.failures

@@ -5,18 +5,17 @@ from quivpush.fields import QQ, PrimeField, field_from_name
 
 from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
 from quivpush.morphism import (DomainMismatch, GraphHom, HomError, classify_hom,
-                               compose, regular_vertices)
+                               compose, is_hereditary, is_saturated, regular_vertices)
 from quivpush.path_algebra import PAElement, path_preimages
 from quivpush import leavitt
 from quivpush.pushout import PreconditionError, pushout_square
-from quivpush.leavitt import (DescentError, LElement, LMonomial, edge_monomial,
+from quivpush.leavitt import (LElement, LMonomial, edge_monomial,
                               ghost_monomial, is_normal, ker_generators,
                               l_mul, l_pullback,
                               l_unit, leavitt_dimension_enumerated,
                               leavitt_dimension_oracle, monomial_element,
                               normal_form, normal_monomials_window,
-                              verify_descent, verify_leavitt_pullback,
-                              vertex_monomial)
+                              verify_leavitt_pullback, vertex_monomial)
 from quivpush.randgen import (admpush_instance, case_rng, fold_hom,
                               leavitt_union_instance, random_crtbpog_hom,
                               random_general_hom, random_graph)
@@ -407,6 +406,37 @@ def test_pullback_refuses_non_crtbpog():
     assert err.value.flag == "CRTBPOG"
 
 
+class DescentError(HomError):
+    """A Cuntz-Krieger descent identity failed; names the violating generator."""
+
+
+def verify_descent(h):
+    """The descent oracle: check both Cuntz-Krieger identities on the
+    pullbacks of the codomain's generators along h, and raise DescentError
+    naming the first violating generator.  The library relies on the
+    paper's descent lemma and never runs this; here it shows that the
+    pullback of _pull is an algebra map.  Pullbacks are int columns, so a
+    check over Q serves every field."""
+    E, F = h.domain, h.codomain
+
+    def pulled(mono):
+        return leavitt._pull(h, {mono: QQ.one}, QQ)
+
+    edge = {x: pulled(edge_monomial(F, x)) for x in F.edges}
+    ghost = {x: pulled(ghost_monomial(F, x)) for x in F.edges}
+    # e* f is zero for e != f, and the preimages of distinct edges are
+    # disjoint, so CK1 can only fail on the diagonal x* x = t(x)
+    for x in sorted(F.edges):
+        if l_mul(ghost[x], edge[x]) != pulled(vertex_monomial(F.tgt[x])):
+            raise DescentError(f"CK1 descent fails on edge {x}")
+    for w in sorted(regular_vertices(F)):
+        acc = LElement.zero(E, QQ)
+        for x in F.out_map[w]:
+            acc = acc + l_mul(edge[x], ghost[x])
+        if acc != pulled(vertex_monomial(w)):
+            raise DescentError(f"CK2 descent fails at regular vertex {w}")
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_descent_identities_and_kerver(seed):
@@ -475,6 +505,21 @@ def test_ker_generators_identity_and_inclusion():
     assert ker_generators(GraphHom.inclusion(EDGE, sup)) == {"u"}
     fold = fold_hom(2, EDGE)
     assert ker_generators(fold) == frozenset()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_ker_generators_are_hereditary_and_saturated(seed):
+    """The kernel vertices of a CRTBPOG hom, the complement of its vertex
+    image, form a hereditary set (target bijectivity lifts an edge into the
+    image, and its source with it) and a saturated one (regularity gives a
+    regular image vertex an edge into the image); ker_generators relies on
+    both without checking them."""
+    h = random_crtbpog_hom(case_rng(seed, 44))
+    kernel = ker_generators(h)
+    assert kernel == h.codomain.vertices - h.vertex_image()
+    assert is_hereditary(h.codomain, kernel)
+    assert is_saturated(h.codomain, kernel)
 
 
 def test_ker_generators_refuses_non_crtbpog():
