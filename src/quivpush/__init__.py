@@ -2,7 +2,7 @@
 Leavitt path algebras, with mechanical verification of their
 pushout-to-pullback theorems on finite instances."""
 
-from .fields import QQ, PrimeField, RationalField, field_from_name
+from .fields import QQ, Field, field_from_name
 from .graph import (Graph, GraphError, IncompatibleOverlap, Path,
                     classify_vertices, intersection_graph, paths_up_to,
                     union_graph, validate_graph)

@@ -143,7 +143,7 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         raise PreconditionError("tail-free", f"the {algebra} rejects graphs with omega tails")
 
     def term_element(sign, coef, chi):
-        scalar = field.one if coef is None else field.parse(coef)
+        scalar = 1 if coef is None else field.parse(coef)
         if sign < 0:
             scalar = -scalar
         if chi is None:

@@ -1,8 +1,10 @@
-"""Exact scalars: arbitrary-precision rationals and prime fields.
+"""Exact scalars: a field is its characteristic.
 
-All algebra modules are parameterized by a field object exposing
-``zero``, ``one``, ``characteristic`` and ``parse``.  Elements support the
-usual arithmetic operators exactly; there is no floating point anywhere.
+Field(0) is Q and Field(p), for a prime p <= 2^31, is Z/p.  Scalars are
+plain Python numbers: ints and Fractions over Q, and ints over Z/p, which
+path_algebra.LinearCombination reduces mod p in its constructor.  A field
+object only names the characteristic and parses literals; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -15,102 +17,6 @@ MAX_PRIME = 2**31
 
 class FieldError(ValueError):
     pass
-
-
-class Fp:
-    """An element of Z/p, stored reduced mod p."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return Fp(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.v + other.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.v - other.v)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.v * other.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return Fp(self.p, self.v * pow(other.v, self.p - 2, self.p))
-
-    def __neg__(self):
-        return Fp(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-    def __str__(self):
-        return str(self.v)
-
-
-class RationalField:
-    """The rationals, backed by fractions.Fraction."""
-
-    name = "q"
-    characteristic = 0
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def parse(self, text: str) -> Fraction:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"bad rational literal {text!r}") from exc
-
-    def __repr__(self):
-        return "RationalField()"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
 
 
 # Strong-pseudoprime tests to the bases 2, 3, 5 and 7 decide primality
@@ -145,37 +51,44 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Z/p for a prime p <= 2^31."""
+class Field:
+    """Q when characteristic == 0, else Z/p for a prime p <= 2^31."""
+
+    __slots__ = ("characteristic",)
 
     def __init__(self, p: int):
-        if p > MAX_PRIME:
-            raise FieldError(f"prime {p} exceeds 2^31")
-        if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        self.p = self.characteristic = p
-        self.name = f"fp:{p}"
-        self.zero = Fp(p, 0)
-        self.one = Fp(p, 1)
+        if p:
+            if p > MAX_PRIME:
+                raise FieldError(f"prime {p} exceeds 2^31")
+            if not _is_prime(p):
+                raise FieldError(f"{p} is not prime")
+        self.characteristic = p
 
-    def parse(self, text: str) -> Fp:
-        frac = RationalField().parse(text)
-        denom = frac.denominator % self.p
-        if denom == 0:
-            raise FieldError(f"literal {text!r} has denominator divisible by {self.p}")
-        return Fp(self.p, frac.numerator) / Fp(self.p, denom)
+    def parse(self, text: str):
+        """A Fraction over Q; over Z/p, the int in range(p) that the
+        rational literal names."""
+        try:
+            frac = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FieldError(f"bad rational literal {text!r}") from exc
+        p = self.characteristic
+        if not p:
+            return frac
+        if frac.denominator % p == 0:
+            raise FieldError(f"literal {text!r} has denominator divisible by {p}")
+        return frac.numerator * pow(frac.denominator, -1, p) % p
 
     def __repr__(self):
-        return f"PrimeField({self.p})"
+        return f"Field({self.characteristic})"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, Field) and other.characteristic == self.characteristic
 
     def __hash__(self):
-        return hash(("PrimeField", self.p))
+        return hash(("Field", self.characteristic))
 
 
-QQ = RationalField()
+QQ = Field(0)
 
 
 def field_from_name(name: str):
@@ -188,7 +101,7 @@ def field_from_name(name: str):
         # more digits than MAX_PRIME has: too large, and int() may refuse them
         if len(digits[1]) > len(str(MAX_PRIME)):
             raise FieldError(f"a prime of {len(digits[1])} digits exceeds 2^31")
-        return PrimeField(int(digits[1]))
+        return Field(int(digits[1]))
     if name.startswith("fp:"):
         raise FieldError(f"bad field spec {name!r} (expected 'fp:' and a prime "
                          "in decimal digits without a leading zero)")

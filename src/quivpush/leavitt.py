@@ -119,7 +119,7 @@ class LElement(LinearCombination):
         return l_mul(self, other)
 
 
-def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict, zero):
+def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict):
     """Rewrite one monomial to normal form, accumulating into acc."""
     designated, out_map = g.designated, g.out_map
     stack = [(mono, coeff)]
@@ -136,13 +136,13 @@ def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict, zero):
                     stack.append((LMonomial(Path.of(a1.edges + (e,)),
                                            Path.of(b1.edges + (e,))), -c))
         else:
-            acc[m] = acc.get(m, zero) + c
+            acc[m] = acc.get(m, 0) + c
 
 
 def monomial_element(g: Graph, mono: LMonomial, field=QQ, coeff=None) -> LElement:
     """Normal form of a single (possibly non-normal) monomial."""
     acc = {}
-    _ck2_accumulate(g, mono, field.one if coeff is None else coeff, acc, field.zero)
+    _ck2_accumulate(g, mono, 1 if coeff is None else coeff, acc)
     return LElement(g, field, acc)
 
 
@@ -194,14 +194,14 @@ def l_mul(a: LElement, b: LElement) -> LElement:
         for m2, c2 in b.terms.items():
             prod = _mono_mul(g, m1, m2)
             if prod is not None:
-                _ck2_accumulate(g, prod, c1 * c2, acc, a.field.zero)
+                _ck2_accumulate(g, prod, c1 * c2, acc)
     return LElement(g, a.field, acc)
 
 
 def l_unit(g: Graph, field=QQ) -> LElement:
     """The sum of vertex idempotents; the identity when the graph is nonempty."""
     require_tail_free(g, "Leavitt path algebra")
-    return LElement(g, field, {vertex_monomial(v): field.one for v in g.vertices})
+    return LElement(g, field, {vertex_monomial(v): 1 for v in g.vertices})
 
 
 def _require_pullback(h: GraphHom):
@@ -227,7 +227,7 @@ def _pull_column(h: GraphHom, mono: LMonomial) -> dict:
         betas.setdefault(beta.target(E), []).append(beta)
     for alpha in path_preimages(h, mono.alpha):
         for beta in betas.get(alpha.target(E), ()):
-            _ck2_accumulate(E, LMonomial(alpha, beta), 1, col, 0)
+            _ck2_accumulate(E, LMonomial(alpha, beta), 1, col)
     return {t: k for t, k in col.items() if k}
 
 
@@ -514,7 +514,7 @@ def _pullback_columns(h: GraphHom, dom: _Pairs, window: dict) -> dict:
     for pair in dom.pairs:
         col = cols.get(LMonomial(image[pair.alpha], image[pair.beta]))
         if col is not None:
-            _ck2_accumulate(E, pair, 1, col, 0)
+            _ck2_accumulate(E, pair, 1, col)
     return {m: {t: c for t, c in col.items() if c} for m, col in cols.items()}
 
 

@@ -15,6 +15,7 @@ a single 1 per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .fields import QQ
 from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
@@ -27,14 +28,20 @@ from .pushout import PreconditionError, check_theorem_preconditions, pushout_squ
 class LinearCombination:
     """A finite linear combination of basis terms over one graph and one
     field.  Terms are paths for the path algebra and normal monomials for
-    the Leavitt path algebra; each subclass supplies the product."""
+    the Leavitt path algebra; each subclass supplies the product.
+
+    Coefficients are plain numbers: ints and Fractions over Q, and ints over
+    Z/p.  The constructor drops zero coefficients and reduces each Z/p one
+    into range(1, p), so callers add and multiply unreduced ints; a Fraction
+    over Z/p raises TypeError."""
 
     __slots__ = ("graph", "field", "terms")
 
     def __init__(self, graph: Graph, field, terms: dict):
         self.graph = graph
         self.field = field
-        self.terms = {t: c for t, c in terms.items() if c != field.zero}
+        p = field.characteristic
+        self.terms = {t: y for t, c in terms.items() if (y := index(c) % p if p else c)}
 
     @classmethod
     def zero(cls, graph, field=QQ):
@@ -52,7 +59,7 @@ class LinearCombination:
         self._check_compatible(other)
         terms = dict(self.terms)
         for t, c in other.terms.items():
-            terms[t] = terms.get(t, self.field.zero) + c
+            terms[t] = terms.get(t, 0) + c
         return type(self)(self.graph, self.field, terms)
 
     def __sub__(self, other):
@@ -98,7 +105,7 @@ class PAElement(LinearCombination):
                 raise GraphError(f"unknown vertex {path.vertex!r}")
         else:
             check_word(graph, [(e, False) for e in path.edges])
-        return PAElement(graph, field, {path: field.one})
+        return PAElement(graph, field, {path: 1})
 
     def __mul__(self, other):
         return pa_mul(self, other)
@@ -115,19 +122,18 @@ def pa_mul(a: PAElement, b: PAElement) -> PAElement:
     a._check_compatible(b)
     g = a.graph
     terms = {}
-    zero = a.field.zero
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
             pq = concat_paths(g, p, q)
             if pq is not None:
-                terms[pq] = terms.get(pq, zero) + cp * cq
+                terms[pq] = terms.get(pq, 0) + cp * cq
     return PAElement(g, a.field, terms)
 
 
 def pa_unit(g: Graph, field=QQ) -> PAElement:
     """The sum of vertex idempotents; the identity when the graph is nonempty."""
     require_tail_free(g, "path algebra")
-    return PAElement(g, field, {Path.at(v): field.one for v in g.vertices})
+    return PAElement(g, field, {Path.at(v): 1 for v in g.vertices})
 
 
 def path_preimages(h: GraphHom, p: Path) -> list:
@@ -162,10 +168,9 @@ def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:
     if a.graph != h.codomain:
         raise DomainMismatch("element must live over the codomain graph")
     terms = {}
-    zero = a.field.zero
     for p, c in a.terms.items():
         for q in path_preimages(h, p):
-            terms[q] = terms.get(q, zero) + c
+            terms[q] = terms.get(q, 0) + c
     return PAElement(h.domain, a.field, terms)
 
 

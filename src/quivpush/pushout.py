@@ -223,12 +223,9 @@ def check_theorem_preconditions(f: GraphHom, g: GraphHom, po: PushoutGraph) -> T
     p = po.graph
     img_e = set(po.iota_left.f1.values())
     img_f = set(po.iota_right.f1.values())
-    one_color = True
-    for x in p.edges:
-        for y in p.edges:
-            if p.tgt[x] == p.src[y]:
-                if not ((x in img_e and y in img_e) or (x in img_f and y in img_f)):
-                    one_color = False
+    # every composable pair xy of pushout edges lies in one leg's image
+    one_color = all((x in img_e and y in img_e) or (x in img_f and y in img_f)
+                    for x in p.edges for y in p.out_map[p.tgt[x]])
     one_sided = _injective(f.f1) or _injective(g.f1)
     p1 = _injective(f.f0) and _injective(f.f1)
 

@@ -7,9 +7,9 @@ not keep an unused function alive.
 
 Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
-of linalg, whose matrices hold ints.  A guard fails on a parameter that
-its function never reads, and a layering guard on a module that imports
-one above it.
+of linalg, whose matrices hold ints, and out of the scalars, which are
+plain numbers.  A guard fails on a parameter that its function never
+reads, and a layering guard on a module that imports one above it.
 """
 
 import ast
@@ -21,6 +21,8 @@ PACKAGE = ROOT / "src" / "quivpush"
 # each module of the package imports only modules listed before it
 LAYERS = ("fields", "linalg", "graph", "morphism", "pushout", "path_algebra",
           "leavitt", "randgen", "proptest", "jsonio", "cli")
+# identifiers of the scalar classes and conversions that plain numbers replaced
+RETIRED = frozenset({"from_int", "Fp", "PrimeField", "RationalField"})
 
 
 def _trees(directory):
@@ -71,10 +73,23 @@ def test_readme_names_every_refusal_flag():
     assert not undocumented, "refusal flags missing from README: " + ", ".join(undocumented)
 
 
+def _retired(node):
+    """The RETIRED identifier that node names, or '.one' when it reads an
+    attribute so named; None otherwise."""
+    names = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")} & RETIRED
+    if names:
+        return names.pop()
+    if isinstance(node, ast.Attribute) and node.attr == "one" and isinstance(node.ctx, ast.Load):
+        return ".one"
+    return None
+
+
 def test_linalg_knows_no_field_objects():
-    """linalg imports no quivpush module, and no identifier in src/ is named
-    from_int: the matrices src/ ranks hold ints, and only linalg says how
-    their entries are reduced."""
+    """linalg imports no quivpush module; no identifier in src/ is named
+    from_int, Fp, PrimeField or RationalField, and no attribute read is
+    named one.  The matrices src/ ranks hold ints and only linalg says how
+    their entries are reduced; a scalar is a plain number, which
+    LinearCombination reduces, and 1 is a literal, not field.one."""
     tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
     own = [ast.unparse(node) for node in ast.walk(tree)
            if isinstance(node, ast.ImportFrom)
@@ -82,11 +97,10 @@ def test_linalg_knows_no_field_objects():
            or isinstance(node, ast.Import)
            and any(alias.name.split(".")[0] == "quivpush" for alias in node.names)]
     assert not own, "linalg imports from quivpush: " + "; ".join(own)
-    from_int = [f"{path.relative_to(ROOT)}:{node.lineno}"
-                for path, tree in _trees(PACKAGE) for node in ast.walk(tree)
-                if any(getattr(node, key, None) == "from_int"
-                       for key in ("id", "attr", "name", "arg"))]
-    assert not from_int, "from_int in src/: " + ", ".join(from_int)
+    retired = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+               for path, tree in _trees(PACKAGE) for node in ast.walk(tree)
+               if (name := _retired(node))]
+    assert not retired, "retired scalar names in src/: " + ", ".join(retired)
 
 
 def test_every_parameter_is_read():

@@ -53,6 +53,12 @@ GOLDEN = [
     (["eval", "--leavitt", "graph.json",
       "chi[xe0.xe2] - 2*chi[xe2*.xe0*] + 3/2*chi[c0_ke0.c0_ke0*] + 1"],
      "1a4022ddf99ad40931660a996de38fc92f8e2f6c3ea707d97594d073fde51f75"),
+    # over Z/7, 3/2 prints as 5 and -1 as 6: how a Z/p coefficient prints
+    (["eval", "--field", "fp:7", "graph.json", "3/2*chi[c0_ke0.xe0.xe2] - chi[x0] + 2"],
+     "474ac050d53d9783c7124156aa7dda5c6e8b56b931815c496c21749466816b64"),
+    (["eval", "--leavitt", "--field", "fp:7", "graph.json",
+      "chi[xe0.xe2] - 2*chi[xe2*.xe0*] + 3/2*chi[c0_ke0.c0_ke0*] + 1"],
+     "3b07b64973f9e2ba2c4430c82ac1e2014a834f57477cd6fde650fd60dfa8f0ab"),
 ]
 
 

@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivpush.fields import QQ, PrimeField, field_from_name
+from quivpush.fields import QQ, Field, field_from_name
 
 from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
 from quivpush.morphism import (DomainMismatch, GraphHom, HomError, classify_hom,
                                compose, is_hereditary, is_saturated, regular_vertices)
-from quivpush.path_algebra import PAElement, path_preimages
+from quivpush.path_algebra import PAElement, pa_mul, pa_pullback, path_preimages
 from quivpush import leavitt
 from quivpush.pushout import PreconditionError, pushout_square
 from quivpush.leavitt import (LElement, LMonomial, edge_monomial,
@@ -34,10 +36,10 @@ def test_ck1_same_edge():
 
 
 def test_equality_compares_the_field():
-    f7 = PrimeField(7)
+    f7 = Field(7)
     assert LElement.zero(EDGE, QQ) != LElement.zero(EDGE, f7)
-    assert LElement.zero(EDGE, f7) == LElement.zero(EDGE, PrimeField(7))
-    assert len({LElement.zero(EDGE, f7), LElement.zero(EDGE, PrimeField(7))}) == 1
+    assert LElement.zero(EDGE, f7) == LElement.zero(EDGE, Field(7))
+    assert len({LElement.zero(EDGE, f7), LElement.zero(EDGE, Field(7))}) == 1
 
 
 def test_ck1_different_edges():
@@ -330,9 +332,48 @@ def test_pullback_matches_extended_hom_oracle(seed, field_name, data):
         picks = data.draw(st.lists(st.tuples(st.sampled_from(window), st.integers(-3, 3)),
                                    max_size=6))
         for mono, c in picks:
-            a = a + monomial_element(cod, mono, field, field.one * c)
+            a = a + monomial_element(cod, mono, field, c)
     for x in elements + [a]:
         assert l_pullback(h, x) == _pullback_through_extended_hom(h, x)
+
+
+def _assert_reduced(elem, p):
+    assert all(type(c) is int and 0 < c < p for c in elem.terms.values()), elem.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 7, 2**31 - 1]), st.data())
+def test_prime_field_coefficients_are_reduced_ints(seed, p, data):
+    """Over Z/p every coefficient that an operation leaves is an int in
+    range(1, p): the constructor reduces the unreduced ints that the
+    operations add and multiply, and drops the ones that vanish mod p."""
+    field = Field(p)
+    h = random_crtbpog_hom(case_rng(seed, 42))
+    cod = h.codomain
+    coeffs = st.integers(-3 * p, 3 * p) | st.sampled_from([p, -p, 2 * p + 1])
+    paths = paths_up_to(cod, 2)
+    window = normal_monomials_window(cod, 2)
+    a, b = (PAElement(cod, field, data.draw(st.dictionaries(st.sampled_from(paths), coeffs,
+                                                            max_size=5)))
+            for _ in range(2))
+    x, y = (LElement(cod, field, data.draw(st.dictionaries(st.sampled_from(window), coeffs,
+                                                           max_size=5)))
+            for _ in range(2))
+    c = data.draw(coeffs)
+    mono = data.draw(st.sampled_from(window))
+    word = ([(e, False) for e in mono.alpha.edges]
+            + [(e, True) for e in reversed(mono.beta.edges)])
+    results = [a, b, x, y, a + b, a - b, -a, a.scale(c), pa_mul(a, b),
+               pa_pullback(h, a), x + y, x - y, -x, x.scale(c), l_mul(x, y),
+               l_pullback(h, x), monomial_element(cod, mono, field, c)]
+    if word:
+        results.append(normal_form(cod, word, c, field))
+    for elem in results:
+        _assert_reduced(elem, p)
+    nonzero = next((e for e in (a, x) if not e.is_zero()), None)
+    if nonzero is not None:
+        with pytest.raises(TypeError):
+            nonzero.scale(Fraction(1, 2))
 
 
 def test_window_term_outside_its_window_is_an_error(monkeypatch):
@@ -368,7 +409,8 @@ def _assert_window_columns_match_oracle(h, n, field):
     columns = leavitt._pullback_columns(h, leavitt._pair_lists(h.domain, n),
                                         leavitt._pair_lists(h.codomain, n).window)
     assert all(type(c) is int for col in columns.values() for c in col.values())
-    in_field = {m: {t: x for t, c in col.items() if (x := field.one * c) != field.zero}
+    p = field.characteristic
+    in_field = {m: {t: x for t, c in col.items() if (x := c % p if p else c)}
                 for m, col in columns.items()}
     assert in_field == oracle
 
@@ -420,7 +462,7 @@ def verify_descent(h):
     E, F = h.domain, h.codomain
 
     def pulled(mono):
-        return leavitt._pull(h, {mono: QQ.one}, QQ)
+        return leavitt._pull(h, {mono: 1}, QQ)
 
     edge = {x: pulled(edge_monomial(F, x)) for x in F.edges}
     ghost = {x: pulled(ghost_monomial(F, x)) for x in F.edges}
@@ -461,7 +503,7 @@ def test_ck1_square_vanishes_off_the_diagonal(seed):
         F = h.codomain
 
         def pulled(mono):
-            return leavitt._pull(h, {mono: QQ.one}, QQ)
+            return leavitt._pull(h, {mono: 1}, QQ)
 
         edge = {x: pulled(edge_monomial(F, x)) for x in F.edges}
         ghost = {x: pulled(ghost_monomial(F, x)) for x in F.edges}
@@ -484,7 +526,7 @@ def test_descent_error_fires_on_a_broken_pullback(monkeypatch, broken, message):
     def bad_pull(h, terms, field):
         out = pull(h, terms, field)
         if broken == "ghosts doubled" and any(m.degree < 0 for m in terms):
-            return out.scale(field.one * 2)
+            return out.scale(2)
         if broken == "source vertex dropped" and vertex_monomial("v") in terms:
             return LElement.zero(h.domain, field)
         return out
@@ -577,7 +619,7 @@ def test_leavitt_pullback_refuses_non_admissible_gluing():
 
 def test_leavitt_pullback_over_prime_field():
     f, g = leavitt_union_instance(case_rng(2, 36))
-    report = verify_leavitt_pullback(f, g, 3, field=PrimeField(13))
+    report = verify_leavitt_pullback(f, g, 3, field=Field(13))
     assert report.ok
 
 

@@ -202,6 +202,38 @@ def test_flags_glued_loops_violate_one_color():
     assert flags.p2
 
 
+def _one_color_by_all_pairs(po):
+    """Slow reference oracle: every ordered pair x, y of pushout edges with
+    t(x) = s(y) lies in the edge image of one injection."""
+    p = po.graph
+    img_e = set(po.iota_left.f1.values())
+    img_f = set(po.iota_right.f1.values())
+    return all((x in img_e and y in img_e) or (x in img_f and y in img_f)
+               for x in p.edges for y in p.edges if p.tgt[x] == p.src[y])
+
+
+def _glued_at_vertices(rng):
+    """Two random graphs glued at a few vertices: one-color fails where an
+    edge of one side enters a glued vertex that an edge of the other leaves."""
+    E = random_graph(rng, max_v=4, max_e=5, prefix="a")
+    F = random_graph(rng, max_v=4, max_e=5, prefix="b")
+    k = rng.randint(0, min(len(E.vertices), len(F.vertices)))
+    apex = [f"z{i}" for i in range(k)]
+    G = Graph(apex)
+    return (GraphHom(G, E, dict(zip(apex, rng.sample(sorted(E.vertices), k))), {}),
+            GraphHom(G, F, dict(zip(apex, rng.sample(sorted(F.vertices), k))), {}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([one_color_instance, one_color_violation, admpush_instance,
+                        _glued_at_vertices]),
+       st.integers(0, 10**6))
+def test_one_color_flag_matches_the_all_pairs_definition(draw, seed):
+    f, g = draw(case_rng(seed, 13))
+    po = pushout_square(f, g)
+    assert check_theorem_preconditions(f, g, po).one_color == _one_color_by_all_pairs(po)
+
+
 def test_path_compare_identity_legs():
     ident = GraphHom.identity(EDGE)
     assert path_pushout_compare(ident, ident, 4, pushout_square(ident, ident)).bijective
