@@ -30,13 +30,14 @@ each term it pulls back.  That it respects the Cuntz-Krieger relations, so
 that it is an algebra map, is the paper's descent lemma: the tests check
 the descent identities, and no verdict re-proves them.
 
-The pullback verifier's window cross-check needs the pullback of every
-window monomial, and builds them in the other direction: one pass over the
-domain's pairs alpha' beta'* maps each domain path forward once and adds
-the normal form of alpha' beta'* to the column of (h alpha')(h beta')*.  It
-enumerates the paths and pairs of each graph of the square once; that one
-list gives the graph's window, grouped by degree, and the columns of every
-morphism out of the graph.
+The pullback verifier's window cross-check ranks the image of the pushout's
+window under both injection pullbacks, and builds those pullbacks in the
+other direction: one pass over the domain's pairs alpha' beta'* maps each
+domain path forward once and adds the normal form of alpha' beta'* to the
+column of (h alpha')(h beta')*.  It enumerates the paths and pairs of each
+graph of the square once; that one list gives the graph's window, grouped
+by degree, and the columns of the injection out of it.  The fiber product
+needs no rank: its dimension is a count (see _window_cross_check).
 
 An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
 and compare in C; like a Path it is never sorted raw or written to JSON
@@ -54,8 +55,7 @@ from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
 from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, HomError, check_valid_hom,
                        regular_vertices, CATEGORY_CRTBPOG, _path_image, compose)
-from .pushout import (PreconditionError, breakarrow_identity,
-                      check_theorem_preconditions, pushout_square)
+from .pushout import PreconditionError, breakarrow_identity, pushout_square
 from .path_algebra import LinearCombination, path_preimages
 
 
@@ -362,7 +362,10 @@ class WindowCheck:
     dim_window: int
     dim_image: int
     dim_fiber: int
-    injective: bool
+
+    @property
+    def injective(self):
+        return self.dim_image == self.dim_window
 
     @property
     def consistent(self):
@@ -434,8 +437,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
         cls = hom.classification
         if cls.category != CATEGORY_CRTBPOG:
             raise PreconditionError("CRTBPOG", f"leg {name} classifies as {cls.category}")
-    flags = check_theorem_preconditions(f, g, po)
-    if not flags.p1:
+    if not f.classification.injective:
         raise PreconditionError("P1", "the left leg must be injective")
     iota_e, iota_f = po.iota_left, po.iota_right
     for name, hom in (("iota_E", iota_e), ("iota_F", iota_f)):
@@ -533,37 +535,30 @@ def _indexed(columns: dict, monos, idx: dict, d: int, offset: int = 0) -> list:
 
 
 def _window_cross_check(f, g, po, n, field):
-    """Rank checks, degree by degree, on the windows of NORMAL monomials
-    with total <= n: the image of L(P) in L(E) x L(F) and the fiber of
-    L(E) x L(F) -> L(G).  Each of P, E, F and G is enumerated once (see
-    _pair_lists); its window, and the columns of every hom out of it, come
-    from that one enumeration, G's serving both f and g.  Rows and columns
-    keep enumeration order: no rank depends on it."""
+    """Degree by degree, on the windows of NORMAL monomials with total <= n:
+    the rank of the image of L(P) in L(E) x L(F), and the dimension of the
+    fiber of L(E) x L(F) -> L(G), |E_d| + |F_d| - |G_d|.  That count holds
+    because f* maps E's window onto G's, so [f* | -g*] has rank |G_d|: f is
+    injective (P1), so by the descent lemma a normal alpha' beta'* of G's
+    window pulls back from the normal form of (f alpha')(f beta')*, which is
+    in E's window, since CK2 rewriting keeps the degree and never lengthens
+    a monomial.  P, E, F and G are each enumerated once (see _pair_lists);
+    G gives only its window sizes.  No rank depends on enumeration order."""
     # the enumerations of the four graphs of the square, named after them
     P, E, F, G = (_pair_lists(x, n) for x in (po.graph, f.codomain, g.codomain, f.domain))
     iota_e_cols = _pullback_columns(po.iota_left, E, P.window)
     iota_f_cols = _pullback_columns(po.iota_right, F, P.window)
-    f_cols = _pullback_columns(f, G, E.window)
-    g_cols = _pullback_columns(g, G, F.window)
     checks = []
     for d in sorted(P.window.keys() | E.window.keys() | F.window.keys() | G.window.keys()):
         p_d, e_d, f_d, g_d = (x.window.get(d, []) for x in (P, E, F, G))
         e_idx = {m: i for i, m in enumerate(e_d)}
         f_idx = {m: i for i, m in enumerate(f_d)}
-        g_idx = {m: i for i, m in enumerate(g_d)}
-
-        # matrices are handed to rank column by column (rank is
+        # the image is handed to rank column by column (rank is
         # transpose-invariant); E and F coordinates stack at offset len(e_d)
         image_cols = [{**left, **right} for left, right in
                       zip(_indexed(iota_e_cols, p_d, e_idx, d),
                           _indexed(iota_f_cols, p_d, f_idx, d, len(e_d)))]
         dim_image = rank(image_cols, field.characteristic)
-        injective = dim_image == len(image_cols)
-
-        # the fiber's constraint matrix is [f* | -g*]; negating the g*
-        # columns leaves the rank unchanged
-        constraint = (_indexed(f_cols, e_d, g_idx, d)
-                      + _indexed(g_cols, f_d, g_idx, d))
-        dim_fiber = len(e_d) + len(f_d) - rank(constraint, field.characteristic)
-        checks.append(WindowCheck(d, len(p_d), dim_image, dim_fiber, injective))
+        dim_fiber = len(e_d) + len(f_d) - len(g_d)
+        checks.append(WindowCheck(d, len(p_d), dim_image, dim_fiber))
     return checks

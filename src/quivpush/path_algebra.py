@@ -7,9 +7,9 @@ that the eval command reads back.  Its subclasses differ only in the
 product.  A PAElement's terms are basis paths and its product is bilinear
 concatenation.  The pullback along a homomorphism sends a basis path to the
 sum over its path preimages, and the theorem verifier compares graded
-components of the pushout algebra with the fiber product by the exact rank
-over Q of integer matrices: on each graded component a pullback matrix has
-a single 1 per row.
+components of the pushout algebra with the fiber product: the image by the
+exact rank over Q of an integer matrix, which has a single 1 per row on
+each graded component, and the fiber product by a count of paths.
 """
 
 from __future__ import annotations
@@ -215,6 +215,11 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
     product: the pair of injection pullbacks commutes over the base, is
     injective, and hits exactly the fiber product.
 
+    The fiber product in degree d is the kernel of [f* | -g*], with one row
+    {f(q): 1, g(q): -1} per length-d path q of G.  vertex_injectivity and
+    one_sided_injectivity make one leg injective on paths, so each row has a
+    column of its own: the fiber has dimension |E_d| + |F_d| - |G_d|.
+
     Each graded component of a finite graph's path algebra is finite
     dimensional, so the per-degree checks are exact; the report is EXACT when
     the pushout is acyclic and n bounds its longest path, else truncated.
@@ -235,21 +240,15 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
     checks = []
     for d in range(n + 1):
         p_idx = {q: i for i, q in enumerate(pp[d])}
-        e_idx = {q: i for i, q in enumerate(pe[d])}
-        f_idx = {q: len(pe[d]) + i for i, q in enumerate(pf[d])}
         # a valid hom maps each length-d path onto one length-d path
         e_in_p = {x: _path_image(po.iota_left, x) for x in pe[d]}
         f_in_p = {x: _path_image(po.iota_right, x) for x in pf[d]}
         stacked = [{p_idx[q]: 1} for q in [*e_in_p.values(), *f_in_p.values()]]
         r_stacked = rank(stacked, 0)
         injective = r_stacked == len(pp[d])
-        commutes = True
-        constraint = []
-        for q in pg[d]:
-            fq, gq = _path_image(f, q), _path_image(g, q)
-            commutes = commutes and e_in_p[fq] == f_in_p[gq]
-            constraint.append({e_idx[fq]: 1, f_idx[gq]: -1})
-        dim_fiber = len(pe[d]) + len(pf[d]) - rank(constraint, 0)
+        commutes = all(e_in_p[_path_image(f, q)] == f_in_p[_path_image(g, q)]
+                       for q in pg[d])
+        dim_fiber = len(pe[d]) + len(pf[d]) - len(pg[d])
         surjective = commutes and r_stacked == dim_fiber
         checks.append(DegreeCheck(d, len(pp[d]), r_stacked, dim_fiber,
                                   commutes, injective, surjective))

@@ -42,31 +42,30 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+_SIDES = ("E", "F")     # class sides: the left and the right codomain
+
+
 @dataclass(frozen=True)
 class SetPushout:
-    """Quotient of X ⊔ Y by the relation generated by f(z) ~ g(z).
+    """Quotient of E ⊔ F by the relation generated by f(z) ~ g(z).
 
-    classes maps each canonical representative (side, element) to the sorted
-    tuple of its members; inj_left / inj_right send elements to their class
-    representative.
+    classes maps each canonical representative (side, element), side "E"
+    or "F", to the sorted tuple of its members; inj_left / inj_right send
+    elements to their class representative.
     """
 
     classes: dict
     inj_left: dict
     inj_right: dict
-    left: frozenset
-    right: frozenset
     apex: frozenset
     to_left: dict
     to_right: dict
-    labels: tuple
 
 
-def set_pushout(left, right, apex, f: dict, g: dict, labels=("X", "Y"),
-                sort_key=None) -> SetPushout:
+def set_pushout(left, right, apex, f: dict, g: dict, sort_key=None) -> SetPushout:
     """Pushout of left <- apex -> right in sets; f lands in left, g in right."""
     key = sort_key or (lambda x: x)
-    lab_l, lab_r = labels
+    lab_l, lab_r = _SIDES
     items = [(lab_l, x) for x in left] + [(lab_r, y) for y in right]
     uf = _UnionFind(items)
     for z in apex:
@@ -84,9 +83,7 @@ def set_pushout(left, right, apex, f: dict, g: dict, labels=("X", "Y"),
     for rep, members in classes.items():
         for side, x in members:
             (inj_left if side == lab_l else inj_right)[x] = rep
-    return SetPushout(classes, inj_left, inj_right,
-                      frozenset(left), frozenset(right), frozenset(apex),
-                      dict(f), dict(g), labels)
+    return SetPushout(classes, inj_left, inj_right, frozenset(apex), dict(f), dict(g))
 
 
 def set_universal_map(p: SetPushout, j_left: dict, j_right: dict) -> dict:
@@ -96,7 +93,7 @@ def set_universal_map(p: SetPushout, j_left: dict, j_right: dict) -> dict:
             raise PreconditionError("compatible-cone", f"witness apex element {z!r}")
     h = {}
     for rep, members in p.classes.items():
-        values = {(j_left if side == p.labels[0] else j_right)[x] for side, x in members}
+        values = {(j_left if side == _SIDES[0] else j_right)[x] for side, x in members}
         if len(values) != 1:
             raise PreconditionError("compatible-cone", f"class of {rep} maps inconsistently")
         h[rep] = values.pop()
@@ -110,9 +107,6 @@ class PushoutGraph:
     iota_right: GraphHom
     vertex_classes: SetPushout
     edge_classes: SetPushout
-
-
-_SIDES = ("E", "F")     # class sides: the left and the right codomain
 
 
 def class_id(rep) -> str:
@@ -133,8 +127,8 @@ def graph_pushout(f: GraphHom, g: GraphHom) -> PushoutGraph:
     check_valid_hom(f)
     check_valid_hom(g)
     E, F, G = f.codomain, g.codomain, f.domain
-    vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0, _SIDES)
-    ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1, _SIDES)
+    vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0)
+    ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1)
     cod = {"E": E, "F": F}
     vclass = {"E": vp.inj_left, "F": vp.inj_right}
     src, tgt = {}, {}
@@ -192,8 +186,8 @@ def pushout_square(f: GraphHom, g: GraphHom) -> PushoutGraph:
             and E.vertices & F.vertices == G.vertices
             and E.edges & F.edges == G.edges):
         u = union_graph(E, F)
-        vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0, _SIDES)
-        ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1, _SIDES)
+        vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0)
+        ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1)
         return PushoutGraph(u, GraphHom.inclusion(E, u), GraphHom.inclusion(F, u),
                             vp, ep)
     return graph_pushout(f, g)
@@ -288,8 +282,7 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     fp_e, fp_f, fp_g = paths_up_to(E, n), paths_up_to(F, n), paths_up_to(G, n)
     f_paths = {p: _path_image(f, p) for p in fp_g}
     g_paths = {p: _path_image(g, p) for p in fp_g}
-    pp = set_pushout(fp_e, fp_f, fp_g, f_paths, g_paths, labels=_SIDES,
-                     sort_key=Path.sort_key)
+    pp = set_pushout(fp_e, fp_f, fp_g, f_paths, g_paths, sort_key=Path.sort_key)
     h = {}
     for rep, members in pp.classes.items():
         images = {_path_image(po.iota_left if side == "E" else po.iota_right, q)

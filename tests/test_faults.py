@@ -15,6 +15,8 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_leavitt import _window_sizes
+from test_path_algebra import _path_counts
 
 from quivpush import leavitt, path_algebra
 from quivpush.cli import main
@@ -206,6 +208,8 @@ def _coproduct(f, g):
 
 @pytest.mark.parametrize("case", range(10))
 def test_coproduct_square_fails_commutes(monkeypatch, case):
+    """The coproduct also reaches the fiber count: its image is all of
+    E_d ⊕ F_d, which exceeds the fiber |E_d| + |F_d| - |G_d| by |G_d|."""
     f, g = leavitt_union_instance(case_rng(5, case))
     monkeypatch.setattr(leavitt, "pushout_square", _coproduct)
     report = _verify_against_oracle(f, g, 2)
@@ -213,6 +217,9 @@ def test_coproduct_square_fails_commutes(monkeypatch, case):
     assert report.kerint_ok and report.surjectivity_ok and report.kernel_ok
     reached = {"E." + f.f0[v] for v in f.domain.vertices}
     assert {("commutes", q) for q in reached} <= set(report.failures)
+    window_g = _window_sizes(f.domain, 2)
+    for w in report.window_checks:
+        assert w.dim_image - w.dim_fiber == window_g[w.degree]
 
 
 def _isolated_vertices(p):
@@ -276,6 +283,18 @@ def test_wrong_squares_fail_one_path_obligation(monkeypatch, square, fails):
         assert {kind for d in report.degrees
                 for kind in ("commutes", "injective", "surjective")
                 if not getattr(d, kind)} == fails
+
+
+def test_coproduct_image_exceeds_the_path_fiber_by_g(monkeypatch):
+    """On the coproduct square the image in each degree is all of
+    E_d ⊕ F_d, |G_d| more than the counted fiber |E_d| + |F_d| - |G_d|."""
+    draws = _one_color_draws()
+    monkeypatch.setattr(path_algebra, "pushout_square", _coproduct)
+    for f, g in draws:
+        report = path_algebra.verify_path_pullback(f, g, 3)
+        paths_g = _path_counts(f.domain, 3)
+        for d in report.degrees:
+            assert d.dim_image - d.dim_fiber == paths_g[d.degree]
 
 
 def test_cli_verify_path_exits_1_on_a_wrong_square(monkeypatch, tmp_path, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quivpush.fields import QQ, Field, field_from_name
 
 from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
+from quivpush.linalg import rank
 from quivpush.morphism import (DomainMismatch, GraphHom, HomError, classify_hom,
                                compose, is_hereditary, is_saturated, regular_vertices)
 from quivpush.path_algebra import PAElement, pa_mul, pa_pullback, path_preimages
@@ -431,6 +433,61 @@ def test_pushout_square_columns_match_per_monomial_pullbacks(seed, instance, fie
     po = pushout_square(f, g)
     for h in (f, g, po.iota_left, po.iota_right):
         _assert_window_columns_match_oracle(h, n, field_from_name(field_name))
+
+
+def _fiber_rank_oracle(f, g, n, p):
+    """Degree -> rank in characteristic p of the fiber's constraint matrix
+    [f* | -g*]: the pullbacks of E's and F's window monomials along f and
+    g, as columns over G's window of the same degree.  The verifier counts
+    the fiber as |E_d| + |F_d| - |G_d| instead, which needs this rank to be
+    |G_d|."""
+    E, F, G = (leavitt._pair_lists(x, n) for x in (f.codomain, g.codomain, f.domain))
+    legs = ((leavitt._pullback_columns(f, G, E.window), E.window),
+            (leavitt._pullback_columns(g, G, F.window), F.window))
+    ranks = {}
+    for d in E.window.keys() | F.window.keys() | G.window.keys():
+        g_idx = {m: i for i, m in enumerate(G.window.get(d, []))}
+        ranks[d] = rank([{g_idx[t]: c for t, c in cols[m].items()}
+                         for cols, window in legs for m in window.get(d, [])], p)
+    return ranks
+
+
+def _window_sizes(g, n):
+    """Degree -> the number of NORMAL monomials of g with total <= n."""
+    return Counter(m.degree for m in normal_monomials_window(g, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([leavitt_union_instance, admpush_instance]),
+       st.sampled_from(["q", "fp:2", "fp:7", "fp:2147483647"]), st.integers(0, 4))
+def test_fiber_count_matches_the_rank_oracle(seed, instance, field_name, n):
+    f, g = instance(case_rng(seed, 45))
+    field = field_from_name(field_name)
+    report = verify_leavitt_pullback(f, g, n, field)
+    ranks = _fiber_rank_oracle(f, g, n, field.characteristic)
+    sizes_e, sizes_f, sizes_g = (_window_sizes(x, n) for x in (f.codomain, g.codomain,
+                                                              f.domain))
+    assert [w.degree for w in report.window_checks] == sorted(ranks)
+    for w in report.window_checks:
+        d = w.degree
+        assert ranks[d] == sizes_g[d]
+        assert w.dim_fiber == sizes_e[d] + sizes_f[d] - ranks[d]
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_fiber_count_needs_an_injective_left_leg(case):
+    """With a 2-fold cover as both legs, f* and g* map into the diagonal
+    of G's two copies, so [f* | -g*] falls short of |G_d| and the count
+    would be wrong; the verifier refuses by P1.  An injective leg on either
+    side is enough for the rank, so both legs fold here: an admpush square,
+    whose right leg folds, shows no shortfall."""
+    fold = fold_hom(2, random_graph(case_rng(9, case), max_v=3, max_e=4))
+    ranks = _fiber_rank_oracle(fold, fold, 2, 0)
+    sizes = _window_sizes(fold.domain, 2)
+    assert any(ranks[d] < sizes[d] for d in ranks)
+    with pytest.raises(PreconditionError) as err:
+        verify_leavitt_pullback(fold, fold, 2)
+    assert err.value.flag == "P1"
 
 
 def test_word_reduction_mixed_letters():

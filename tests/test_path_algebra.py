@@ -1,16 +1,19 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quivpush.fields import QQ, Field, FieldError, field_from_name
 from quivpush.graph import Graph, GraphError, Path, paths_up_to, union_graph
-from quivpush.morphism import GraphHom, compose
+from quivpush.linalg import rank
+from quivpush.morphism import GraphHom, compose, induced_path_map
 from quivpush import path_algebra
 from quivpush.path_algebra import (DegreeCheck, PAElement, pa_mul, pa_pullback,
                                    pa_unit, verify_path_pullback)
 from quivpush.pushout import PreconditionError, pushout_square
-from quivpush.randgen import (case_rng, path_theorem_instance,
+from quivpush.randgen import (case_rng, collapse_duplicate_edges, one_color_instance,
+                              path_theorem_instance,
                               random_general_hom, random_graph)
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
@@ -244,6 +247,64 @@ def test_verify_random_acyclic_instances(seed):
     f, g = path_theorem_instance(case_rng(seed, 24))
     report = verify_path_pullback(f, g, 4)
     assert report.ok
+
+
+def _fiber_rank_oracle(f, g, n):
+    """Degree -> rank over Q of the fiber's constraint rows {f(q): 1,
+    g(q): -1}, one per path q of G of that length, over the paths of
+    E ⊔ F.  The verifier counts the fiber as |E_d| + |F_d| - |G_d|
+    instead, which needs this rank to be |G_d|."""
+    rows = [[] for _ in range(n + 1)]
+    cols = {}
+    for q in paths_up_to(f.domain, n):
+        e = cols.setdefault(("E", induced_path_map(f, q)), len(cols))
+        x = cols.setdefault(("F", induced_path_map(g, q)), len(cols))
+        rows[q.length].append({e: 1, x: -1})
+    return [rank(r, 0) for r in rows]
+
+
+def _path_counts(g, n):
+    """Length -> the number of paths of g of that length, up to n."""
+    return Counter(p.length for p in paths_up_to(g, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([one_color_instance, path_theorem_instance]))
+def test_fiber_count_matches_the_rank_oracle(seed, instance):
+    f, g = instance(case_rng(seed, 25))
+    try:
+        report = verify_path_pullback(f, g, 4)
+    except PreconditionError:
+        assume(False)
+    ranks = _fiber_rank_oracle(f, g, 4)
+    counts_e, counts_f, counts_g = (_path_counts(x, 4)
+                                    for x in (f.codomain, g.codomain, f.domain))
+    for deg in report.degrees:
+        d = deg.degree
+        assert ranks[d] == counts_g[d]
+        assert deg.dim_fiber == counts_e[d] + counts_f[d] - ranks[d]
+
+
+def test_fiber_count_needs_one_injective_leg():
+    """Duplicated domain edges collapsed on both legs make neither leg
+    injective on edges: two constraint rows coincide, the rank falls short
+    of |G_1| and the count would be wrong, so the verifier refuses by
+    one_sided_injectivity.  Only draws whose domain has an edge to
+    duplicate are kept."""
+    draws = []
+    for case in range(80):
+        rng = case_rng(4, case)
+        legs = collapse_duplicate_edges(rng, one_color_instance(rng, need_one_sided=True))
+        if legs[0].domain.edges:
+            draws.append(legs)
+    assert len(draws) >= 30
+    for f, g in draws:
+        ranks = _fiber_rank_oracle(f, g, 2)
+        counts = _path_counts(f.domain, 2)
+        assert any(r < counts[d] for d, r in enumerate(ranks))
+        with pytest.raises(PreconditionError) as err:
+            verify_path_pullback(f, g, 2)
+        assert err.value.flag == "one_sided_injectivity"
 
 
 def test_verify_loop_union_truncated_components_match():

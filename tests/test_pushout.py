@@ -1,10 +1,11 @@
 import itertools
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivpush import pushout
+from quivpush import leavitt, path_algebra, pushout
 from quivpush.cli import main
 from quivpush.graph import Graph, union_graph
 from quivpush.jsonio import load_hom
@@ -16,9 +17,9 @@ from quivpush.pushout import (PreconditionError, breakarrow_identity,
                               graph_pushout, graph_universal_map,
                               path_pushout_compare, pushout_square,
                               set_pushout, set_universal_map)
-from quivpush.randgen import (admpush_instance, case_rng, one_color_instance,
-                              one_color_violation, random_graph, union_legs,
-                              captocup_pair)
+from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
+                              one_color_instance, one_color_violation, random_graph,
+                              union_legs, captocup_pair)
 
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 EMPTY = Graph(())
@@ -44,8 +45,8 @@ def test_set_pushout_chain_collapse():
                     {"z1": "a", "z2": "b"}, {"z1": "c", "z2": "c"})
     assert len(p.classes) == 1
     rep = next(iter(p.classes))
-    assert rep == ("X", "a")
-    assert set(p.classes[rep]) == {("X", "a"), ("X", "b"), ("Y", "c")}
+    assert rep == ("E", "a")
+    assert set(p.classes[rep]) == {("E", "a"), ("E", "b"), ("F", "c")}
 
 
 def test_graph_pushout_of_identities():
@@ -326,7 +327,7 @@ def test_pushout_square_routes_unions_through_original_ids():
                                           (("union_f.json", "union_g.json"), 0)],
                          ids=["quotient", "union"])
 def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs, builds):
-    """The flags, breaking-arrow check and window all read the one square
+    """The breaking-arrow check and the window both read the one square
     pushout_square builds; only the quotient route calls graph_pushout."""
     calls = []
     original = pushout.graph_pushout
@@ -339,6 +340,37 @@ def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs, builds):
     monkeypatch.chdir(DATA)
     assert main(["verify", "--leavitt", *legs]) == 0
     assert len(calls) == builds
+
+
+def test_verifiers_rank_only_the_image(monkeypatch):
+    """Both verifiers count the fiber: per degree they rank the image once,
+    and the Leavitt verifier builds the window columns of the two
+    injections and of no other map."""
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls[module.__name__, name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in ((leavitt, "rank"), (leavitt, "_pullback_columns"),
+                         (path_algebra, "rank")):
+        count(module, name)
+    for instance in (leavitt_union_instance, admpush_instance):
+        for case in range(5):
+            f, g = instance(case_rng(5, case))
+            calls.clear()
+            report = verify_leavitt_pullback(f, g, 3)
+            assert calls == {("quivpush.leavitt", "rank"): len(report.window_checks),
+                             ("quivpush.leavitt", "_pullback_columns"): 2}
+    for case in range(5):
+        f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
+        calls.clear()
+        verify_path_pullback(f, g, 3)
+        assert calls == {("quivpush.path_algebra", "rank"): 4}
 
 
 def test_graph_universal_map_on_a_union_square():
