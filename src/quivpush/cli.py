@@ -277,7 +277,7 @@ def cmd_verify(args, argv):
         cert.check("kernel_correspondence", report.kernel_ok)
         cert.check("breakarrow", report.breakarrow_ok)
         cert.check("commutes", report.commutes_ok)
-        # always 0 (out-of-window terms raise); kept so certificates stay byte-identical
+        # always 0: column terms lie in their window; kept for byte-identical certificates
         cert.check("window_cross_check", report.window_consistent(),
                    excluded_columns=0,
                    windows=[{"degree": w.degree, "dim_window": w.dim_window,

@@ -34,10 +34,10 @@ The pullback verifier's window cross-check ranks the image of the pushout's
 window under both injection pullbacks, and builds those pullbacks in the
 other direction: one pass over the domain's pairs alpha' beta'* maps each
 domain path forward once and adds the normal form of alpha' beta'* to the
-column of (h alpha')(h beta')*.  It enumerates the paths and pairs of each
-graph of the square once; that one list gives the graph's window, grouped
-by degree, and the columns of the injection out of it.  The fiber product
-needs no rank: its dimension is a count (see _window_cross_check).
+column of (h alpha')(h beta')*, unless that is not normal.  No window is
+listed: only E and F are enumerated, and the window sizes of the square's
+four graphs are counted in closed form.  The fiber product needs no rank:
+its dimension is a count (see _window_cross_check).
 
 An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
 and compare in C; like a Path it is never sorted raw or written to JSON
@@ -46,14 +46,16 @@ and compare in C; like a Path it is never sorted raw or written to JSON
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from .fields import QQ
 from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
                     paths_up_to, require_tail_free)
 from .linalg import rank
-from .morphism import (GraphHom, DomainMismatch, HomError, check_valid_hom,
+from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
                        regular_vertices, CATEGORY_CRTBPOG, _path_image, compose)
 from .pushout import PreconditionError, breakarrow_identity, pushout_square
 from .path_algebra import LinearCombination, path_preimages
@@ -273,17 +275,11 @@ def ker_generators(h: GraphHom) -> frozenset:
     return frozenset(h.codomain.vertices - h.vertex_image())
 
 
-def _paths_by_end(g: Graph, n: int) -> dict:
-    """End vertex -> the paths of length <= n ending there."""
-    ends = {v: [] for v in g.vertices}
-    for p in paths_up_to(g, n):
-        ends[p.target(g)].append(p)
-    return ends
-
-
-def _end_pairs(ends: dict, max_total: int):
-    """Every alpha beta*, normal or not, with |alpha| + |beta| <= max_total
-    and both paths in one list of ends (see _paths_by_end)."""
+def _end_pairs(g: Graph, max_total: int):
+    """Every alpha beta*, normal or not, with |alpha| + |beta| <= max_total."""
+    ends = {}
+    for p in paths_up_to(g, max_total):
+        ends.setdefault(p.target(g), []).append(p)
     for into in ends.values():
         # paths_up_to lists paths by length, so each run of betas that fits
         # next to alpha is a prefix of into
@@ -295,32 +291,10 @@ def _end_pairs(ends: dict, max_total: int):
                 yield LMonomial(alpha, beta)
 
 
-class _Pairs(NamedTuple):
-    """One enumeration of a graph for the window cross-check: its paths of
-    length <= n by end vertex (see _paths_by_end), every alpha beta* among
-    them with total <= n, and the NORMAL ones, the window, grouped by
-    degree in enumeration order."""
-
-    ends: dict
-    pairs: list
-    window: dict
-
-
-def _pair_lists(g: Graph, n: int) -> _Pairs:
-    ends = _paths_by_end(g, n)
-    pairs = list(_end_pairs(ends, n))
-    designated = g.designated
-    window = {}
-    for m in pairs:
-        if is_normal(m, designated):
-            window.setdefault(len(m.alpha.edges) - len(m.beta.edges), []).append(m)
-    return _Pairs(ends, pairs, window)
-
-
 def normal_monomials_window(g: Graph, max_total: int) -> list:
     """All NORMAL monomials with |alpha| + |beta| <= max_total, sorted."""
-    return sorted((m for ms in _pair_lists(g, max_total).window.values() for m in ms),
-                  key=LMonomial.sort_key)
+    return sorted((m for m in _end_pairs(g, max_total)
+                   if is_normal(m, g.designated)), key=LMonomial.sort_key)
 
 
 def all_pair_monomials(g: Graph) -> list:
@@ -328,8 +302,7 @@ def all_pair_monomials(g: Graph) -> list:
     if not is_acyclic(g):
         raise GraphError("pair monomial enumeration needs an acyclic graph")
     # no path of an acyclic graph is longer than its edge count
-    n = len(g.edges)
-    return sorted(_end_pairs(_paths_by_end(g, n), 2 * n), key=LMonomial.sort_key)
+    return sorted(_end_pairs(g, 2 * len(g.edges)), key=LMonomial.sort_key)
 
 
 def leavitt_dimension_enumerated(g: Graph) -> int:
@@ -498,67 +471,93 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
                                  tuple(failures))
 
 
-def _pullback_columns(h: GraphHom, dom: _Pairs, window: dict) -> dict:
-    """The pullback along h of each codomain monomial in window (degree ->
-    monomials), as {domain monomial: nonzero int coefficient}.
+def _window_sizes(g: Graph, n: int) -> dict:
+    """Degree -> the number of NORMAL monomials of g with total <= n.  With
+    c_l(v) the number of paths of length l ending at v, the pairs of lengths
+    l1, l2 ending at v number c_l1(v) c_l2(v), less c_(l1-1)(s gamma)
+    c_(l2-1)(s gamma) that end with one special edge gamma; as this is
+    symmetric in l1 and l2, degree -d has the size of degree d."""
+    at = {v: i for i, v in enumerate(g.vertices)}
+    arcs = [(at[g.src[e]], at[g.tgt[e]]) for e in g.edges]
+    counts = [[1] * len(at)]
+    for _ in range(n):
+        prev, here = counts[-1], [0] * len(at)
+        for s, t in arcs:
+            here[t] += prev[s]
+        counts.append(here)
+    specials = [at[g.src[e]] for e in g.designated]
+    at_specials = [[c[s] for s in specials] for c in counts]
+    sizes = {}
+    for l2 in range(n // 2 + 1):
+        for l1 in range(l2, n + 1 - l2):
+            k = sum(map(mul, counts[l1], counts[l2])) - (
+                l2 and sum(map(mul, at_specials[l1 - 1], at_specials[l2 - 1])))
+            if k:
+                sizes[l1 - l2] = sizes.get(l1 - l2, 0) + k
+    return {**sizes, **{-d: k for d, k in sizes.items() if d}}
 
-    One pass over the domain's pairs alpha' beta'* (dom, see _pair_lists)
-    adds the normal form of each to the column of (h alpha')(h beta')*, if
-    that is in window.  Paths keep their lengths under h, so these are the
-    pairs that _pull visits.  Each pair enters with coefficient 1 and CK2
-    rewriting only negates, so the columns hold ints, which linalg.rank
-    reduces in the field's characteristic.  The caller has already refused
-    any h that induces no pullback.
-    """
-    E = h.domain
-    image = {p: _path_image(h, p) for into in dom.ends.values() for p in into}
-    cols = {m: {} for ms in window.values() for m in ms}
-    for pair in dom.pairs:
-        col = cols.get(LMonomial(image[pair.alpha], image[pair.beta]))
-        if col is not None:
-            _ck2_accumulate(E, pair, 1, col)
-    return {m: {t: c for t, c in col.items() if c} for m, col in cols.items()}
 
-
-def _indexed(columns: dict, monos, idx: dict, d: int, offset: int = 0) -> list:
-    """The columns of monos with each term m at row offset + idx[m].
-    Pullbacks keep lengths and CK2 rewriting never lengthens a monomial, so
-    every term lies in the window of degree d that idx indexes."""
-    result = []
-    for mono in monos:
-        try:
-            result.append({offset + idx[m]: c for m, c in columns[mono].items()})
-        except KeyError as exc:
-            raise HomError(f"degree {d}: the pullback of {mono} has the term "
-                           f"{exc.args[0]} outside the window") from None
-    return result
+def _window_columns(h: GraphHom, n: int, columns: dict, offset: int = 0) -> list:
+    """Add to columns, a defaultdict(dict) of degree -> {(alpha, beta):
+    {row: int}}, the pullback along h of each NORMAL codomain monomial with
+    total <= n, and return the N domain paths of length <= n: the i-th and
+    j-th make the row offset + i N + j.  Each domain pair adds its normal
+    form to the column of its image if that is normal, so every term is a
+    NORMAL domain monomial of the column's degree with total <= n.  Pairs
+    enter with 1 and CK2 rewriting only negates, so columns hold ints.  The
+    caller has already refused any h with no pullback."""
+    E, e_special, p_special = h.domain, h.domain.designated, h.codomain.designated
+    paths = paths_up_to(E, n)
+    size, index = len(paths), {p: i for i, p in enumerate(paths)}
+    # by end vertex: index, path, length, image, special last edges or None
+    ends = {}
+    for i, a in enumerate(paths):
+        ha = _path_image(h, a)
+        ends.setdefault(a.target(E), []).append(
+            (i, a, len(a.edges), ha,
+             a.edges[-1] if a.edges and a.edges[-1] in e_special else None,
+             ha.edges[-1] if ha.edges and ha.edges[-1] in p_special else None))
+    for walk in ends.values():
+        # walk is in length order, so the betas that fit form a prefix
+        for i, a, la, ha, sa, hsa in walk:
+            base = offset + i * size
+            for j, b, lb, hb, sb, hsb in walk:
+                if la + lb > n:
+                    break
+                if hsa is not None and hsa == hsb:
+                    continue
+                col = columns[la - lb].setdefault((ha, hb), {})
+                if sa is None or sa != sb:
+                    col[base + j] = col.get(base + j, 0) + 1
+                    continue
+                acc = {}
+                _ck2_accumulate(E, LMonomial(a, b), 1, acc)
+                for t, c in acc.items():
+                    r = offset + index[t.alpha] * size + index[t.beta]
+                    col[r] = col.get(r, 0) + c
+    return paths
 
 
 def _window_cross_check(f, g, po, n, field):
     """Degree by degree, on the windows of NORMAL monomials with total <= n:
     the rank of the image of L(P) in L(E) x L(F), and the dimension of the
     fiber of L(E) x L(F) -> L(G), |E_d| + |F_d| - |G_d|.  That count holds
-    because f* maps E's window onto G's, so [f* | -g*] has rank |G_d|: f is
-    injective (P1), so by the descent lemma a normal alpha' beta'* of G's
-    window pulls back from the normal form of (f alpha')(f beta')*, which is
-    in E's window, since CK2 rewriting keeps the degree and never lengthens
-    a monomial.  P, E, F and G are each enumerated once (see _pair_lists);
-    G gives only its window sizes.  No rank depends on enumeration order."""
-    # the enumerations of the four graphs of the square, named after them
-    P, E, F, G = (_pair_lists(x, n) for x in (po.graph, f.codomain, g.codomain, f.domain))
-    iota_e_cols = _pullback_columns(po.iota_left, E, P.window)
-    iota_f_cols = _pullback_columns(po.iota_right, F, P.window)
+    because [f* | -g*] has rank |G_d|: f is injective (P1), so by the
+    descent lemma a normal alpha' beta'* of G's window pulls back from the
+    normal form of (f alpha')(f beta')*, which is in E's window.  Only E and
+    F are enumerated, for the injections' columns (see _window_columns);
+    window sizes are counted in closed form (see _window_sizes)."""
+    # the columns of both injections, F's rows after every pair of E's paths
+    columns = defaultdict(dict)
+    e_paths = _window_columns(po.iota_left, n, columns)
+    _window_columns(po.iota_right, n, columns, len(e_paths) ** 2)
+    # the window sizes of the four graphs of the square, named after them
+    P, E, F, G = (_window_sizes(x, n) for x in (po.graph, f.codomain, g.codomain, f.domain))
     checks = []
-    for d in sorted(P.window.keys() | E.window.keys() | F.window.keys() | G.window.keys()):
-        p_d, e_d, f_d, g_d = (x.window.get(d, []) for x in (P, E, F, G))
-        e_idx = {m: i for i, m in enumerate(e_d)}
-        f_idx = {m: i for i, m in enumerate(f_d)}
-        # the image is handed to rank column by column (rank is
-        # transpose-invariant); E and F coordinates stack at offset len(e_d)
-        image_cols = [{**left, **right} for left, right in
-                      zip(_indexed(iota_e_cols, p_d, e_idx, d),
-                          _indexed(iota_f_cols, p_d, f_idx, d, len(e_d)))]
-        dim_image = rank(image_cols, field.characteristic)
-        dim_fiber = len(e_d) + len(f_d) - len(g_d)
-        checks.append(WindowCheck(d, len(p_d), dim_image, dim_fiber))
+    for d in sorted(P.keys() | E.keys() | F.keys() | G.keys()):
+        # the image goes to rank column by column (rank is transpose-
+        # invariant); a window monomial hit by neither injection adds nothing
+        dim_image = rank(list(columns[d].values()), field.characteristic)
+        dim_fiber = E.get(d, 0) + F.get(d, 0) - G.get(d, 0)
+        checks.append(WindowCheck(d, P.get(d, 0), dim_image, dim_fiber))
     return checks

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -378,42 +378,51 @@ def test_prime_field_coefficients_are_reduced_ints(seed, p, data):
             nonzero.scale(Fraction(1, 2))
 
 
-def test_window_term_outside_its_window_is_an_error(monkeypatch):
-    """Pullbacks keep every term inside its window; a window missing one of
-    those terms raises instead of dropping the column."""
-    ident = GraphHom.identity(EDGE)
-    full = leavitt._pair_lists
-    e = edge_monomial(EDGE, "e")
+def _columns_by_monomial(h, n):
+    """The window columns of h (see leavitt._window_columns), degree ->
+    {codomain monomial: {domain monomial: int}}."""
+    by_degree = defaultdict(dict)
+    paths = leavitt._window_columns(h, n, by_degree)
+    size = len(paths)
+    return {d: {LMonomial(*m): {LMonomial(paths[r // size], paths[r % size]): c
+                                for r, c in col.items()}
+                for m, col in cols.items()}
+            for d, cols in by_degree.items()}
 
-    def without_e(g, n):
-        pairs = full(g, n)
-        if g is not EDGE:
-            return pairs
-        return pairs._replace(window={d: [m for m in ms if m != e]
-                                      for d, ms in pairs.window.items()})
 
-    monkeypatch.setattr(leavitt, "_pair_lists", without_e)
-    with pytest.raises(HomError, match="degree 1: the pullback of e has the term e outside"):
-        verify_leavitt_pullback(ident, ident, 2)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 4))
+def test_window_column_terms_lie_in_the_domain_window(seed, n):
+    """Every column holds NORMAL domain monomials of the column's degree
+    with total <= n, and sits under a NORMAL codomain monomial of that
+    degree and total: the window cross-check needs no guard against a term
+    outside its window."""
+    h = random_crtbpog_hom(case_rng(seed, 43))
+    dom, cod = h.domain, h.codomain
+    for d, cols in _columns_by_monomial(h, n).items():
+        for m, col in cols.items():
+            assert is_normal(m, cod.designated)
+            assert (m.degree, m.total <= n) == (d, True)
+            for t in col:
+                assert is_normal(t, dom.designated)
+                assert (t.degree, t.total <= n) == (d, True)
 
 
 def _assert_window_columns_match_oracle(h, n, field):
     """The window cross-check builds all columns of a window in one pass
-    over the pairs that it enumerates once per domain graph and shares
-    among the windows and the homs out of that graph.  The slow reference
-    pulls back each window monomial on its own; the two must agree term by
-    term, so an empty column, or a term whose coefficients cancel, must be
-    absent from both.  The columns hold ints, compared in the field: a
-    coefficient that vanishes mod p drops out."""
-    basis = normal_monomials_window(h.codomain, n)
-    oracle = {m: l_pullback(h, monomial_element(h.codomain, m, field)).terms
-              for m in basis}
-    columns = leavitt._pullback_columns(h, leavitt._pair_lists(h.domain, n),
-                                        leavitt._pair_lists(h.codomain, n).window)
+    over the domain's pairs.  The slow reference pulls back each window
+    monomial on its own; the two must agree term by term, so an empty
+    column, or a term whose coefficients cancel, must be absent from both.
+    The columns hold ints, compared in the field: a coefficient that
+    vanishes mod p drops out."""
+    oracle = {m: terms for m in normal_monomials_window(h.codomain, n)
+              if (terms := l_pullback(h, monomial_element(h.codomain, m, field)).terms)}
+    columns = {m: col for cols in _columns_by_monomial(h, n).values()
+               for m, col in cols.items()}
     assert all(type(c) is int for col in columns.values() for c in col.values())
     p = field.characteristic
-    in_field = {m: {t: x for t, c in col.items() if (x := c % p if p else c)}
-                for m, col in columns.items()}
+    in_field = {m: terms for m, col in columns.items()
+                if (terms := {t: x for t, c in col.items() if (x := c % p if p else c)})}
     assert in_field == oracle
 
 
@@ -440,21 +449,27 @@ def _fiber_rank_oracle(f, g, n, p):
     [f* | -g*]: the pullbacks of E's and F's window monomials along f and
     g, as columns over G's window of the same degree.  The verifier counts
     the fiber as |E_d| + |F_d| - |G_d| instead, which needs this rank to be
-    |G_d|."""
-    E, F, G = (leavitt._pair_lists(x, n) for x in (f.codomain, g.codomain, f.domain))
-    legs = ((leavitt._pullback_columns(f, G, E.window), E.window),
-            (leavitt._pullback_columns(g, G, F.window), F.window))
-    ranks = {}
-    for d in E.window.keys() | F.window.keys() | G.window.keys():
-        g_idx = {m: i for i, m in enumerate(G.window.get(d, []))}
-        ranks[d] = rank([{g_idx[t]: c for t, c in cols[m].items()}
-                         for cols, window in legs for m in window.get(d, [])], p)
-    return ranks
+    |G_d|.  A window monomial that pulls back to 0 has no column, which
+    leaves the rank as it is."""
+    legs = [defaultdict(dict), defaultdict(dict)]
+    for h, cols in zip((f, g), legs):
+        leavitt._window_columns(h, n, cols)
+    degrees = set().union(*(_window_sizes(x, n) for x in (f.codomain, g.codomain, f.domain)))
+    return {d: rank([col for cols in legs for col in cols.get(d, {}).values()], p)
+            for d in degrees}
 
 
 def _window_sizes(g, n):
     """Degree -> the number of NORMAL monomials of g with total <= n."""
     return Counter(m.degree for m in normal_monomials_window(g, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(acyclic=False, max_e=5) | st.just(Graph.empty()), st.integers(0, 5))
+def test_window_sizes_count_the_window(g, n):
+    """The closed-form window sizes against the enumerated window, on
+    drawn graphs with loops, parallel edges and sinks, and the empty graph."""
+    assert leavitt._window_sizes(g, n) == _window_sizes(g, n)
 
 
 @settings(max_examples=150, deadline=None)

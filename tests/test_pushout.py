@@ -343,9 +343,10 @@ def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs, builds):
 
 
 def test_verifiers_rank_only_the_image(monkeypatch):
-    """Both verifiers count the fiber: per degree they rank the image once,
-    and the Leavitt verifier builds the window columns of the two
-    injections and of no other map."""
+    """Both verifiers count the fiber: per degree they rank the image once.
+    The Leavitt verifier builds the window columns of the two injections
+    and of no other map, so it enumerates the paths of E and F and of no
+    other graph; the window sizes it counts in closed form."""
     calls = Counter()
 
     def count(module, name):
@@ -356,8 +357,8 @@ def test_verifiers_rank_only_the_image(monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, name, spy)
 
-    for module, name in ((leavitt, "rank"), (leavitt, "_pullback_columns"),
-                         (path_algebra, "rank")):
+    for module, name in ((leavitt, "rank"), (leavitt, "_window_columns"),
+                         (leavitt, "paths_up_to"), (path_algebra, "rank")):
         count(module, name)
     for instance in (leavitt_union_instance, admpush_instance):
         for case in range(5):
@@ -365,7 +366,8 @@ def test_verifiers_rank_only_the_image(monkeypatch):
             calls.clear()
             report = verify_leavitt_pullback(f, g, 3)
             assert calls == {("quivpush.leavitt", "rank"): len(report.window_checks),
-                             ("quivpush.leavitt", "_pullback_columns"): 2}
+                             ("quivpush.leavitt", "_window_columns"): 2,
+                             ("quivpush.leavitt", "paths_up_to"): 2}
     for case in range(5):
         f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
         calls.clear()
