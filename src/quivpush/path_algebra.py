@@ -200,7 +200,6 @@ class DegreeCheck:
 class PathPullbackReport:
     ok: bool
     exact: bool
-    truncation: int
     degrees: tuple
 
     def total_dim_pushout(self):
@@ -254,4 +253,4 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
                                   commutes, injective, surjective))
     exact = is_acyclic(p) and longest_path_length(p) <= n
     ok = all(c.ok for c in checks)
-    return PathPullbackReport(ok, exact, n, tuple(checks))
+    return PathPullbackReport(ok, exact, tuple(checks))

@@ -237,7 +237,12 @@ def breakarrow_identity(f: GraphHom, po: PushoutGraph):
     complement of the shared image match, through the injection, the pushout
     edges from its class into the complement of the right-hand image.
 
-    Returns (ok, witness list of offending vertices).
+    Returns (ok, witness list of offending vertices).  Only the breakarrow
+    property suite checks it: both sides are edges from the vertex, and
+    they can differ only at an edge whose target lies outside the shared
+    image while its class is hit from the right, where the Leavitt
+    verifier's kernel-vertex fails, or inside it while its class is not
+    hit, where the square does not commute.
     """
     E = f.codomain
     p_graph = po.graph
@@ -263,11 +268,8 @@ class PathCompareReport:
     bijective: bool
     injective: bool
     surjective: bool
-    truncation: int
     missing: tuple
     collisions: tuple
-    class_count: int
-    path_count: int
 
 
 def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
@@ -302,4 +304,4 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     injective = not collisions
     surjective = not missing
     return PathCompareReport(injective and surjective, injective, surjective,
-                             n, missing, tuple(collisions), len(h), len(target))
+                             missing, tuple(collisions))

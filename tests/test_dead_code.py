@@ -3,7 +3,8 @@ package is used somewhere in src/, tests/ or bench/.
 
 A use is a name or an attribute access outside the object's own
 definition; an import alone is not a use, so a re-export in __init__ does
-not keep an unused function alive.
+not keep an unused function alive.  Every field of a dataclass in src/ is
+likewise read as an attribute somewhere, not only set by its constructor.
 
 Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
@@ -54,6 +55,32 @@ def test_every_public_definition_is_used():
                                 for where, line in uses[node.name])):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _is_dataclass(node):
+    """Whether the class definition node is decorated with dataclass or
+    dataclass(...)."""
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Each annotated field of a dataclass in src/ is read as an attribute
+    (x.field) in src/, tests/ or bench/; a field that is only filled in by
+    the constructor is dead weight in every instance."""
+    read = set()
+    for directory in ("src", "tests", "bench"):
+        for _, tree in _trees(ROOT / directory):
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(ROOT)}:{stmt.lineno} {node.name}.{stmt.target.id}"
+              for path, tree in _trees(PACKAGE) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)
 
 
 def test_readme_names_every_refusal_flag():

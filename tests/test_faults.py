@@ -19,7 +19,7 @@ from test_leavitt import _window_sizes
 from test_path_algebra import _path_counts
 
 from quivpush import leavitt, path_algebra
-from quivpush.cli import main
+from quivpush.cli import LEAVITT_CHECKS, main
 from quivpush.fields import QQ, field_from_name
 from quivpush.graph import Graph
 from quivpush.jsonio import hom_to_obj, save_json
@@ -27,7 +27,7 @@ from quivpush.leavitt import (edge_monomial, generator_monomials, ghost_monomial
                               ker_generators, l_pullback, monomial_element,
                               verify_leavitt_pullback, vertex_monomial)
 from quivpush.morphism import GraphHom
-from quivpush.pushout import PreconditionError, pushout_square
+from quivpush.pushout import PreconditionError, breakarrow_identity, pushout_square
 from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
                               one_color_instance)
 
@@ -78,9 +78,8 @@ def _verify_against_oracle(f, g, n, field=QQ):
     want = _algebra_obligations(f, g, leavitt.pushout_square(f, g), field)
     assert [x for x in report.failures if x[0] in FIBER_OBLIGATIONS] == want
     kinds = {x[0] for x in want}
-    assert report.surjectivity_ok == ("surjectivity" not in kinds)
-    assert report.kernel_ok == ("kernel-vertex" not in kinds)
-    assert report.commutes_ok == ("commutes" not in kinds)
+    for obligation in FIBER_OBLIGATIONS:
+        assert report.holds(obligation) == (obligation not in kinds)
     return report
 
 
@@ -114,7 +113,7 @@ def test_extra_pushout_vertex_fails_kerint_and_window(monkeypatch, case):
     monkeypatch.setattr(leavitt, "pushout_square", _with_isolated_vertex)
     report = _verify_against_oracle(f, g, 3)
     assert not report.ok
-    assert not report.kerint_ok and not report.window_consistent()
+    assert not report.holds("kerint") and not report.holds("window")
     assert ("kerint", [EXTRA]) in report.failures
     assert {item[0] for item in report.failures} == {"kerint", "window"}
     # the extra vertex idempotent is the one column of degree 0 the image loses
@@ -176,11 +175,11 @@ def test_two_vertex_squares_fail_one_fiber_obligation(monkeypatch, square, failu
     monkeypatch.setattr(leavitt, "pushout_square", square)
     report = _verify_against_oracle(f, g, 2, field)
     assert not report.ok and report.failures == failures
-    assert report.kerint_ok and report.breakarrow_ok and report.commutes_ok
-    assert report.surjectivity_ok != report.kernel_ok
+    assert report.holds("kerint") and report.holds("commutes")
+    assert report.holds("surjectivity") != report.holds("kernel-vertex")
     # the truncated window cannot see either fault: it only asks for
     # dim_image <= dim_fiber, and the image falls one short of the fiber
-    assert report.window_consistent()
+    assert report.holds("window")
     zero = next(w for w in report.window_checks if w.degree == 0)
     assert (zero.dim_window, zero.dim_image, zero.dim_fiber) == (2, 2, 3)
 
@@ -213,8 +212,8 @@ def test_coproduct_square_fails_commutes(monkeypatch, case):
     f, g = leavitt_union_instance(case_rng(5, case))
     monkeypatch.setattr(leavitt, "pushout_square", _coproduct)
     report = _verify_against_oracle(f, g, 2)
-    assert not report.ok and not report.commutes_ok
-    assert report.kerint_ok and report.surjectivity_ok and report.kernel_ok
+    assert not report.ok and not report.holds("commutes")
+    assert all(report.holds(x) for x in ("kerint", "surjectivity", "kernel-vertex"))
     reached = {"E." + f.f0[v] for v in f.domain.vertices}
     assert {("commutes", q) for q in reached} <= set(report.failures)
     window_g = _window_sizes(f.domain, 2)
@@ -316,8 +315,9 @@ def test_cli_verify_path_exits_1_on_a_wrong_square(monkeypatch, tmp_path, capsys
 
 
 def _fault_reports(monkeypatch):
-    """The Leavitt verifier's report on every fault square of this module,
-    over the draws its tests use, except where the legs are refused."""
+    """(f, g, square, the Leavitt verifier's report) for every fault square
+    of this module, over the draws its tests use, except where the legs
+    are refused."""
     draws = ([leavitt_union_instance(case_rng(5, case)) for case in range(10)]
              + _one_color_draws())
     squares = [(f, g, square) for f, g in draws
@@ -328,7 +328,7 @@ def _fault_reports(monkeypatch):
     for f, g, square in squares:
         monkeypatch.setattr(leavitt, "pushout_square", square)
         try:
-            reports.append(verify_leavitt_pullback(f, g, 2))
+            reports.append((f, g, square, verify_leavitt_pullback(f, g, 2)))
         except PreconditionError:
             pass
     return reports
@@ -340,8 +340,20 @@ def test_breakarrow_fails_only_with_kernel_or_commutes(monkeypatch):
     is outside f(G) while its class lies in the image of iota_F, where
     kernel-vertex fails at t(e), or is some f(z) while its class does not,
     where the square does not commute at z.  So on no fault square does
-    breakarrow fail alone."""
-    reports = _fault_reports(monkeypatch)
-    assert any(not r.breakarrow_ok for r in reports)
-    for r in reports:
-        assert r.breakarrow_ok or not r.kernel_ok or not r.commutes_ok, r.failures
+    the identity fail while the verifier's kernel-vertex and commutes both
+    hold, and the verifier does not check it."""
+    failing = [report for f, g, square, report in _fault_reports(monkeypatch)
+               if not breakarrow_identity(f, square(f, g))[0]]
+    assert failing
+    for r in failing:
+        assert not r.holds("kernel-vertex") or not r.holds("commutes"), r.failures
+
+
+def test_every_leavitt_certificate_check_can_fail(monkeypatch):
+    """Each obligation that a verify --leavitt certificate reports is false
+    on some fault square of this module."""
+    reports = [report for *_, report in _fault_reports(monkeypatch)]
+    obligations = [obligation for _, obligation in LEAVITT_CHECKS] + ["window"]
+    assert obligations == ["kerint", "surjectivity", "kernel-vertex", "commutes", "window"]
+    for obligation in obligations:
+        assert any(not r.holds(obligation) for r in reports), obligation

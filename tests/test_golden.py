@@ -23,15 +23,15 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = [
     (["verify", "--leavitt", "union_f.json", "union_g.json"],
-     "14ab530474ec007d0a24f280073efccefe892214860da5121e196c6089c791b0"),
+     "34686cbbd751b6858d105ede0ea14d2fa004af03c4b9bb007868760ef34c81f6"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "union_f.json", "union_g.json"],
-     "b7e532ef177dd9f5a602a2fe3637b96d701ac8949291e72836c0432c67e5458f"),
+     "a59b0049415c0b84e4a4bbbd68dcdef0906560be31bd6a830693c2a13e62d681"),
     (["verify", "--leavitt", "admpush_f.json", "admpush_g.json"],
-     "63540be94ee377a7d2225f60dd66b3f9c44292eda01c50fb73000d936c608068"),
+     "2ffdc8c5c1442631f1abc405bc1456505cd13d93c7d6427054cf8fa5a47cf426"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "admpush_f.json", "admpush_g.json"],
-     "363db25ff0b3fd01564b9f5cbd246c1ef516b56cb1d13007f98677caa46b97ee"),
+     "628e726281f655fab66fcd77dfcf9a9cdbc849d72f4ced337ae401585c9e80ff"),
     (["verify", "--leavitt", "--field", "fp:2", "admpush_f.json", "admpush_g.json"],
-     "6fa718f85d095cbb1ceb7726bb29c2c1a15e513ffa899c0471f3ccd47ec266a0"),
+     "e9675c1cd068382d08294e16263bf46639e0204c902e33c6823758fa2241a4a8"),
     (["verify", "--path", "path_f.json", "path_g.json"],
      "c2d19b848ee8c6983e60ca0c8f48d4cde234dfcf0d3484c298c7eaf44c334549"),
     (["pushout", "onecolor_f.json", "onecolor_g.json"],
@@ -47,7 +47,7 @@ GOLDEN = [
     (["classify", "admpush_f_ref.json"],
      "61c0eea61a956269d670c2187be6233636759201fa536133af4305558cd99604"),
     (["verify", "--leavitt", "admpush_f_ref.json", "admpush_g_ref.json"],
-     "ccffb0b09f2c25c0fcbc3e92e644fe8d302fe4211ab57efd23cd197f7d8fd585"),
+     "7787a2f030ed183950d750046847c04013680ac33b33df766a3840c3ff754de0"),
     (["eval", "graph.json", "3/2*chi[c0_ke0.xe0.xe2] - chi[x0] + 2"],
      "f65c6f13966190fde32a0e6fe32511d394067f2d91c10fe9f9393bfdf1e891a4"),
     (["eval", "--leavitt", "graph.json",
