@@ -10,6 +10,10 @@ A word is a sequence of letters (e, is_ghost): the edge e runs from s(e) to
 t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
 the monomials that the Leavitt normal form multiplies out.
 
+path_counts gives c_l(v), the number of paths of length l ending at v.
+Acyclicity, the longest path, the Leavitt window sizes and the pushout
+graph's paths in each degree are read from it, not from a list of paths.
+
 A Path is a tuple (typing.NamedTuple), as is the Leavitt monomial built
 from two of them, so that the dict lookups keyed by them hash and compare
 in C.  Being tuples, they compare equal to plain tuples of the same fields,
@@ -329,40 +333,31 @@ def is_subgraph(sub: Graph, sup: Graph) -> bool:
                for e in sub.edges)
 
 
+def path_counts(g: Graph, n: int) -> list:
+    """counts[l][i]: the paths of length l <= n ending at the i-th vertex of
+    sorted(g.vertices), an omega tail counting as one arc (exact path counts
+    on a tail-free graph; with tails, enough to decide cycles and lengths)."""
+    at = {v: i for i, v in enumerate(sorted(g.vertices))}
+    arcs = [(at[g.src[e]], at[g.tgt[e]]) for e in g.edges]
+    arcs += [(at[v], at[w]) for v, w in g.omega_tails]
+    counts = [[1] * len(at)]
+    for _ in range(n):
+        prev, here = counts[-1], [0] * len(at)
+        for s, t in arcs:
+            here[t] += prev[s]
+        counts.append(here)
+    return counts
+
+
 def is_acyclic(g: Graph) -> bool:
-    order = topological_order(g)
-    return order is not None
-
-
-def topological_order(g: Graph):
-    """Topological vertex order, or None if the graph has a cycle (tails count)."""
-    succ = {v: set() for v in g.vertices}
-    indeg = {v: 0 for v in g.vertices}
-    arcs = [(g.src[e], g.tgt[e]) for e in g.edges] + list(g.omega_tails)
-    for u, w in arcs:
-        succ[u].add(w)
-    for u in succ:
-        for w in succ[u]:
-            indeg[w] += 1
-    ready = sorted(v for v in g.vertices if indeg[v] == 0)
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order if len(order) == len(g.vertices) else None
+    """No cycle, tails counting as arcs: a path of length |V| repeats a
+    vertex, and a cycle gives paths of every length."""
+    return not any(path_counts(g, len(g.vertices))[-1])
 
 
 def longest_path_length(g: Graph) -> int:
-    """Longest path length in an acyclic graph."""
-    order = topological_order(g)
-    if order is None:
+    """Longest path length in an acyclic graph, a tail counting as one arc."""
+    counts = path_counts(g, len(g.vertices))
+    if any(counts[-1]):
         raise GraphError("longest path is undefined on cyclic graphs")
-    best = {v: 0 for v in g.vertices}
-    for v in reversed(order):
-        for e in g.out_map[v]:
-            best[v] = max(best[v], 1 + best[g.tgt[e]])
-    return max(best.values(), default=0)
+    return max((l for l, c in enumerate(counts) if any(c)), default=0)

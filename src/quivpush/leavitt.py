@@ -36,7 +36,7 @@ other direction: one pass over the domain's pairs alpha' beta'* maps each
 domain path forward once and adds the normal form of alpha' beta'* to the
 column of (h alpha')(h beta')*, unless that is not normal.  No window is
 listed: only E and F are enumerated, and the window sizes of the square's
-four graphs are counted in closed form.  The fiber product needs no rank:
+four graphs are counted in closed form from graph.path_counts.  The fiber product needs no rank:
 its dimension is a count (see _window_cross_check).
 
 An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
@@ -48,12 +48,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 from typing import NamedTuple
 
 from .fields import QQ
 from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
-                    paths_up_to, require_tail_free)
+                    path_counts, paths_up_to, require_tail_free)
 from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
                        regular_vertices, CATEGORY_CRTBPOG, _path_image, compose)
@@ -461,20 +462,14 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
 
 def _window_sizes(g: Graph, n: int) -> dict:
     """Degree -> the number of NORMAL monomials of g with total <= n.  With
-    c_l(v) the number of paths of length l ending at v, the pairs of lengths
-    l1, l2 ending at v number c_l1(v) c_l2(v), less c_(l1-1)(s gamma)
+    c_l(v) = graph.path_counts(g, n)[l][v], the pairs of lengths l1, l2
+    ending at v number c_l1(v) c_l2(v), less c_(l1-1)(s gamma)
     c_(l2-1)(s gamma) that end with one special edge gamma; as this is
     symmetric in l1 and l2, degree -d has the size of degree d."""
-    at = {v: i for i, v in enumerate(g.vertices)}
-    arcs = [(at[g.src[e]], at[g.tgt[e]]) for e in g.edges]
-    counts = [[1] * len(at)]
-    for _ in range(n):
-        prev, here = counts[-1], [0] * len(at)
-        for s, t in arcs:
-            here[t] += prev[s]
-        counts.append(here)
-    specials = [at[g.src[e]] for e in g.designated]
-    at_specials = [[c[s] for s in specials] for c in counts]
+    counts = path_counts(g, n)
+    # each regular vertex, and no other, is s gamma of one special edge gamma
+    regular = [v in g.vertex_classes.regular for v in sorted(g.vertices)]
+    at_specials = [list(compress(c, regular)) for c in counts]
     sizes = {}
     for l2 in range(n // 2 + 1):
         for l1 in range(l2, n + 1 - l2):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, Path, paths_up_to, require_tail_free, union_graph
+from .graph import (Graph, GraphError, Path, path_counts, paths_up_to,
+                    require_tail_free, union_graph)
 from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
                        breaking_vertices, _injective, _path_image)
 
@@ -278,7 +279,8 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     pushout graph through the natural map, reporting bijectivity up to n.
 
     Homomorphisms preserve path length, so the degree-wise truncation of the
-    path-set pushout is the pushout of the truncations.
+    path-set pushout is the pushout of the truncations.  The pushout
+    graph's paths are counted, and listed only when some are missing.
     """
     E, F, G = f.codomain, g.codomain, f.domain
     fp_e, fp_f, fp_g = paths_up_to(E, n), paths_up_to(F, n), paths_up_to(G, n)
@@ -292,7 +294,6 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
         if len(images) != 1:
             raise GraphError(f"natural path map ill defined on class of {rep}")
         h[rep] = images.pop()
-    target = paths_up_to(po.graph, n)
     seen = {}
     collisions = []
     for rep, path in sorted(h.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
@@ -300,7 +301,11 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
             collisions.append((str(seen[path][1]), str(rep[1]), str(path)))
         else:
             seen[path] = rep
-    missing = tuple(str(p) for p in target if p not in seen)
+    # the images are distinct paths of length <= n of the pushout graph:
+    # list its paths, to name the missing ones, only if some are missing
+    missing = ()
+    if len(seen) < sum(map(sum, path_counts(po.graph, n))):
+        missing = tuple(str(p) for p in paths_up_to(po.graph, n) if p not in seen)
     injective = not collisions
     surjective = not missing
     return PathCompareReport(injective and surjective, injective, surjective,

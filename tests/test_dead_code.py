@@ -10,7 +10,8 @@ Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
 of linalg, whose matrices hold ints, and out of the scalars, which are
 plain numbers.  A guard fails on a parameter that its function never
-reads, and a layering guard on a module that imports one above it.
+reads, a layering guard on a module that imports one above it, and a
+memo guard on a functools cache anywhere but on cli.build_parser.
 """
 
 import ast
@@ -24,6 +25,8 @@ LAYERS = ("fields", "linalg", "graph", "morphism", "pushout", "path_algebra",
           "leavitt", "randgen", "proptest", "jsonio", "cli")
 # identifiers of the scalar classes and conversions that plain numbers replaced
 RETIRED = frozenset({"from_int", "Fp", "PrimeField", "RationalField"})
+# the functools memos; only cli.build_parser may wear one
+MEMOS = frozenset({"cache", "lru_cache", "cached_property"})
 
 
 def _trees(directory):
@@ -192,3 +195,29 @@ def test_modules_import_only_lower_layers():
                    for line, module in _package_imports(tree)
                    if module not in LAYERS or LAYERS.index(module) >= level]
     assert not upward, "imports against the layer order: " + ", ".join(upward)
+
+
+def _memos(tree):
+    """(line, name) of every functools memo that tree imports or reads as
+    functools.<name>."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from ((node.lineno, a.name) for a in node.names if a.name in MEMOS)
+        elif (isinstance(node, ast.Attribute) and node.attr in MEMOS
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield node.lineno, node.attr
+
+
+def test_no_memo_but_the_parser():
+    """No functools memo in src/ except the one decorating cli.build_parser,
+    whose single value is the parser.  A memo keyed by graphs or homs keeps
+    every instance a process has seen, and the bench runs all its items in
+    one process, so its peak RSS would grow item by item."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    allowed = {("cli.py", d.lineno) for node in cli.body
+               if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+               for d in node.decorator_list}
+    memos = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path, tree in _trees(PACKAGE) for line, name in _memos(tree)
+             if (path.name, line) not in allowed]
+    assert not memos, "functools memos in src/: " + ", ".join(memos)

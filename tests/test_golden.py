@@ -6,6 +6,9 @@ the admpush instance's injective leg.  admpush_f_ref.json and
 admpush_g_ref.json are the admpush legs with their graphs given by file
 name (the shared domain in admpush_domain.json, the left codomain in
 graph.json), so their certificates list and digest those graph files too.
+hcheck_leg.json is the leg randgen.random_general_hom draws onto
+random_graph(max_v=3, max_e=3, prefix="b") from case_rng(7, 22), pushed
+out along itself.
 Commands run from inside tests/data
 with relative paths, so the argv and input paths echoed in each certificate
 do not depend on where the checkout lives.  A digest changes only when a
@@ -40,6 +43,9 @@ GOLDEN = [
      "28f73a5418dc620f5d641460141bcf5882b5c5e0d340bf2d340ab14ab54ce276"),
     (["pushout", "union_f.json", "union_g.json"],
      "68fb63fc78be52754b2261084a11b9cb616af96fa924e67c3f55d76d083d3c6c"),
+    # a pushout with a collision and two missing paths (h = hcheck_leg.json on both sides)
+    (["pushout", "--check-h", "2", "hcheck_leg.json", "hcheck_leg.json"],
+     "2c9090e6f752f1dcce52d285502e912a1f36718a0dabb87052e043727a1c4d5f"),
     (["classify", "admpush_g.json"],
      "2f2d39b1c7657576f60b5e3bcf52732bdef1328080709a15758f7b4ee4697f3d"),
     (["classify", "union_f.json"],

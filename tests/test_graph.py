@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivpush.graph import (Graph, GraphError, IncompatibleOverlap, Path,
                             check_word, classify_vertices, intersection_graph,
-                            is_subgraph, paths_up_to, union_graph,
+                            is_subgraph, path_counts, paths_up_to, union_graph,
                             validate_graph, longest_path_length, is_acyclic)
 from quivpush.leavitt import normal_form
 from quivpush.randgen import case_rng, random_graph
@@ -192,3 +194,95 @@ def test_longest_path_and_acyclicity():
     assert longest_path_length(g) == 2
     loop = Graph.build(["u"], [("l", "u", "u")])
     assert not is_acyclic(loop)
+    # a tail closes a cycle, and lengthens a path, as one edge would
+    assert not is_acyclic(TAIL_CYCLE)
+    assert longest_path_length(TAIL_CHAIN) == 2
+
+
+def _arcs(g):
+    """(source, target) of every edge and every omega tail."""
+    return [(g.src[e], g.tgt[e]) for e in g.edges] + list(g.omega_tails)
+
+
+def topological_order(g):
+    """Kahn's topological vertex order, or None if the graph has a cycle
+    (tails count): the reference for path_counts' acyclicity."""
+    succ = {v: set() for v in g.vertices}
+    indeg = {v: 0 for v in g.vertices}
+    for u, w in _arcs(g):
+        succ[u].add(w)
+    for u in succ:
+        for w in succ[u]:
+            indeg[w] += 1
+    ready = sorted(v for v in g.vertices if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in sorted(succ[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return order if len(order) == len(g.vertices) else None
+
+
+def longest_by_order(g):
+    """The longest path of an acyclic graph, a tail counting as one arc,
+    relaxed along its topological order."""
+    best = {v: 0 for v in g.vertices}
+    for v in reversed(topological_order(g)):
+        for u, w in _arcs(g):
+            if u == v:
+                best[v] = max(best[v], 1 + best[w])
+    return max(best.values(), default=0)
+
+
+@st.composite
+def small_graphs(draw, tails=False):
+    """Up to four vertices, and edges (and tails) between any two of them:
+    loops, parallel edges, sinks and the empty graph all occur."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(0, 4)))]
+    if not vertices:
+        return Graph(())
+    arc = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    edges = draw(st.lists(arc, max_size=6))
+    omega = draw(st.lists(arc, max_size=2)) if tails else ()
+    return Graph.build(vertices, [(f"e{i}", u, w) for i, (u, w) in enumerate(edges)],
+                       omega)
+
+
+LOOP_AND_SINK = Graph.build(["u", "s"], [("l", "u", "u"), ("e", "u", "s")])
+PARALLEL = Graph.build(["v", "w"], [("a", "v", "w"), ("b", "v", "w"), ("c", "w", "w")])
+# the edge v -> w and the tail w -> v close a cycle only together
+TAIL_CYCLE = Graph.build(["v", "w"], [("e", "v", "w")], [("w", "v")])
+TAIL_CHAIN = Graph.build(["v", "w", "x"], [("e", "v", "w")], [("w", "x")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(0, 4))
+@example(Graph(()), 3)
+@example(LOOP_AND_SINK, 3)
+@example(PARALLEL, 2)
+def test_path_counts_count_the_listed_paths(g, n):
+    vertices = sorted(g.vertices)
+    listed = Counter((p.length, vertices.index(p.target(g))) for p in paths_up_to(g, n))
+    counts = path_counts(g, n)
+    assert len(counts) == n + 1
+    assert all(counts[l][i] == listed[l, i]
+               for l in range(n + 1) for i in range(len(vertices)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_graphs(), small_graphs(tails=True)))
+@example(Graph(()))
+@example(LOOP_AND_SINK)
+@example(TAIL_CYCLE)
+@example(TAIL_CHAIN)
+def test_acyclicity_and_longest_path_match_a_topological_sort(g):
+    order = topological_order(g)
+    assert is_acyclic(g) == (order is not None)
+    if order is None:
+        with pytest.raises(GraphError):
+            longest_path_length(g)
+    else:
+        assert longest_path_length(g) == longest_by_order(g)

@@ -15,6 +15,7 @@ from quivpush.pushout import PreconditionError, pushout_square
 from quivpush.randgen import (case_rng, collapse_duplicate_edges, one_color_instance,
                               path_theorem_instance,
                               random_general_hom, random_graph)
+from test_graph import longest_by_order, topological_order
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
@@ -283,6 +284,30 @@ def test_fiber_count_matches_the_rank_oracle(seed, instance):
         d = deg.degree
         assert ranks[d] == counts_g[d]
         assert deg.dim_fiber == counts_e[d] + counts_f[d] - ranks[d]
+
+
+def test_exact_and_pushout_dimensions_match_the_enumerated_pushout():
+    """EXACT is "acyclic, and n bounds the longest path" by a topological
+    sort, and each dim_pushout is the number of P's listed paths of that
+    length; acyclic P run at n = L - 1, L and L + 1 for its longest path L."""
+    kinds = Counter()
+    for case in range(40):
+        for instance in (one_color_instance, path_theorem_instance):
+            f, g = instance(case_rng(9, case))
+            P = pushout_square(f, g).graph
+            acyclic = topological_order(P) is not None
+            longest = longest_by_order(P) if acyclic else 2
+            for n in range(max(longest - 1, 0), longest + 2):
+                try:
+                    report = verify_path_pullback(f, g, n)
+                except PreconditionError:
+                    break
+                kinds[acyclic, report.exact] += 1
+                assert report.exact == (acyclic and longest <= n)
+                counts = _path_counts(P, n)
+                assert [d.dim_pushout for d in report.degrees] == [
+                    counts[d] for d in range(n + 1)]
+    assert kinds.keys() == {(True, True), (True, False), (False, False)}
 
 
 def test_fiber_count_needs_one_injective_leg():

@@ -18,8 +18,9 @@ from quivpush.pushout import (PreconditionError, breakarrow_identity,
                               path_pushout_compare, pushout_square,
                               set_pushout, set_universal_map)
 from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
-                              one_color_instance, one_color_violation, random_graph,
-                              union_legs, captocup_pair)
+                              one_color_instance, one_color_violation,
+                              random_general_hom, random_graph, union_legs,
+                              captocup_pair)
 
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 EMPTY = Graph(())
@@ -373,6 +374,68 @@ def test_verifiers_rank_only_the_image(monkeypatch):
         calls.clear()
         verify_path_pullback(f, g, 3)
         assert calls == {("quivpush.path_algebra", "rank"): 4}
+
+
+def _witness_leg():
+    """A fold of u0, u1 onto b0 and of the edge u2 -> u3 onto the loop be0
+    at b1; b0 carries the loop be1, which nothing hits (hcheck_leg.json)."""
+    base = Graph.build(["b0", "b1"], [("be0", "b1", "b1"), ("be1", "b0", "b0")])
+    dom = Graph.build(["u0", "u1", "u2", "u3"], [("ue0", "u2", "u3")])
+    return GraphHom(dom, base, {"u0": "b0", "u1": "b0", "u2": "b1", "u3": "b1"},
+                    {"ue0": "be0"})
+
+
+def test_comparison_names_its_collisions_and_missing_paths():
+    """Pushing the leg out along itself glues the two copies of be0 but not
+    those of be1: E's and F's be0.be0 meet in one pushout path, and the
+    paths of P that alternate the two copies of be1 have no preimage."""
+    h = _witness_leg()
+    stored = load_hom(DATA / "hcheck_leg.json")
+    assert (stored.domain, stored.codomain, stored.f0, stored.f1) == (
+        h.domain, h.codomain, h.f0, h.f1)
+    report = path_pushout_compare(h, h, 2, pushout_square(h, h))
+    assert report.collisions == (("be0.be0", "be0.be0", "E:be0.E:be0"),)
+    assert report.missing == ("E:be1.F:be1", "F:be1.E:be1")
+    assert (report.bijective, report.injective, report.surjective) == (False, False, False)
+
+
+def _graph_spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper; return the list of the graphs it is
+    called on, in order."""
+    graphs = []
+    original = getattr(module, name)
+
+    def spy(g, *args):
+        graphs.append(g)
+        return original(g, *args)
+    monkeypatch.setattr(module, name, spy)
+    return graphs
+
+
+def test_verifiers_list_the_pushout_paths_only_to_name_missing_ones(monkeypatch):
+    """verify_path_pullback counts P's paths and lists those of E, F and G
+    only; path_pushout_compare lists P's paths only when some are missing."""
+    listed = _graph_spy(monkeypatch, path_algebra, "paths_up_to")
+    for case in range(5):
+        f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
+        listed.clear()
+        verify_path_pullback(f, g, 3)
+        assert listed == [f.codomain, g.codomain, f.domain]
+    listed = _graph_spy(monkeypatch, pushout, "paths_up_to")
+    squares = [(_witness_leg(),) * 2]
+    for case in range(30):
+        rng = case_rng(7, case)
+        h = random_general_hom(rng, random_graph(rng, max_v=3, max_e=3, prefix="b"))
+        squares.append((h, h))
+    seen = set()
+    for f, g in squares:
+        po = pushout_square(f, g)
+        listed.clear()
+        report = path_pushout_compare(f, g, 2, po)
+        named = [po.graph] if report.missing else []
+        assert listed == [f.codomain, g.codomain, f.domain, *named]
+        seen.add(bool(report.missing))
+    assert seen == {True, False}
 
 
 def test_graph_universal_map_on_a_union_square():
