@@ -7,9 +7,10 @@ that the eval command reads back.  Its subclasses differ only in the
 product.  A PAElement's terms are basis paths and its product is bilinear
 concatenation.  The pullback along a homomorphism sends a basis path to the
 sum over its path preimages, and the theorem verifier compares graded
-components of the pushout algebra with the fiber product: the image by the
-exact rank over Q of an integer matrix, which has a single 1 per row on
-each graded component, and the pushout and the fiber product by path counts.
+components of the pushout algebra with the fiber product, read off
+pushout.path_degrees: the image by the exact rank over Q of an integer
+matrix, which has a single 1 per row on each graded component, and the
+pushout and the fiber product by path counts.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from operator import index
 
 from .fields import QQ
-from .graph import (Graph, GraphError, Path, check_word, path_counts,
-                    paths_up_to, require_tail_free)
+from .graph import Graph, GraphError, Path, check_word, path_counts, require_tail_free
 from .linalg import rank
-from .morphism import GraphHom, DomainMismatch, check_valid_hom, _path_image
-from .pushout import PreconditionError, check_theorem_preconditions, pushout_square
+from .morphism import GraphHom, DomainMismatch, check_valid_hom
+from .pushout import (PreconditionError, check_theorem_preconditions, path_degrees,
+                      pushout_square)
 
 
 class LinearCombination:
@@ -174,13 +175,6 @@ def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:
     return PAElement(h.domain, a.field, terms)
 
 
-def _paths_by_length(g: Graph, n: int) -> list:
-    buckets = [[] for _ in range(n + 1)]
-    for p in paths_up_to(g, n):
-        buckets[p.length].append(p)
-    return buckets
-
-
 @dataclass(frozen=True)
 class DegreeCheck:
     degree: int
@@ -217,7 +211,8 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
     The fiber product in degree d is the kernel of [f* | -g*], with one row
     {f(q): 1, g(q): -1} per length-d path q of G.  vertex_injectivity and
     one_sided_injectivity make one leg injective on paths, so each row has a
-    column of its own: the fiber has dimension |E_d| + |F_d| - |G_d|.
+    column of its own: the fiber has dimension |E_d| + |F_d| - |G_d|, the
+    paths of path_degrees less its links.
 
     Each graded component of a finite graph's path algebra is finite
     dimensional, so the per-degree checks are exact; the report is EXACT when
@@ -230,26 +225,18 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
                         ("one_sided_injectivity", flags.one_sided_injectivity)):
         if not value:
             raise PreconditionError(name)
-    E, F, G = f.codomain, g.codomain, f.domain
-    pe, pf, pg = (_paths_by_length(x, n) for x in (E, F, G))
-    dim_p = [sum(c) for c in path_counts(po.graph, n + 1)]
     checks = []
-    for d in range(n + 1):
-        # a valid hom maps each length-d path onto one length-d path
-        e_in_p = {x: _path_image(po.iota_left, x) for x in pe[d]}
-        f_in_p = {x: _path_image(po.iota_right, x) for x in pf[d]}
+    for d, deg in enumerate(path_degrees(f, g, n, po)):
         # each image path is a column, numbered at its first appearance
         p_idx = {}
-        stacked = [{p_idx.setdefault(q, len(p_idx)): 1}
-                   for q in [*e_in_p.values(), *f_in_p.values()]]
+        stacked = [{p_idx.setdefault(q, len(p_idx)): 1} for q in deg.images]
         r_stacked = rank(stacked, 0)
-        injective = r_stacked == dim_p[d]
-        commutes = all(e_in_p[_path_image(f, q)] == f_in_p[_path_image(g, q)]
-                       for q in pg[d])
-        dim_fiber = len(pe[d]) + len(pf[d]) - len(pg[d])
+        injective = r_stacked == deg.count
+        commutes = all(deg.images[i] == deg.images[j] for i, j in deg.links)
+        dim_fiber = len(deg.paths) - len(deg.links)
         surjective = commutes and r_stacked == dim_fiber
-        checks.append(DegreeCheck(d, dim_p[d], r_stacked, dim_fiber,
+        checks.append(DegreeCheck(d, deg.count, r_stacked, dim_fiber,
                                   commutes, injective, surjective))
-    exact = not dim_p[n + 1]
+    exact = not any(path_counts(po.graph, n + 1)[n + 1])
     ok = all(c.ok for c in checks)
     return PathPullbackReport(ok, exact, tuple(checks))

@@ -1,17 +1,18 @@
-"""Pushouts of sets and graphs, universal maps, and the path-space comparison.
+"""Pushouts of sets and graphs, universal maps, and the path-space square.
 
 Set pushouts are computed by union-find on the tagged disjoint union, with
-the minimal equivalence generated by f(z) ~ g(z).  Canonical class
-representatives order the left side before the right side, so class ids and
-all serializations are deterministic.
+the minimal equivalence generated by f(z) ~ g(z).  Class members sort as
+plain (side, id) tuples, "E" (left) before "F" (right), so class ids and
+all serializations are deterministic.  path_degrees gives the path-set
+square once per degree to verify --path and to the comparison map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (Graph, GraphError, Path, path_counts, paths_up_to,
-                    require_tail_free, union_graph)
+from .graph import (Graph, GraphError, path_counts, paths_up_to, require_tail_free,
+                    union_graph)
 from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
                        breaking_vertices, _injective, _path_image)
 
@@ -63,9 +64,8 @@ class SetPushout:
     to_right: dict
 
 
-def set_pushout(left, right, apex, f: dict, g: dict, sort_key=None) -> SetPushout:
+def set_pushout(left, right, apex, f: dict, g: dict) -> SetPushout:
     """Pushout of left <- apex -> right in sets; f lands in left, g in right."""
-    key = sort_key or (lambda x: x)
     lab_l, lab_r = _SIDES
     items = [(lab_l, x) for x in left] + [(lab_r, y) for y in right]
     uf = _UnionFind(items)
@@ -78,7 +78,7 @@ def set_pushout(left, right, apex, f: dict, g: dict, sort_key=None) -> SetPushou
         groups.setdefault(uf.find(item), []).append(item)
     classes = {}
     for members in groups.values():
-        members.sort(key=lambda sx: (0 if sx[0] == lab_l else 1, key(sx[1])))
+        members.sort()
         classes[members[0]] = tuple(members)
     inj_left, inj_right = {}, {}
     for rep, members in classes.items():
@@ -265,6 +265,39 @@ def breakarrow_identity(f: GraphHom, po: PushoutGraph):
 
 
 @dataclass(frozen=True)
+class PathDegree:
+    """Degree d of the path-set square E_d <- G_d -> F_d, mapped into P:
+    (side, path) for E_d then F_d, each in Path.sort_key order; the image in
+    P of each; one index pair per path q of G_d, joining f(q) to g(q); and
+    the number of length-d paths of P."""
+
+    paths: list
+    images: list
+    links: list
+    count: int
+
+
+def path_degrees(f: GraphHom, g: GraphHom, n: int, po: PushoutGraph) -> list:
+    """The PathDegree of each d <= n.  Homomorphisms preserve path length,
+    so the truncated path-set pushout is the pushout of the truncations.
+    E, F and G are listed once; P is only counted."""
+    buckets = [[[] for _ in range(n + 1)] for _ in range(3)]
+    for by_length, graph in zip(buckets, (f.codomain, g.codomain, f.domain)):
+        for p in paths_up_to(graph, n):
+            by_length[len(p.edges)].append(p)
+    degrees = []
+    for pe, pf, pg, count in zip(*buckets, path_counts(po.graph, n)):
+        at_e = {p: i for i, p in enumerate(pe)}
+        at_f = {p: i for i, p in enumerate(pf, len(pe))}
+        images = ([_path_image(po.iota_left, p) for p in pe]
+                  + [_path_image(po.iota_right, p) for p in pf])
+        links = [(at_e[_path_image(f, q)], at_f[_path_image(g, q)]) for q in pg]
+        degrees.append(PathDegree([("E", p) for p in pe] + [("F", p) for p in pf],
+                                  images, links, sum(count)))
+    return degrees
+
+
+@dataclass(frozen=True)
 class PathCompareReport:
     bijective: bool
     injective: bool
@@ -278,35 +311,35 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     """Compare the pushout of truncated path sets with the paths of the
     pushout graph through the natural map, reporting bijectivity up to n.
 
-    Homomorphisms preserve path length, so the degree-wise truncation of the
-    path-set pushout is the pushout of the truncations.  The pushout
-    graph's paths are counted, and listed only when some are missing.
+    In each degree the links join the paths into classes, each named by its
+    first path.  A class whose image an earlier class hit is a collision,
+    reported in the (side, Path.sort_key) order of the later class.  P's
+    paths are listed, to name the missing ones, only if some are missing.
     """
-    E, F, G = f.codomain, g.codomain, f.domain
-    fp_e, fp_f, fp_g = paths_up_to(E, n), paths_up_to(F, n), paths_up_to(G, n)
-    f_paths = {p: _path_image(f, p) for p in fp_g}
-    g_paths = {p: _path_image(g, p) for p in fp_g}
-    pp = set_pushout(fp_e, fp_f, fp_g, f_paths, g_paths, sort_key=Path.sort_key)
-    h = {}
-    for rep, members in pp.classes.items():
-        images = {_path_image(po.iota_left if side == "E" else po.iota_right, q)
-                  for side, q in members}
-        if len(images) != 1:
-            raise GraphError(f"natural path map ill defined on class of {rep}")
-        h[rep] = images.pop()
-    seen = {}
-    collisions = []
-    for rep, path in sorted(h.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
-        if path in seen:
-            collisions.append((str(seen[path][1]), str(rep[1]), str(path)))
-        else:
-            seen[path] = rep
-    # the images are distinct paths of length <= n of the pushout graph:
-    # list its paths, to name the missing ones, only if some are missing
+    seen = {}       # image path -> the path naming the first class to hit it
+    collisions = {"E": [], "F": []}     # by the side of the later class
+    total = 0
+    for deg in path_degrees(f, g, n, po):
+        total += deg.count
+        uf = _UnionFind(range(len(deg.paths)))
+        for i, j in deg.links:
+            uf.union(i, j)
+        first = {}      # class root -> the index of the path naming the class
+        for i, (side, q) in enumerate(deg.paths):
+            rep = first.setdefault(uf.find(i), i)
+            image = deg.images[i]
+            if image != deg.images[rep]:
+                raise GraphError("natural path map ill defined on class of "
+                                 + class_id(deg.paths[rep]))
+            if rep == i and image in seen:
+                collisions[side].append((str(seen[image]), str(q), str(image)))
+            elif rep == i:
+                seen[image] = q
     missing = ()
-    if len(seen) < sum(map(sum, path_counts(po.graph, n))):
+    if len(seen) < total:
         missing = tuple(str(p) for p in paths_up_to(po.graph, n) if p not in seen)
+    collisions = tuple(collisions["E"] + collisions["F"])
     injective = not collisions
     surjective = not missing
     return PathCompareReport(injective and surjective, injective, surjective,
-                             missing, tuple(collisions))
+                             missing, collisions)

@@ -10,8 +10,9 @@ Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
 of linalg, whose matrices hold ints, and out of the scalars, which are
 plain numbers.  A guard fails on a parameter that its function never
-reads, a layering guard on a module that imports one above it, and a
-memo guard on a functools cache anywhere but on cli.build_parser.
+reads, a layering guard on a module that imports one above it or on
+path_algebra building its own path-set square, and a memo guard on a
+functools cache anywhere but on cli.build_parser.
 """
 
 import ast
@@ -195,6 +196,16 @@ def test_modules_import_only_lower_layers():
                    for line, module in _package_imports(tree)
                    if module not in LAYERS or LAYERS.index(module) >= level]
     assert not upward, "imports against the layer order: " + ", ".join(upward)
+
+
+def test_path_algebra_reads_the_path_square_of_pushout():
+    """pushout.path_degrees is the one place that lists the paths of E, F
+    and G and maps them into P; path_algebra imports neither the path
+    listing nor the path image to build a square of its own."""
+    tree = ast.parse((PACKAGE / "path_algebra.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"paths_up_to", "_path_image"}, sorted(imported)
 
 
 def _memos(tree):

@@ -1,9 +1,10 @@
-"""Wrong pushout squares that the Leavitt and path pullback verifiers must
-reject.
+"""Wrong pushout squares that the Leavitt and path pullback verifiers and
+the path comparison map must reject.
 
-Each fault replaces leavitt.pushout_square or path_algebra.pushout_square
-with a square that is not the pushout, so a verdict of ok would mean that
-the obligations named in the expected failures cannot say no.
+Each fault replaces leavitt.pushout_square, path_algebra.pushout_square or
+cli.pushout_square with a square that is not the pushout, so a verdict of
+ok would mean that the obligations named in the expected failures cannot
+say no.
 
 The Leavitt verifier decides obligations (2), (3) and commutativity on
 fibers.  A slow oracle here decides them in the algebra, by pulling back
@@ -18,16 +19,17 @@ from hypothesis import given, settings, strategies as st
 from test_leavitt import _window_sizes
 from test_path_algebra import _path_counts
 
-from quivpush import leavitt, path_algebra
+from quivpush import cli, leavitt, path_algebra
 from quivpush.cli import LEAVITT_CHECKS, main
 from quivpush.fields import QQ, field_from_name
-from quivpush.graph import Graph
+from quivpush.graph import Graph, GraphError
 from quivpush.jsonio import hom_to_obj, save_json
 from quivpush.leavitt import (edge_monomial, generator_monomials, ghost_monomial,
                               ker_generators, l_pullback, monomial_element,
                               verify_leavitt_pullback, vertex_monomial)
 from quivpush.morphism import GraphHom
-from quivpush.pushout import PreconditionError, breakarrow_identity, pushout_square
+from quivpush.pushout import (PreconditionError, breakarrow_identity, path_pushout_compare,
+                              pushout_square)
 from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
                               one_color_instance)
 
@@ -312,6 +314,29 @@ def test_cli_verify_path_exits_1_on_a_wrong_square(monkeypatch, tmp_path, capsys
     assert [c["name"] for c in failing] == ["degree_0"]
     assert not failing[0]["injective"]
     assert failing[0]["commutes"] and failing[0]["surjective"]
+
+
+def test_comparison_map_is_ill_defined_on_the_coproduct_square(monkeypatch, tmp_path,
+                                                                 capsys):
+    """On the coproduct square a path q of G joins E:f(q) and F:g(q) in one
+    class of the path-set pushout, but P keeps them apart: the natural path
+    map has two values on that class, and pushout --check-h fails with an
+    error instead of a certificate."""
+    f, g = _one_color_draws()[0]
+    assert f.domain.vertices
+    with pytest.raises(GraphError, match="natural path map ill defined on class of E:"):
+        path_pushout_compare(f, g, 2, _coproduct(f, g))
+    fp, gp = str(tmp_path / "f.json"), str(tmp_path / "g.json")
+    save_json(fp, hom_to_obj(f))
+    save_json(gp, hom_to_obj(g))
+    argv = ["pushout", fp, gp, "--check-h", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "pushout_square", _coproduct)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: natural path map ill defined")
+    assert not captured.out
 
 
 def _fault_reports(monkeypatch):

@@ -8,7 +8,8 @@ name (the shared domain in admpush_domain.json, the left codomain in
 graph.json), so their certificates list and digest those graph files too.
 hcheck_leg.json is the leg randgen.random_general_hom draws onto
 random_graph(max_v=3, max_e=3, prefix="b") from case_rng(7, 22), pushed
-out along itself.
+out along itself; hcheck_leg3.json is the one it draws from case_rng(7, 52),
+whose collisions lie in two degrees.
 Commands run from inside tests/data
 with relative paths, so the argv and input paths echoed in each certificate
 do not depend on where the checkout lives.  A digest changes only when a
@@ -46,6 +47,10 @@ GOLDEN = [
     # a pushout with a collision and two missing paths (h = hcheck_leg.json on both sides)
     (["pushout", "--check-h", "2", "hcheck_leg.json", "hcheck_leg.json"],
      "2c9090e6f752f1dcce52d285502e912a1f36718a0dabb87052e043727a1c4d5f"),
+    # 8 collisions in degrees 2 and 3 and 20 missing paths: the order of
+    # collisions across degrees (h = hcheck_leg3.json on both sides)
+    (["pushout", "--check-h", "3", "hcheck_leg3.json", "hcheck_leg3.json"],
+     "322bbe0aa6f687291dd5dac0f43f08e68bee0752444ec31e65bcaff3da0a0394"),
     (["classify", "admpush_g.json"],
      "2f2d39b1c7657576f60b5e3bcf52732bdef1328080709a15758f7b4ee4697f3d"),
     (["classify", "union_f.json"],

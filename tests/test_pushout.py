@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from quivpush import leavitt, path_algebra, pushout
 from quivpush.cli import main
-from quivpush.graph import Graph, union_graph
+from quivpush.graph import Graph, paths_up_to, union_graph
 from quivpush.jsonio import load_hom
 from quivpush.leavitt import verify_leavitt_pullback
-from quivpush.morphism import DomainMismatch, GraphHom, classify_hom
+from quivpush.morphism import DomainMismatch, GraphHom, classify_hom, induced_path_map
 from quivpush.path_algebra import verify_path_pullback
 from quivpush.pushout import (PreconditionError, breakarrow_identity,
                               check_theorem_preconditions, class_id,
@@ -399,6 +399,94 @@ def test_comparison_names_its_collisions_and_missing_paths():
     assert (report.bijective, report.injective, report.surjective) == (False, False, False)
 
 
+def _reference_compare(f, g, n, po):
+    """The comparison map by its definition, for path_pushout_compare to
+    agree with: the pushout of the truncated path sets by a union-find over
+    (side, path) of its own, each class named by its least member in
+    (side, Path.sort_key) order, and a collision wherever a class maps to a
+    path of P that a class before it in that order hit.  Returns the
+    missing paths of P and the collisions as (first, later, image) paths."""
+    def key(item):
+        return item[0], item[1].sort_key()
+
+    items = ([("E", p) for p in paths_up_to(f.codomain, n)]
+             + [("F", p) for p in paths_up_to(g.codomain, n)])
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for q in paths_up_to(f.domain, n):
+        a, b = find(("E", induced_path_map(f, q))), find(("F", induced_path_map(g, q)))
+        parent[a] = b
+    classes = {}
+    for x in items:
+        classes.setdefault(find(x), []).append(x)
+    iota = {"E": po.iota_left, "F": po.iota_right}
+    h = {}
+    for members in classes.values():
+        images = {induced_path_map(iota[side], p) for side, p in members}
+        assert len(images) == 1
+        h[min(members, key=key)] = images.pop()
+    seen, collisions = {}, []
+    for rep in sorted(h, key=key):
+        if h[rep] in seen:
+            collisions.append((seen[h[rep]][1], rep[1], h[rep]))
+        else:
+            seen[h[rep]] = rep
+    missing = [p for p in paths_up_to(po.graph, n) if p not in seen]
+    return missing, collisions
+
+
+def _merge_two_vertices(rng, d):
+    """The quotient map of d that glues two of its vertices, drawn by rng."""
+    keep, drop = rng.sample(sorted(d.vertices), 2)
+    m = {v: keep if v == drop else v for v in d.vertices}
+    q = Graph(set(m.values()), d.edges, {e: m[d.src[e]] for e in d.edges},
+              {e: m[d.tgt[e]] for e in d.edges})
+    return GraphHom(d, q, m, {e: e for e in d.edges})
+
+
+def _compare_squares():
+    """(f, g, n): 40 one-color instances and 40 one-color violations at
+    n = 3, and 60 random legs h, each pushed out along itself at n = 2 and
+    at n = 3 and, at n = 3, against a merge of two vertices of its domain,
+    which gives collisions with later classes on both sides."""
+    squares = [(*one_color_instance(case_rng(105, case)), 3) for case in range(40)]
+    squares += [(*one_color_violation(case_rng(1050, case)), 3) for case in range(40)]
+    for case in range(60):
+        rng = case_rng(7, case)
+        h = random_general_hom(rng, random_graph(rng, max_v=3, max_e=3, prefix="b"))
+        squares += [(h, h, 2), (h, h, 3)]
+        if len(h.domain.vertices) > 1:
+            squares.append((_merge_two_vertices(rng, h.domain), h, 3))
+    return squares
+
+
+def test_comparison_agrees_with_the_reference_on_every_square():
+    """path_pushout_compare names the same missing paths and collisions, in
+    the same order, as the reference.  Some draw must have collisions in two
+    degrees, whose global order the per-degree tables must keep, and some
+    must list a collision of degree 3 before one of degree 2: its later
+    classes lie on both sides, and side comes before degree."""
+    kinds = Counter()
+    for f, g, n in _compare_squares():
+        po = pushout_square(f, g)
+        report = path_pushout_compare(f, g, n, po)
+        missing, collisions = _reference_compare(f, g, n, po)
+        assert report.missing == tuple(map(str, missing))
+        assert report.collisions == tuple(tuple(map(str, c)) for c in collisions)
+        kinds["missing"] += bool(missing)
+        kinds["collisions"] += bool(collisions)
+        degrees = [c[2].length for c in collisions]
+        kinds["two degrees"] += len(set(degrees)) > 1
+        kinds["sides first"] += degrees != sorted(degrees)
+    assert all(kinds[k] for k in ("missing", "collisions", "two degrees",
+                                  "sides first")), kinds
+
+
 def _graph_spy(monkeypatch, module, name):
     """Replace module.name by a wrapper; return the list of the graphs it is
     called on, in order."""
@@ -413,15 +501,15 @@ def _graph_spy(monkeypatch, module, name):
 
 
 def test_verifiers_list_the_pushout_paths_only_to_name_missing_ones(monkeypatch):
-    """verify_path_pullback counts P's paths and lists those of E, F and G
-    only; path_pushout_compare lists P's paths only when some are missing."""
-    listed = _graph_spy(monkeypatch, path_algebra, "paths_up_to")
+    """Both verifiers read pushout.path_degrees, which lists the paths of E,
+    F and G once each and only counts P's; path_pushout_compare lists P's
+    paths only when some are missing."""
+    listed = _graph_spy(monkeypatch, pushout, "paths_up_to")
     for case in range(5):
         f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
         listed.clear()
         verify_path_pullback(f, g, 3)
         assert listed == [f.codomain, g.codomain, f.domain]
-    listed = _graph_spy(monkeypatch, pushout, "paths_up_to")
     squares = [(_witness_leg(),) * 2]
     for case in range(30):
         rng = case_rng(7, case)
