@@ -4,7 +4,7 @@ A graph is a quadruple of vertex set, edge set and source/target maps.
 Infinite emitters are modelled combinatorially: an omega tail ``(v, w)``
 stands for countably many anonymous parallel edges from v to w.  Tails
 take part in single-graph predicates and in union/intersection only; the
-algebra modules and general pushouts reject tailed graphs.
+algebra modules and graph pushouts reject tailed graphs.
 
 A word is a sequence of letters (e, is_ghost): the edge e runs from s(e) to
 t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
@@ -236,7 +236,7 @@ def validate_graph(g: Graph) -> list:
     return problems
 
 
-def require_tail_free(g: Graph, context: str = "this operation"):
+def require_tail_free(g: Graph, context: str):
     if g.has_tails:
         raise GraphError(f"{context} rejects graphs with omega tails")
 

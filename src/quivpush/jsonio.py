@@ -188,5 +188,9 @@ def load_hom(path, inputs=None) -> GraphHom:
 
 
 def save_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
+    """Write obj canonically; a path that cannot be written is a FormatError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_dumps(obj))
+    except OSError as exc:
+        raise FormatError(str(exc), path)

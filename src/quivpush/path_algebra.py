@@ -44,10 +44,6 @@ class LinearCombination:
         p = field.characteristic
         self.terms = {t: y for t, c in terms.items() if (y := index(c) % p if p else c)}
 
-    @classmethod
-    def zero(cls, graph, field=QQ):
-        return cls(graph, field, {})
-
     def is_zero(self):
         return not self.terms
 

@@ -3,7 +3,8 @@
 Set pushouts are computed by union-find on the tagged disjoint union, with
 the minimal equivalence generated by f(z) ~ g(z).  Class members sort as
 plain (side, id) tuples, "E" (left) before "F" (right), so class ids and
-all serializations are deterministic.  path_degrees gives the path-set
+all serializations are deterministic.  graph_pushout builds every graph
+pushout square, union squares included.  path_degrees gives the path-set
 square once per degree to verify --path and to the comparison map.
 """
 
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (Graph, GraphError, path_counts, paths_up_to, require_tail_free,
-                    union_graph)
+from .graph import Graph, GraphError, path_counts, paths_up_to
 from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
                        breaking_vertices, _injective, _path_image)
 
@@ -116,40 +116,44 @@ def class_id(rep) -> str:
 
 
 def graph_pushout(f: GraphHom, g: GraphHom) -> PushoutGraph:
-    """Pushout graph of E <-f- G -g-> F with its two injections.
+    """The pushout P of E <-f- G -g-> F, the quotient of E ⊔ F by
+    f(z) ~ g(z), with its two injections.  A class is named class_id(rep),
+    or, when both legs are inclusions and E ∩ F = G on vertices and edges,
+    by the one id all its members share: then P is union_graph(E, F), both
+    injections are identity maps, and union certificates keep the ids.
 
-    Source and target maps on classes are checked to be representative
-    independent, which is the universal-property diagram chase made executable.
+    An edge class runs between the classes of its representative's ends.
+    The other members agree: f1(z) ~ g1(z) joins edges whose sources
+    f0(s z) ~ g0(s z) already share a class, and likewise their targets, so
+    the injections are valid homs.  Refused: legs with different domains
+    (DomainMismatch), graphs with omega tails (tail-free), invalid legs.
     """
     if f.domain != g.domain:
         raise DomainMismatch("pushout legs must share their domain")
-    for graph in (f.domain, f.codomain, g.codomain):
-        require_tail_free(graph, "graph_pushout")
+    E, F, G = f.codomain, g.codomain, f.domain
+    for what, graph in (("domain", G), ("left codomain", E), ("right codomain", F)):
+        if graph.has_tails:
+            raise PreconditionError("tail-free", f"the {what} has omega tails")
     check_valid_hom(f)
     check_valid_hom(g)
-    E, F, G = f.codomain, g.codomain, f.domain
     vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0)
     ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1)
+    union = (f.is_inclusion() and g.is_inclusion()
+             and E.vertices & F.vertices == G.vertices
+             and E.edges & F.edges == G.edges)
+    name = (lambda rep: rep[1]) if union else class_id
     cod = {"E": E, "F": F}
     vclass = {"E": vp.inj_left, "F": vp.inj_right}
     src, tgt = {}, {}
-    for rep, members in ep.classes.items():
-        eid = class_id(rep)
-        sources = {class_id(vclass[side][cod[side].src[e]]) for side, e in members}
-        targets = {class_id(vclass[side][cod[side].tgt[e]]) for side, e in members}
-        if len(sources) != 1 or len(targets) != 1:
-            raise GraphError(f"pushout source/target ill defined on class {eid}")
-        src[eid] = sources.pop()
-        tgt[eid] = targets.pop()
-    graph = Graph({class_id(r) for r in vp.classes}, set(src), src, tgt)
-    iota_left = GraphHom(E, graph,
-                         {v: class_id(vp.inj_left[v]) for v in E.vertices},
-                         {e: class_id(ep.inj_left[e]) for e in E.edges})
-    iota_right = GraphHom(F, graph,
-                          {v: class_id(vp.inj_right[v]) for v in F.vertices},
-                          {e: class_id(ep.inj_right[e]) for e in F.edges})
-    check_valid_hom(iota_left)
-    check_valid_hom(iota_right)
+    for side, e in ep.classes:
+        eid = name((side, e))
+        src[eid] = name(vclass[side][cod[side].src[e]])
+        tgt[eid] = name(vclass[side][cod[side].tgt[e]])
+    graph = Graph(map(name, vp.classes), src.keys(), src, tgt)
+    iota_left = GraphHom(E, graph, {v: name(vp.inj_left[v]) for v in E.vertices},
+                         {e: name(ep.inj_left[e]) for e in E.edges})
+    iota_right = GraphHom(F, graph, {v: name(vp.inj_right[v]) for v in F.vertices},
+                          {e: name(ep.inj_right[e]) for e in F.edges})
     return PushoutGraph(graph, iota_left, iota_right, vp, ep)
 
 
@@ -168,29 +172,10 @@ def graph_universal_map(p: PushoutGraph, j_left: GraphHom, j_right: GraphHom) ->
 
 
 def pushout_square(f: GraphHom, g: GraphHom) -> PushoutGraph:
-    """The pushout square of E <-f- G -g-> F, built once per verdict and
-    read by the flags, the breaking-arrow identity and the path comparison.
-
-    Routed through the union graph when both legs are inclusions whose domain
-    is the full overlap, through graph_pushout otherwise.  The union route
-    keeps original ids, which admissible-union instances and their
-    certificates rely on.  Graphs with omega tails are refused on both
-    routes, by the precondition tail-free.
-    """
-    if f.domain != g.domain:
-        raise DomainMismatch("pushout legs must share their domain")
-    E, F, G = f.codomain, g.codomain, f.domain
-    for name, graph in (("domain", G), ("left codomain", E), ("right codomain", F)):
-        if graph.has_tails:
-            raise PreconditionError("tail-free", f"the {name} has omega tails")
-    if (f.is_inclusion() and g.is_inclusion()
-            and E.vertices & F.vertices == G.vertices
-            and E.edges & F.edges == G.edges):
-        u = union_graph(E, F)
-        vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0)
-        ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1)
-        return PushoutGraph(u, GraphHom.inclusion(E, u), GraphHom.inclusion(F, u),
-                            vp, ep)
+    """The pushout square of E <-f- G -g-> F, built once per verdict by
+    graph_pushout and read by the flags, the breaking-arrow identity and the
+    path comparison.  A function, not an alias, so that a wrapper put on
+    pushout.graph_pushout sees every square."""
     return graph_pushout(f, g)
 
 

@@ -22,11 +22,9 @@ def case_rng(seed: int, index: int) -> random.Random:
 
 
 def random_graph(rng, max_v=6, max_e=8, acyclic=False, tails=False,
-                 prefix="v", min_v=1) -> Graph:
-    n_v = rng.randint(min_v, max_v)
+                 prefix="v") -> Graph:
+    n_v = rng.randint(1, max_v)
     vertices = [f"{prefix}{i}" for i in range(n_v)]
-    if not vertices:
-        return Graph(())
     n_e = rng.randint(0, max_e)
     triples = []
     for i in range(n_e):
@@ -57,8 +55,8 @@ def restrict_graph(g: Graph, keep_v, keep_e=None) -> Graph:
                  {e: g.src[e] for e in edges}, {e: g.tgt[e] for e in edges}, tails)
 
 
-def _fiber_sizes(rng, cod: Graph, max_size=3, regular=False) -> dict:
-    sizes = {v: rng.randint(1, max_size) for v in cod.vertices}
+def _fiber_sizes(rng, cod: Graph, regular=False) -> dict:
+    sizes = {v: rng.randint(1, 3) for v in cod.vertices}
     if regular:
         out = cod.out_map
         reg = regular_vertices(cod)
@@ -117,15 +115,16 @@ def random_tb_hom(rng, cod: Graph, prefix="u", regular=False) -> GraphHom:
     return GraphHom(dom, cod, f0, f1)
 
 
-def random_general_hom(rng, cod: Graph, prefix="u", min_lifts=0) -> GraphHom:
-    """An arbitrary homomorphism onto cod by free fiber lifting."""
+def random_general_hom(rng, cod: Graph, min_lifts=0) -> GraphHom:
+    """An arbitrary homomorphism onto cod by free fiber lifting, from a
+    domain with vertices u0, u1, ... and edges ue0, ue1, ..."""
     fiber = {}
     f0 = {}
     counter = 0
     for v in sorted(cod.vertices):
         fiber[v] = []
         for _ in range(rng.randint(1, 2)):
-            u = f"{prefix}{counter}"
+            u = f"u{counter}"
             counter += 1
             fiber[v].append(u)
             f0[u] = v
@@ -134,7 +133,7 @@ def random_general_hom(rng, cod: Graph, prefix="u", min_lifts=0) -> GraphHom:
     eidx = 0
     for x in sorted(cod.edges):
         for _ in range(rng.randint(min_lifts, 2)):
-            e = f"{prefix}e{eidx}"
+            e = f"ue{eidx}"
             eidx += 1
             triples.append((e, rng.choice(fiber[cod.src[x]]),
                             rng.choice(fiber[cod.tgt[x]])))
@@ -143,9 +142,9 @@ def random_general_hom(rng, cod: Graph, prefix="u", min_lifts=0) -> GraphHom:
     return GraphHom(dom, cod, f0, f1)
 
 
-def random_injective_hom(rng, max_v=6, max_e=8, tails=False) -> GraphHom:
+def random_injective_hom(rng, tails=False) -> GraphHom:
     """A random injective homomorphism: a renamed subgraph inclusion."""
-    cod = random_graph(rng, max_v, max_e, tails=tails)
+    cod = random_graph(rng, tails=tails)
     keep_v = {v for v in cod.vertices if rng.random() < 0.7}
     sub = restrict_graph(cod, keep_v)
     keep_e = {e for e in sub.edges if rng.random() < 0.85}
@@ -186,9 +185,10 @@ def hereditary_saturated_closure(g: Graph, seed_set) -> frozenset:
     return frozenset(current)
 
 
-def admissible_complement(rng, g: Graph, strong=False, attempts=8):
-    """A hereditary saturated (optionally unbroken) subset of the vertices."""
-    for _ in range(attempts):
+def admissible_complement(rng, g: Graph, strong=False):
+    """A hereditary saturated (optionally unbroken) subset of the vertices,
+    or the empty set after 8 draws that give none."""
+    for _ in range(8):
         seed_set = {v for v in g.vertices if rng.random() < 0.4}
         h_set = hereditary_saturated_closure(g, seed_set)
         if h_set == g.vertices:
@@ -253,14 +253,15 @@ def union_legs(f_graph: Graph, g_graph: Graph):
             GraphHom.inclusion(d_graph, g_graph))
 
 
-def leavitt_union_instance(rng, max_window=160):
-    """Tail-free admissible union legs small enough for window checks."""
-    from .leavitt import normal_monomials_window
+def leavitt_union_instance(rng):
+    """Tail-free admissible union legs small enough for window checks: the
+    union has at most 160 NORMAL monomials of total <= 4."""
+    from .leavitt import _window_sizes
     for _ in range(40):
         f_graph, g_graph = captocup_pair(rng, tails=False, max_v=4, max_e=5,
                                          acyclic=rng.random() < 0.6)
         u = union_graph(f_graph, g_graph)
-        if len(normal_monomials_window(u, 4)) <= max_window:
+        if sum(_window_sizes(u, 4).values()) <= 160:
             f, g = union_legs(f_graph, g_graph)
             if (classify_hom(f).category == "CRTBPOG"
                     and classify_hom(g).category == "CRTBPOG"):

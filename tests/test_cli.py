@@ -555,3 +555,77 @@ def test_certificates_deterministic(tmp_path, capsys):
     main(["classify", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+DANGLING = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "tgt": "x"}]}
+POINT_HOM = {"domain": {"vertices": ["v"]}, "codomain": {"vertices": ["v"]},
+             "f0": {"v": "v"}, "f1": {}}
+BOTH = {"vertices": ["a"], "edges": [{"id": "a", "src": "a", "tgt": "a"}]}
+
+
+@pytest.mark.parametrize("command", ["pushout", "union"])
+def test_unwritable_output_is_a_parse_error(tmp_path, capsys, command):
+    """An -o path in a directory that does not exist is a named parse error,
+    with nothing on stdout, not a traceback."""
+    path = _write(tmp_path, "in.json", POINT_HOM if command == "pushout" else EDGE)
+    target = tmp_path / "absent" / "x.json"
+    assert main([command, path, path, "-o", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"parse error: {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# (argv, files, exit code, stderr): argv names files by their keys, and
+# "absent" a file that does not exist
+MALFORMED = {
+    "graph not an object": (["eval", "g", "1"], {"g": [1]}, 2,
+                            "graph must be a JSON object"),
+    "vertices not strings": (["eval", "g", "1"], {"g": {"vertices": [1]}}, 2,
+                             "'vertices' must be a list of strings"),
+    "edges not a list": (["eval", "g", "1"], {"g": {"vertices": ["v"], "edges": {}}}, 2,
+                         "'edges' must be a list"),
+    "edge without tgt": (["eval", "g", "1"],
+                         {"g": {"vertices": ["v"], "edges": [{"id": "e", "src": "v"}]}}, 2,
+                         "each edge needs 'id', 'src' and 'tgt'"),
+    "duplicate edge id": (["eval", "g", "1"],
+                          {"g": {"vertices": ["v"],
+                                 "edges": [{"id": "e", "src": "v", "tgt": "v"}] * 2}}, 2,
+                          "duplicate edge id 'e'"),
+    "tail not a pair": (["eval", "g", "1"], {"g": {"vertices": ["v"], "omega_tails": [["v"]]}},
+                        2, "each omega tail must be a pair [v, w]"),
+    "hom not an object": (["classify", "h"], {"h": []}, 2,
+                          "homomorphism must be a JSON object"),
+    "hom without f1": (["classify", "h"], {"h": {k: v for k, v in POINT_HOM.items()
+                                                 if k != "f1"}}, 2, "missing 'f1'"),
+    "f1 not an object": (["classify", "h"], {"h": {**POINT_HOM, "f1": []}}, 2,
+                         "'f0' and 'f1' must be objects"),
+    "unreadable file": (["classify", "absent"], {}, 2, "No such file or directory"),
+    "dangling codomain": (["classify", "h"], {"h": {**POINT_HOM, "codomain": DANGLING}}, 2,
+                          "codomain graph invalid: edge e: dangling target x"),
+    "union of dangling": (["union", "g", "g"], {"g": DANGLING}, 2,
+                          "edge e: dangling target x"),
+    "different domains": (["verify", "--path", "h", "k"],
+                          {"h": POINT_HOM, "k": {"domain": EDGE, "codomain": EDGE,
+                                                 "f0": {"v": "v", "w": "w"},
+                                                 "f1": {"e": "e"}}}, 3,
+                          "refused: precondition shared-domain failed"),
+    "bad token": (["eval", "g", "chi[v] $"], {"g": EDGE}, 2, "bad token at column 8"),
+    "empty chi": (["eval", "g", "chi[]"], {"g": EDGE}, 2, "empty chi[...]"),
+    "vertex and edge": (["eval", "g", "chi[a]"], {"g": BOTH}, 2,
+                        "id 'a' is both a vertex and an edge"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_inputs_exit_with_one_named_line(tmp_path, capsys, case):
+    """Each malformed graph, hom, file or expression exits 2 (3 for legs
+    with different domains) with one stderr line naming the problem and
+    nothing on stdout."""
+    argv, files, code, message = MALFORMED[case]
+    paths = {"absent": str(tmp_path / "absent.json")}
+    paths.update((name, _write(tmp_path, f"{name}.json", obj)) for name, obj in files.items())
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err

@@ -10,12 +10,14 @@ Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
 of linalg, whose matrices hold ints, and out of the scalars, which are
 plain numbers.  A guard fails on a parameter that its function never
-reads, a layering guard on a module that imports one above it or on
-path_algebra building its own path-set square, and a memo guard on a
-functools cache anywhere but on cli.build_parser.
+reads or whose default no caller overrides, a layering guard on a module
+that imports one above it or on path_algebra building its own path-set
+square, and a memo guard on a functools cache anywhere but on
+cli.build_parser.
 """
 
 import ast
+import math
 import pathlib
 from collections import defaultdict
 
@@ -161,6 +163,61 @@ def test_every_parameter_is_read():
             unread += [f"{path.relative_to(ROOT)}:{node.lineno} {name}({p})"
                        for p in params if p not in read and p != "self"]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def _calls():
+    """Called name or attribute -> every call of it in src/, tests/ or bench/."""
+    calls = defaultdict(list)
+    for directory in ("src", "tests", "bench"):
+        for _, tree in _trees(ROOT / directory):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls[name].append(node)
+    return calls
+
+
+def _passed(call, index, name):
+    """Whether call gives a value to the parameter named name, the one its
+    index-th positional argument fills; a *args or **kwargs argument may
+    give one to every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > index or any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_default_is_overridden():
+    """Every parameter with a default, of a function or method in src/
+    other than a dunder, is given a value by some call, by position or by
+    keyword, in src/, tests/ or bench/.  A default that no caller overrides
+    is a constant dressed as an option.  Calls are matched by name, so a
+    name shared by two functions counts the calls of both."""
+    calls = _calls()
+    never = []
+    for path, tree in _trees(PACKAGE):
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in f.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            # obj.method(x) passes x to the method's second parameter
+            skip = 1 if id(node) in methods else 0
+            defaulted = [(i - skip, x.arg) for i, x in enumerate(positional) if i >= first]
+            # no positional argument fills a keyword-only parameter
+            defaulted += [(math.inf, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            never += [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})"
+                      for index, name in defaulted
+                      if not any(_passed(c, index, name)
+                                 for c in calls[node.name])]
+    assert not never, "defaults that no caller overrides: " + ", ".join(never)
 
 
 def _package_imports(tree):

@@ -39,9 +39,9 @@ def test_ck1_same_edge():
 
 def test_equality_compares_the_field():
     f7 = Field(7)
-    assert LElement.zero(EDGE, QQ) != LElement.zero(EDGE, f7)
-    assert LElement.zero(EDGE, f7) == LElement.zero(EDGE, Field(7))
-    assert len({LElement.zero(EDGE, f7), LElement.zero(EDGE, Field(7))}) == 1
+    assert LElement(EDGE, QQ, {}) != LElement(EDGE, f7, {})
+    assert LElement(EDGE, f7, {}) == LElement(EDGE, Field(7), {})
+    assert len({LElement(EDGE, f7, {}), LElement(EDGE, Field(7), {})}) == 1
 
 
 def test_ck1_different_edges():
@@ -130,7 +130,7 @@ def test_path_and_leavitt_elements_share_text_but_never_mix():
     pa = PAElement.basis(EDGE, Path.at("v"))
     la = _mono(EDGE, vertex_monomial("v"))
     assert str(pa) == str(la) == "1*chi[v]"
-    assert pa != la and PAElement.zero(EDGE) != LElement.zero(EDGE)
+    assert pa != la and PAElement(EDGE, QQ, {}) != LElement(EDGE, QQ, {})
     with pytest.raises(DomainMismatch):
         pa + la
 
@@ -142,10 +142,10 @@ def test_ck_identities_in_normal_form(seed):
     for e in sorted(g.edges):
         for f in sorted(g.edges):
             lhs = l_mul(_mono(g, ghost_monomial(g, e)), _mono(g, edge_monomial(g, f)))
-            rhs = _mono(g, vertex_monomial(g.tgt[e])) if e == f else LElement.zero(g)
+            rhs = _mono(g, vertex_monomial(g.tgt[e])) if e == f else LElement(g, QQ, {})
             assert lhs == rhs
     for v in sorted(regular_vertices(g)):
-        acc = LElement.zero(g)
+        acc = LElement(g, QQ, {})
         for e in sorted(g.edges):
             if g.src[e] == v:
                 acc = acc + l_mul(_mono(g, edge_monomial(g, e)),
@@ -201,7 +201,7 @@ def _reduce_word(g, letters):
     for e, ghost in letters:
         if word and word[-1][1] and not ghost:
             if word[-1][0] != e:
-                return LElement.zero(g, QQ)
+                return LElement(g, QQ, {})
             word.pop()
         else:
             word.append((e, ghost))
@@ -305,7 +305,7 @@ def _pullback_through_extended_hom(h, a):
     hbar = GraphHom(_extended(h.domain), _extended(h.codomain), h.f0,
                     {(e, ghost): (h.f1[e], ghost) for e in h.domain.edges
                      for ghost in (False, True)})
-    total = LElement.zero(h.domain, a.field)
+    total = LElement(h.domain, a.field, {})
     for mono, c in a.terms.items():
         if not mono.total:
             word = mono.alpha
@@ -329,7 +329,7 @@ def test_pullback_matches_extended_hom_oracle(seed, field_name, data):
     cod = h.codomain
     window = normal_monomials_window(cod, 3)
     elements = [monomial_element(cod, mono, field) for mono in window]
-    a = LElement.zero(cod, field)
+    a = LElement(cod, field, {})
     if window:
         picks = data.draw(st.lists(st.tuples(st.sampled_from(window), st.integers(-3, 3)),
                                    max_size=6))
@@ -544,7 +544,7 @@ def verify_descent(h):
         if l_mul(ghost[x], edge[x]) != pulled(vertex_monomial(F.tgt[x])):
             raise DescentError(f"CK1 descent fails on edge {x}")
     for w in sorted(regular_vertices(F)):
-        acc = LElement.zero(E, QQ)
+        acc = LElement(E, QQ, {})
         for x in F.out_map[w]:
             acc = acc + l_mul(edge[x], ghost[x])
         if acc != pulled(vertex_monomial(w)):
@@ -600,7 +600,7 @@ def test_descent_error_fires_on_a_broken_pullback(monkeypatch, broken, message):
         if broken == "ghosts doubled" and any(m.degree < 0 for m in terms):
             return out.scale(2)
         if broken == "source vertex dropped" and vertex_monomial("v") in terms:
-            return LElement.zero(h.domain, field)
+            return LElement(h.domain, field, {})
         return out
 
     monkeypatch.setattr(leavitt, "_pull", bad_pull)

@@ -53,9 +53,9 @@ def test_vertex_idempotent():
 
 def test_equality_compares_the_field():
     f7 = Field(7)
-    assert PAElement.zero(EDGE, QQ) != PAElement.zero(EDGE, f7)
-    assert PAElement.zero(EDGE, f7) == PAElement.zero(EDGE, Field(7))
-    assert len({PAElement.zero(EDGE, f7), PAElement.zero(EDGE, Field(7))}) == 1
+    assert PAElement(EDGE, QQ, {}) != PAElement(EDGE, f7, {})
+    assert PAElement(EDGE, f7, {}) == PAElement(EDGE, Field(7), {})
+    assert len({PAElement(EDGE, f7, {}), PAElement(EDGE, Field(7), {})}) == 1
 
 
 def test_mismatched_concatenation_is_zero():

@@ -10,17 +10,18 @@ from quivpush.cli import main
 from quivpush.graph import Graph, paths_up_to, union_graph
 from quivpush.jsonio import load_hom
 from quivpush.leavitt import verify_leavitt_pullback
-from quivpush.morphism import DomainMismatch, GraphHom, classify_hom, induced_path_map
+from quivpush.morphism import (DomainMismatch, GraphHom, check_valid_hom, classify_hom,
+                               induced_path_map)
 from quivpush.path_algebra import verify_path_pullback
 from quivpush.pushout import (PreconditionError, breakarrow_identity,
                               check_theorem_preconditions, class_id,
                               graph_pushout, graph_universal_map,
                               path_pushout_compare, pushout_square,
                               set_pushout, set_universal_map)
-from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
-                              one_color_instance, one_color_violation,
-                              random_general_hom, random_graph, union_legs,
-                              captocup_pair)
+from quivpush.randgen import (admpush_instance, case_rng, collapse_duplicate_edges,
+                              leavitt_union_instance, one_color_instance,
+                              one_color_violation, random_general_hom, random_graph,
+                              union_legs, captocup_pair)
 
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 EMPTY = Graph(())
@@ -317,19 +318,55 @@ def test_breakarrow_identity_on_admissible_pushouts(seed):
 
 
 def test_pushout_square_routes_unions_through_original_ids():
-    f_graph, g_graph = captocup_pair(case_rng(4, 13), tails=False)
-    f, g = union_legs(f_graph, g_graph)
-    po = pushout_square(f, g)
-    assert po.graph == union_graph(f_graph, g_graph)
-    assert po.iota_left.is_inclusion() and po.iota_right.is_inclusion()
+    """On union legs, whose domain is the full overlap of the codomains,
+    every class holds one id and is named by it: P is the union graph and
+    both injections are inclusions."""
+    for case in range(100):
+        f_graph, g_graph = captocup_pair(case_rng(4, case), tails=False)
+        f, g = union_legs(f_graph, g_graph)
+        po = pushout_square(f, g)
+        assert po.graph == union_graph(f_graph, g_graph)
+        assert po.iota_left.is_inclusion() and po.iota_right.is_inclusion()
 
 
-@pytest.mark.parametrize("legs, builds", [(("admpush_f.json", "admpush_g.json"), 1),
-                                          (("union_f.json", "union_g.json"), 0)],
+def _general_legs(rng):
+    """A random_general_hom h and, out of its domain, the merge of two of
+    its vertices (or h again when it has one vertex)."""
+    h = random_general_hom(rng, random_graph(rng, max_v=3, max_e=3, prefix="b"))
+    if len(h.domain.vertices) < 2:
+        return h, h
+    return _merge_two_vertices(rng, h.domain), h
+
+
+def _collapsed_one_color_instance(rng):
+    return collapse_duplicate_edges(rng, one_color_instance(rng, need_one_sided=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([admpush_instance, one_color_instance,
+                        _collapsed_one_color_instance, _general_legs]),
+       st.integers(0, 10**6))
+def test_pushout_edge_classes_have_one_source_and_one_target(draw, seed):
+    """The checks graph_pushout does not run, as an oracle: every member of
+    an edge class has its source in one vertex class and its target in one,
+    and both injections are valid homs."""
+    f, g = draw(case_rng(seed, 15))
+    po = graph_pushout(f, g)
+    cod = {"E": f.codomain, "F": g.codomain}
+    vclass = {"E": po.vertex_classes.inj_left, "F": po.vertex_classes.inj_right}
+    for members in po.edge_classes.classes.values():
+        assert len({vclass[side][cod[side].src[e]] for side, e in members}) == 1
+        assert len({vclass[side][cod[side].tgt[e]] for side, e in members}) == 1
+    check_valid_hom(po.iota_left)
+    check_valid_hom(po.iota_right)
+
+
+@pytest.mark.parametrize("legs", [("admpush_f.json", "admpush_g.json"),
+                                  ("union_f.json", "union_g.json")],
                          ids=["quotient", "union"])
-def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs, builds):
-    """The breaking-arrow check and the window both read the one square
-    pushout_square builds; only the quotient route calls graph_pushout."""
+def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs):
+    """The Leavitt verdict reads the one square that one graph_pushout call
+    builds, on union legs as on any others."""
     calls = []
     original = pushout.graph_pushout
 
@@ -340,7 +377,7 @@ def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs, builds):
     monkeypatch.setattr(pushout, "graph_pushout", spy)
     monkeypatch.chdir(DATA)
     assert main(["verify", "--leavitt", *legs]) == 0
-    assert len(calls) == builds
+    assert len(calls) == 1
 
 
 def test_verifiers_rank_only_the_image(monkeypatch):
@@ -543,7 +580,7 @@ def _mismatched_inclusions():
     return f, g
 
 
-@pytest.mark.parametrize("build", [pushout_square, verify_path_pullback,
+@pytest.mark.parametrize("build", [graph_pushout, pushout_square, verify_path_pullback,
                                    verify_leavitt_pullback],
                          ids=lambda fn: fn.__name__)
 def test_mismatched_domains_have_no_square(build):
@@ -553,8 +590,9 @@ def test_mismatched_domains_have_no_square(build):
 
 def _tailed_inclusions(route):
     """Inclusion legs (the only homs tailed graphs admit) into a left
-    codomain with the tail (v, h).  On the union route the domain is the
-    full overlap of the codomains; on the quotient route they also share h."""
+    codomain with the tail (v, h).  For "union" the domain is the full
+    overlap of the codomains, so the classes would keep their ids; for
+    "quotient" the codomains also share h."""
     left = Graph.build(["v", "h", "x"], [("e", "v", "h")], [("v", "h")])
     if route == "union":
         dom = Graph.build(["v", "h"], [("e", "v", "h")])
@@ -565,7 +603,7 @@ def _tailed_inclusions(route):
 
 
 @pytest.mark.parametrize("route", ["union", "quotient"])
-@pytest.mark.parametrize("build", [pushout_square, verify_path_pullback,
+@pytest.mark.parametrize("build", [graph_pushout, pushout_square, verify_path_pullback,
                                    verify_leavitt_pullback],
                          ids=lambda fn: fn.__name__)
 def test_tailed_legs_are_refused_by_name(build, route):
