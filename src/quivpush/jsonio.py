@@ -12,7 +12,7 @@ import os
 
 from .graph import Graph
 from .morphism import GraphHom
-from .pushout import PushoutGraph, class_id
+from .pushout import PushoutGraph
 
 
 class FormatError(ValueError):
@@ -121,15 +121,16 @@ def hom_from_obj(obj, path=None, base_dir=None, inputs=None) -> GraphHom:
 
 
 def pushout_to_obj(po: PushoutGraph) -> dict:
-    def classes_obj(sp):
-        return [{"class": class_id(rep),
-                 "members": [[side, str(x)] for side, x in members]}
-                for rep, members in sorted(sp.classes.items(),
-                                           key=lambda kv: class_id(kv[0]))]
+    def classes_obj(sp, left, right):
+        # a class is named in po.graph by the injection of its representative
+        inj = {"E": left, "F": right}
+        named = sorted((inj[side][x], members) for (side, x), members in sp.classes.items())
+        return [{"class": name, "members": [[side, str(x)] for side, x in members]}
+                for name, members in named]
     return {
         "graph": graph_to_obj(po.graph),
-        "vertex_classes": classes_obj(po.vertex_classes),
-        "edge_classes": classes_obj(po.edge_classes),
+        "vertex_classes": classes_obj(po.vertex_classes, po.iota_left.f0, po.iota_right.f0),
+        "edge_classes": classes_obj(po.edge_classes, po.iota_left.f1, po.iota_right.f1),
         "iota_E": {"f0": dict(sorted(po.iota_left.f0.items())),
                    "f1": dict(sorted(po.iota_left.f1.items()))},
         "iota_F": {"f0": dict(sorted(po.iota_right.f0.items())),
@@ -164,7 +165,7 @@ def load_json(path, inputs=None):
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise FormatError(str(exc), path)
+        raise FormatError(exc.strerror, path)
     if inputs is not None:
         inputs.append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
     try:
@@ -193,4 +194,4 @@ def save_json(path, obj):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(obj))
     except OSError as exc:
-        raise FormatError(str(exc), path)
+        raise FormatError(exc.strerror, path)

@@ -22,13 +22,12 @@ the product l_mul; normal_form multiplies out a word of generators with it.
 The monomial enumerations (the truncated window, the full pair set of an
 acyclic graph) pair up the paths of graph.paths_up_to that share an end
 vertex.  The pullback along a CRTBPOG morphism pairs path preimages the same
-way: alpha beta* goes to the sum of alpha' beta'* over preimages alpha' of
-alpha and beta' of beta with a common end vertex, brought back to normal
-form over the domain.  Each pair enters with 1 and the rewriting only
-negates, so that pullback is an int column, scaled by the coefficient of
-each term it pulls back.  That it respects the Cuntz-Krieger relations, so
-that it is an algebra map, is the paper's descent lemma: the tests check
-the descent identities, and no verdict re-proves them.
+way: c alpha beta* goes to the sum of c alpha' beta'* over preimages alpha'
+of alpha and beta' of beta with a common end vertex, each rewritten to
+normal form over the domain with its coefficient c.  That it respects the
+Cuntz-Krieger relations, so that it is an algebra map, is the paper's
+descent lemma: the tests check the descent identities, and no verdict
+re-proves them.
 
 The pullback verifier's window cross-check ranks the image of the pushout's
 window under both injection pullbacks, and builds those pullbacks in the
@@ -218,31 +217,20 @@ def _require_pullback(h: GraphHom):
         raise PreconditionError("CRTBPOG", f"morphism classifies as {cls.category}")
 
 
-def _pull_column(h: GraphHom, mono: LMonomial) -> dict:
-    """The sum of alpha' beta'* over every path preimage alpha' of alpha and
-    beta' of beta that end at one vertex, in normal form over the domain, as
-    {normal monomial: nonzero int}: each pair enters with 1 and CK2
-    rewriting only negates."""
-    E = h.domain
-    col = {}
-    betas = {}
-    for beta in path_preimages(h, mono.beta):
-        betas.setdefault(beta.target(E), []).append(beta)
-    for alpha in path_preimages(h, mono.alpha):
-        for beta in betas.get(alpha.target(E), ()):
-            _ck2_accumulate(E, LMonomial(alpha, beta), 1, col)
-    return {t: k for t, k in col.items() if k}
-
-
 def _pull(h: GraphHom, terms: dict, field) -> LElement:
-    """The sum, over the terms c alpha beta*, of c times the pullback of
-    alpha beta* (see _pull_column)."""
+    """The sum, over the terms c alpha beta*, of c alpha' beta'* for every
+    path preimage alpha' of alpha and beta' of beta that end at one vertex,
+    in normal form over the domain."""
+    E = h.domain
     acc = {}
     for mono, c in terms.items():
-        for t, k in _pull_column(h, mono).items():
-            x = c if k == 1 else c * k
-            acc[t] = acc[t] + x if t in acc else x
-    return LElement(h.domain, field, acc)
+        betas = {}
+        for beta in path_preimages(h, mono.beta):
+            betas.setdefault(beta.target(E), []).append(beta)
+        for alpha in path_preimages(h, mono.alpha):
+            for beta in betas.get(alpha.target(E), ()):
+                _ck2_accumulate(E, LMonomial(alpha, beta), c, acc)
+    return LElement(E, field, acc)
 
 
 def l_pullback(h: GraphHom, a: LElement) -> LElement:

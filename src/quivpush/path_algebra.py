@@ -134,27 +134,19 @@ def pa_unit(g: Graph, field=QQ) -> PAElement:
 
 
 def path_preimages(h: GraphHom, p: Path) -> list:
-    """All domain paths mapping onto p; finite since lengths are preserved."""
+    """All domain paths mapping onto p; finite since lengths are preserved.
+    Ordered by their first edge's place in its h.edge_fibers fiber, then
+    their second edge's, and so on.  Edge ids need only be hashable, so the
+    (edge, is_ghost) letters of an extended graph serve too."""
     dom = h.domain
     if p.is_vertex:
         return [Path.at(v) for v in h.vertex_fibers.get(p.vertex, ())]
-    fibers = h.edge_fibers
-    options = [fibers.get(x, ()) for x in p.edges]
-    if not all(options):
-        return []
-    results = []
-
-    def extend(prefix):
-        i = len(prefix)
-        if i == len(options):
-            results.append(Path.of(prefix))
-            return
-        for e in options[i]:
-            if not prefix or dom.tgt[prefix[-1]] == dom.src[e]:
-                extend(prefix + [e])
-
-    extend([])
-    return results
+    fibers, src, tgt = h.edge_fibers, dom.src, dom.tgt
+    walks = [(e,) for e in fibers.get(p.edges[0], ())]
+    for x in p.edges[1:]:
+        options = fibers.get(x, ())
+        walks = [w + (e,) for w in walks for e in options if tgt[w[-1]] == src[e]]
+    return [Path.of(w) for w in walks]
 
 
 def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:

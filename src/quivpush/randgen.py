@@ -13,8 +13,7 @@ import random
 
 from .graph import Graph, union_graph, intersection_graph
 from .morphism import (GraphHom, breaking_vertices, classify_hom,
-                       desaturating_vertices, is_admissible, is_hereditary,
-                       regular_vertices)
+                       desaturating_vertices, is_admissible, regular_vertices)
 
 
 def case_rng(seed: int, index: int) -> random.Random:

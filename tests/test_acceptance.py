@@ -19,7 +19,7 @@ from quivpush.pushout import (check_theorem_preconditions, class_id,
 from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                                    verify_path_pullback)
 from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
-                              l_pullback, l_unit, leavitt_dimension_enumerated,
+                              l_pullback, leavitt_dimension_enumerated,
                               leavitt_dimension_oracle, monomial_element,
                               normal_monomials_window, verify_leavitt_pullback,
                               vertex_monomial)

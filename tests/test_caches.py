@@ -100,9 +100,10 @@ def test_path_preimages_match_enumeration(seed):
 def test_pullback_table_is_field_independent(seed):
     """Leavitt pullbacks along one hom agree over every field.  Each window
     monomial is pulled back over q, fp:2 and fp:7 in turn on the same hom;
-    the pullback is an int column scaled in the field, so state kept on the
-    hom from an earlier field would give a wrong result or raise.  The
-    references are a fresh hom per field and the extended-graph oracle."""
+    a monomial pulls back to one int combination in every field, so state
+    kept on the hom from an earlier field would give a wrong result or
+    raise.  The references are a fresh hom per field and the
+    extended-graph oracle."""
     h = random_crtbpog_hom(case_rng(seed, 73))
     fields = [field_from_name(name) for name in ("q", "fp:2", "fp:7")]
     fresh = {field: GraphHom(h.domain, h.codomain, h.f0, h.f1) for field in fields}

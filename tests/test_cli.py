@@ -566,14 +566,21 @@ BOTH = {"vertices": ["a"], "edges": [{"id": "a", "src": "a", "tgt": "a"}]}
 @pytest.mark.parametrize("command", ["pushout", "union"])
 def test_unwritable_output_is_a_parse_error(tmp_path, capsys, command):
     """An -o path in a directory that does not exist is a named parse error,
-    with nothing on stdout, not a traceback."""
+    with nothing on stdout, not a traceback; the line names the path once."""
     path = _write(tmp_path, "in.json", POINT_HOM if command == "pushout" else EDGE)
     target = tmp_path / "absent" / "x.json"
     assert main([command, path, path, "-o", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"parse error: {target}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == f"parse error: {target}: No such file or directory\n"
+
+
+def test_missing_input_names_its_path_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "absent.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: absent.json: No such file or directory\n"
 
 
 # (argv, files, exit code, stderr): argv names files by their keys, and

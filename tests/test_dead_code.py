@@ -12,8 +12,9 @@ of linalg, whose matrices hold ints, and out of the scalars, which are
 plain numbers.  A guard fails on a parameter that its function never
 reads or whose default no caller overrides, a layering guard on a module
 that imports one above it or on path_algebra building its own path-set
-square, and a memo guard on a functools cache anywhere but on
-cli.build_parser.
+square, a memo guard on a functools cache anywhere but on
+cli.build_parser, and an import guard on a name that a module of src/ or
+tests/ imports and never reads.
 """
 
 import ast
@@ -289,3 +290,23 @@ def test_no_memo_but_the_parser():
              for path, tree in _trees(PACKAGE) for line, name in _memos(tree)
              if (path.name, line) not in allowed]
     assert not memos, "functools memos in src/: " + ", ".join(memos)
+
+
+def test_every_import_is_used():
+    """Each name that a module of the package (but __init__, which
+    re-exports) or of tests/ imports is read in that module, as a name or
+    as the root of an attribute; __future__ imports are exempt."""
+    unread = []
+    for path, tree in [*_trees(PACKAGE), *_trees(ROOT / "tests")]:
+        if path.stem == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.relative_to(ROOT)}:{node.lineno} {bound}"
+                           for alias in node.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+    assert not unread, "imported but never read: " + ", ".join(unread)

@@ -42,8 +42,9 @@ GOLDEN = [
      "f952059dee04e56df0781aa3160e537d610571f69be4fc567ec548427bd67fa3"),
     (["pushout", "admpush_f.json", "admpush_g.json"],
      "28f73a5418dc620f5d641460141bcf5882b5c5e0d340bf2d340ab14ab54ce276"),
+    # union legs: each class is named by its one id, as in the pushout graph
     (["pushout", "union_f.json", "union_g.json"],
-     "68fb63fc78be52754b2261084a11b9cb616af96fa924e67c3f55d76d083d3c6c"),
+     "67f35fbbd8d6104c9731357a2d54ac6bfbe5290722e468a5e9cfd4bdc295405a"),
     # a pushout with a collision and two missing paths (h = hcheck_leg.json on both sides)
     (["pushout", "--check-h", "2", "hcheck_leg.json", "hcheck_leg.json"],
      "2c9090e6f752f1dcce52d285502e912a1f36718a0dabb87052e043727a1c4d5f"),

@@ -3,13 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from quivpush.graph import Graph, Path
 from quivpush.morphism import (GraphHom, HomError, admissible_equiv_crtbpog,
-                               breaking_vertices, classify_hom, compose,
-                               desaturating_vertices, induced_path_map,
+                               breaking_vertices, classify_hom, compose, induced_path_map,
                                is_admissible, is_hereditary, is_saturated,
                                is_unbroken, saturation, validate_hom)
 from quivpush.randgen import (case_rng, composable_tb_pair, random_general_hom,
-                              random_graph, random_injective_hom, random_tb_hom,
-                              restrict_graph)
+                              random_graph, random_injective_hom, random_tb_hom)
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quivpush import leavitt, path_algebra, pushout
 from quivpush.cli import main
 from quivpush.graph import Graph, paths_up_to, union_graph
-from quivpush.jsonio import load_hom
+from quivpush.jsonio import load_hom, pushout_to_obj
 from quivpush.leavitt import verify_leavitt_pullback
 from quivpush.morphism import (DomainMismatch, GraphHom, check_valid_hom, classify_hom,
                                induced_path_map)
@@ -327,6 +327,36 @@ def test_pushout_square_routes_unions_through_original_ids():
         po = pushout_square(f, g)
         assert po.graph == union_graph(f_graph, g_graph)
         assert po.iota_left.is_inclusion() and po.iota_right.is_inclusion()
+
+
+def _certificate_names(po):
+    """The class names of po's certificate, each checked to be the id of P
+    that both injections send every member of the class to."""
+    obj = pushout_to_obj(po)
+    names = []
+    for key, ids, part in (("vertex_classes", po.graph.vertices, "f0"),
+                           ("edge_classes", po.graph.edges, "f1")):
+        for c in obj[key]:
+            assert c["class"] in ids
+            for side, x in c["members"]:
+                iota = po.iota_left if side == "E" else po.iota_right
+                assert getattr(iota, part)[x] == c["class"]
+        assert [c["class"] for c in obj[key]] == sorted(ids)
+        names.append([(c["class"], c["members"][0]) for c in obj[key]])
+    return names
+
+
+def test_certificate_names_classes_as_the_pushout_graph_does():
+    """pushout_to_obj names a class by the injection of its representative:
+    by its one id on union legs, and E:x or F:x after its representative,
+    the first of its sorted members, on a quotient square."""
+    for case in range(100):
+        f_graph, g_graph = captocup_pair(case_rng(4, case), tails=False)
+        for named in _certificate_names(pushout_square(*union_legs(f_graph, g_graph))):
+            assert all(name == x for name, (_, x) in named)
+    for case in range(30):
+        for named in _certificate_names(pushout_square(*admpush_instance(case_rng(5, case)))):
+            assert all(name == class_id(rep) for name, rep in named)
 
 
 def _general_legs(rng):
