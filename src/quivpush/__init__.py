@@ -8,17 +8,14 @@ from .graph import (Graph, GraphError, IncompatibleOverlap, Path,
                     union_graph, validate_graph)
 from .morphism import (AdmissibilityReport, GraphHom, HomClassification,
                        admissible_equiv_crtbpog, breaking_vertices, classify_hom,
-                       compose, induced_path_map, is_admissible, is_hereditary,
-                       is_saturated, is_unbroken, saturation, validate_hom)
+                       compose, induced_path_map, is_admissible, validate_hom)
 from .pushout import (PreconditionError, PushoutGraph, SetPushout,
                       breakarrow_identity, check_theorem_preconditions,
-                      graph_pushout, graph_universal_map, path_pushout_compare,
-                      pushout_square, set_pushout, set_universal_map)
+                      graph_pushout, path_pushout_compare, pushout_square,
+                      set_pushout)
 from .path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                            verify_path_pullback)
 from .leavitt import (LElement, LMonomial, ker_generators, l_mul, l_pullback,
-                      l_unit, leavitt_dimension_enumerated,
-                      leavitt_dimension_oracle, normal_form,
-                      verify_leavitt_pullback)
+                      l_unit, normal_form, verify_leavitt_pullback)
 
 __version__ = "0.1.0"

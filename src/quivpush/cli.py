@@ -307,7 +307,7 @@ def cmd_eval(args, argv):
     cert.param("field", args.field)
     try:
         elem, leavitt = parse_element(args.expression, g, field, args.leavitt)
-    except ExprError as exc:
+    except (ExprError, FieldError) as exc:
         raise jsonio.FormatError(str(exc), "<expression>")
     cert.param("mode", "leavitt" if leavitt else "path-algebra")
     cert.check("evaluated", True, result=repr(elem),

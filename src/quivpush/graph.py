@@ -10,9 +10,9 @@ A word is a sequence of letters (e, is_ghost): the edge e runs from s(e) to
 t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
 the monomials that the Leavitt normal form multiplies out.
 
-path_counts gives c_l(v), the number of paths of length l ending at v.
-Acyclicity, the longest path, the Leavitt window sizes and the pushout
-graph's paths in each degree are read from it, not from a list of paths.
+path_counts gives c_l(v), the number of paths of length l ending at v, on
+a tail-free graph.  The Leavitt window sizes and the pushout graph's paths
+in each degree are read from it, not from a list of paths.
 
 A Path is a tuple (typing.NamedTuple), as is the Leavitt monomial built
 from two of them, so that the dict lookups keyed by them hash and compare
@@ -335,11 +335,9 @@ def is_subgraph(sub: Graph, sup: Graph) -> bool:
 
 def path_counts(g: Graph, n: int) -> list:
     """counts[l][i]: the paths of length l <= n ending at the i-th vertex of
-    sorted(g.vertices), an omega tail counting as one arc (exact path counts
-    on a tail-free graph; with tails, enough to decide cycles and lengths)."""
+    sorted(g.vertices), for a tail-free g: every caller's graph is one."""
     at = {v: i for i, v in enumerate(sorted(g.vertices))}
     arcs = [(at[g.src[e]], at[g.tgt[e]]) for e in g.edges]
-    arcs += [(at[v], at[w]) for v, w in g.omega_tails]
     counts = [[1] * len(at)]
     for _ in range(n):
         prev, here = counts[-1], [0] * len(at)
@@ -347,17 +345,3 @@ def path_counts(g: Graph, n: int) -> list:
             here[t] += prev[s]
         counts.append(here)
     return counts
-
-
-def is_acyclic(g: Graph) -> bool:
-    """No cycle, tails counting as arcs: a path of length |V| repeats a
-    vertex, and a cycle gives paths of every length."""
-    return not any(path_counts(g, len(g.vertices))[-1])
-
-
-def longest_path_length(g: Graph) -> int:
-    """Longest path length in an acyclic graph, a tail counting as one arc."""
-    counts = path_counts(g, len(g.vertices))
-    if any(counts[-1]):
-        raise GraphError("longest path is undefined on cyclic graphs")
-    return max((l for l, c in enumerate(counts) if any(c)), default=0)

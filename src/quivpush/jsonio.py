@@ -121,16 +121,17 @@ def hom_from_obj(obj, path=None, base_dir=None, inputs=None) -> GraphHom:
 
 
 def pushout_to_obj(po: PushoutGraph) -> dict:
-    def classes_obj(sp, left, right):
-        # a class is named in po.graph by the injection of its representative
-        inj = {"E": left, "F": right}
-        named = sorted((inj[side][x], members) for (side, x), members in sp.classes.items())
-        return [{"class": name, "members": [[side, str(x)] for side, x in members]}
-                for name, members in named]
+    def classes_obj(ids, left, right):
+        # a class is an id of po.graph; its members are its fibers under
+        # the two injections, E's then F's, each in sorted-id order
+        return [{"class": c, "members": [["E", x] for x in left.get(c, ())]
+                 + [["F", y] for y in right.get(c, ())]} for c in sorted(ids)]
     return {
         "graph": graph_to_obj(po.graph),
-        "vertex_classes": classes_obj(po.vertex_classes, po.iota_left.f0, po.iota_right.f0),
-        "edge_classes": classes_obj(po.edge_classes, po.iota_left.f1, po.iota_right.f1),
+        "vertex_classes": classes_obj(po.graph.vertices, po.iota_left.vertex_fibers,
+                                      po.iota_right.vertex_fibers),
+        "edge_classes": classes_obj(po.graph.edges, po.iota_left.edge_fibers,
+                                    po.iota_right.edge_fibers),
         "iota_E": {"f0": dict(sorted(po.iota_left.f0.items())),
                    "f1": dict(sorted(po.iota_left.f1.items()))},
         "iota_F": {"f0": dict(sorted(po.iota_right.f0.items())),

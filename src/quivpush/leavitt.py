@@ -19,15 +19,15 @@ so the rewriting is deterministic and the resulting basis is canonical.
 
 An LElement is path_algebra's LinearCombination over NORMAL monomials, with
 the product l_mul; normal_form multiplies out a word of generators with it.
-The monomial enumerations (the truncated window, the full pair set of an
-acyclic graph) pair up the paths of graph.paths_up_to that share an end
-vertex.  The pullback along a CRTBPOG morphism pairs path preimages the same
-way: c alpha beta* goes to the sum of c alpha' beta'* over preimages alpha'
-of alpha and beta' of beta with a common end vertex, each rewritten to
-normal form over the domain with its coefficient c.  That it respects the
-Cuntz-Krieger relations, so that it is an algebra map, is the paper's
-descent lemma: the tests check the descent identities, and no verdict
-re-proves them.
+The truncated window pairs up the paths of graph.paths_up_to that share an
+end vertex; the tests count dim L(g) of an acyclic graph on the full pair
+set, built the same way, and check it against a rank oracle.  The pullback
+along a CRTBPOG morphism pairs path preimages the same way: c alpha beta*
+goes to the sum of c alpha' beta'* over preimages alpha' of alpha and beta'
+of beta with a common end vertex, each rewritten to normal form over the
+domain with its coefficient c.  That it respects the Cuntz-Krieger
+relations, so that it is an algebra map, is the paper's descent lemma: the
+tests check the descent identities, and no verdict re-proves them.
 
 The pullback verifier's window cross-check ranks the image of the pushout's
 window under both injection pullbacks, and builds those pullbacks in the
@@ -52,11 +52,11 @@ from operator import mul
 from typing import NamedTuple
 
 from .fields import QQ
-from .graph import (Graph, GraphError, Path, check_word, is_acyclic,
-                    path_counts, paths_up_to, require_tail_free)
+from .graph import (Graph, Path, check_word, path_counts, paths_up_to,
+                    require_tail_free)
 from .linalg import rank
 from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
-                       regular_vertices, CATEGORY_CRTBPOG, _path_image, compose)
+                       CATEGORY_CRTBPOG, _path_image, compose)
 from .pushout import PreconditionError, pushout_square
 from .path_algebra import LinearCombination, path_preimages
 
@@ -284,38 +284,6 @@ def normal_monomials_window(g: Graph, max_total: int) -> list:
     """All NORMAL monomials with |alpha| + |beta| <= max_total, sorted."""
     return sorted((m for m in _end_pairs(g, max_total)
                    if is_normal(m, g.designated)), key=LMonomial.sort_key)
-
-
-def all_pair_monomials(g: Graph) -> list:
-    """Every alpha beta* with a common end vertex; finite iff g is acyclic."""
-    if not is_acyclic(g):
-        raise GraphError("pair monomial enumeration needs an acyclic graph")
-    # no path of an acyclic graph is longer than its edge count
-    return sorted(_end_pairs(g, 2 * len(g.edges)), key=LMonomial.sort_key)
-
-
-def leavitt_dimension_enumerated(g: Graph) -> int:
-    """dim L(g) for acyclic g, by counting the NORMAL basis."""
-    return sum(1 for m in all_pair_monomials(g) if is_normal(m, g.designated))
-
-
-def leavitt_dimension_oracle(g: Graph) -> int:
-    """dim L(g) for acyclic g by exact rank of the CK2 insertion relations
-    on the full alpha beta* spanning set; independent of the normal form."""
-    monos = all_pair_monomials(g)
-    index = {m: i for i, m in enumerate(monos)}
-    reg = regular_vertices(g)
-    out = g.out_map
-    rows = []
-    for m in monos:
-        v = m.alpha.target(g)
-        if v in reg:
-            row = {index[m]: 1}
-            for e in out[v]:
-                row[index[LMonomial(Path.of(m.alpha.edges + (e,)),
-                                    Path.of(m.beta.edges + (e,)))]] = -1
-            rows.append(row)
-    return len(monos) - rank(rows, 0)
 
 
 @dataclass(frozen=True)

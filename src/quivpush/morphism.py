@@ -1,9 +1,10 @@
 """Graph homomorphisms and the predicate ladder OG > POG > TBPOG > CRTBPOG.
 
-Also: hereditary/saturated vertex-set analysis, breaking vertices, and
-(strongly) admissible inclusions.  Homomorphisms between tailed graphs are
-restricted to inclusions; this keeps target bijectivity decidable while a
-tail bundle still behaves like countably many parallel edges.
+Also: desaturating and breaking vertices, and (strongly) admissible
+inclusions.  The hereditary and saturated predicates on vertex sets are
+test oracles.  Homomorphisms between tailed graphs are restricted to
+inclusions; this keeps target bijectivity decidable while a tail bundle
+still behaves like countably many parallel edges.
 """
 
 from __future__ import annotations
@@ -221,30 +222,6 @@ def _path_image(h: GraphHom, p: Path) -> Path:
     return Path.of([h.f1[e] for e in p.edges])
 
 
-@dataclass(frozen=True)
-class HereditaryReport:
-    ok: bool
-    prodigal: frozenset
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_hereditary(g: Graph, h_set) -> HereditaryReport:
-    """True iff every edge or tail starting in the set also ends in it."""
-    h_set = frozenset(h_set)
-    if not h_set <= g.vertices:
-        raise GraphError("subset contains unknown vertices")
-    prodigal = set()
-    for e in g.edges:
-        if g.src[e] in h_set and g.tgt[e] not in h_set:
-            prodigal.add(g.src[e])
-    for v, w in g.omega_tails:
-        if v in h_set and w not in h_set:
-            prodigal.add(v)
-    return HereditaryReport(not prodigal, frozenset(prodigal))
-
-
 def desaturating_vertices(g: Graph, h_set) -> frozenset:
     """Regular vertices outside the set whose every emitted edge ends in it."""
     h_set = frozenset(h_set)
@@ -255,23 +232,6 @@ def desaturating_vertices(g: Graph, h_set) -> frozenset:
         if v in reg and out[v] and all(g.tgt[e] in h_set for e in out[v]):
             result.add(v)
     return frozenset(result)
-
-
-def is_saturated(g: Graph, h_set) -> bool:
-    return not desaturating_vertices(g, h_set)
-
-
-def saturation(g: Graph, h_set) -> frozenset:
-    """Smallest saturated superset, by fixpoint over desaturating vertices."""
-    h_set = frozenset(h_set)
-    if not h_set <= g.vertices:
-        raise GraphError("subset contains unknown vertices")
-    current = set(h_set)
-    while True:
-        extra = desaturating_vertices(g, current)
-        if not extra:
-            return frozenset(current)
-        current |= extra
 
 
 def breaking_vertices(g: Graph, h_set) -> frozenset:
@@ -299,10 +259,6 @@ def breaking_vertices(g: Graph, h_set) -> frozenset:
         if named_out > 0:
             result.add(v)
     return frozenset(result)
-
-
-def is_unbroken(g: Graph, h_set) -> bool:
-    return not breaking_vertices(g, h_set)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
-"""Pushouts of sets and graphs, universal maps, and the path-space square.
+"""Pushouts of sets and graphs, and the path-space square.
 
 Set pushouts are computed by union-find on the tagged disjoint union, with
 the minimal equivalence generated by f(z) ~ g(z).  Class members sort as
 plain (side, id) tuples, "E" (left) before "F" (right), so class ids and
 all serializations are deterministic.  graph_pushout builds every graph
-pushout square, union squares included.  path_degrees gives the path-set
-square once per degree to verify --path and to the comparison map.
+pushout square, union squares included, and keeps of it only what defines
+it: the graph P and the two injections.  A class of P is the fiber of the
+injections over it.  The universal property is checked by the tests.
+path_degrees gives the path-set square once per degree to verify --path
+and to the comparison map.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, path_counts, paths_up_to
-from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
-                       breaking_vertices, _injective, _path_image)
+from .morphism import (GraphHom, DomainMismatch, check_valid_hom, _injective,
+                       _path_image)
 
 
 class PreconditionError(Exception):
@@ -59,9 +62,6 @@ class SetPushout:
     classes: dict
     inj_left: dict
     inj_right: dict
-    apex: frozenset
-    to_left: dict
-    to_right: dict
 
 
 def set_pushout(left, right, apex, f: dict, g: dict) -> SetPushout:
@@ -84,21 +84,7 @@ def set_pushout(left, right, apex, f: dict, g: dict) -> SetPushout:
     for rep, members in classes.items():
         for side, x in members:
             (inj_left if side == lab_l else inj_right)[x] = rep
-    return SetPushout(classes, inj_left, inj_right, frozenset(apex), dict(f), dict(g))
-
-
-def set_universal_map(p: SetPushout, j_left: dict, j_right: dict) -> dict:
-    """The unique map out of the pushout commuting with both injections."""
-    for z in sorted(p.apex):
-        if j_left[p.to_left[z]] != j_right[p.to_right[z]]:
-            raise PreconditionError("compatible-cone", f"witness apex element {z!r}")
-    h = {}
-    for rep, members in p.classes.items():
-        values = {(j_left if side == _SIDES[0] else j_right)[x] for side, x in members}
-        if len(values) != 1:
-            raise PreconditionError("compatible-cone", f"class of {rep} maps inconsistently")
-        h[rep] = values.pop()
-    return h
+    return SetPushout(classes, inj_left, inj_right)
 
 
 @dataclass(frozen=True)
@@ -106,8 +92,6 @@ class PushoutGraph:
     graph: Graph
     iota_left: GraphHom
     iota_right: GraphHom
-    vertex_classes: SetPushout
-    edge_classes: SetPushout
 
 
 def class_id(rep) -> str:
@@ -154,21 +138,7 @@ def graph_pushout(f: GraphHom, g: GraphHom) -> PushoutGraph:
                          {e: name(ep.inj_left[e]) for e in E.edges})
     iota_right = GraphHom(F, graph, {v: name(vp.inj_right[v]) for v in F.vertices},
                           {e: name(ep.inj_right[e]) for e in F.edges})
-    return PushoutGraph(graph, iota_left, iota_right, vp, ep)
-
-
-def graph_universal_map(p: PushoutGraph, j_left: GraphHom, j_right: GraphHom) -> GraphHom:
-    """Mediating homomorphism out of a pushout graph against a commuting cone;
-    a class is named in p.graph by the injection of its representative."""
-    if j_left.codomain != j_right.codomain:
-        raise DomainMismatch("cone legs must share their codomain")
-    h0 = set_universal_map(p.vertex_classes, j_left.f0, j_right.f0)
-    h1 = set_universal_map(p.edge_classes, j_left.f1, j_right.f1)
-    iota = {"E": p.iota_left, "F": p.iota_right}
-    hom = GraphHom(p.graph, j_left.codomain,
-                   {iota[side].f0[x]: w for (side, x), w in h0.items()},
-                   {iota[side].f1[x]: w for (side, x), w in h1.items()})
-    return check_valid_hom(hom)
+    return PushoutGraph(graph, iota_left, iota_right)
 
 
 def pushout_square(f: GraphHom, g: GraphHom) -> PushoutGraph:
@@ -196,8 +166,13 @@ class TheoremFlags:
 
 def check_theorem_preconditions(f: GraphHom, g: GraphHom, po: PushoutGraph) -> TheoremFlags:
     """Hypothesis flags for the pushout-to-pullback theorems, read off the
-    square po = pushout_square(f, g)."""
-    E, F, G = f.codomain, g.codomain, f.domain
+    square po = pushout_square(f, g).
+
+    P2 asks that g send the vertices of G whose f-image breaks in E (for
+    the complement of f's image) injectively to vertices that break in F.
+    It holds on every square: a breaking vertex emits infinitely many
+    edges, graph_pushout refuses graphs with omega tails, and in a
+    tail-free graph no vertex breaks."""
     vertex_injectivity = _injective(f.f0) and _injective(g.f0)
 
     p = po.graph
@@ -208,12 +183,7 @@ def check_theorem_preconditions(f: GraphHom, g: GraphHom, po: PushoutGraph) -> T
                     for x in p.edges for y in p.out_map[p.tgt[x]])
     one_sided = _injective(f.f1) or _injective(g.f1)
     p1 = _injective(f.f0) and _injective(f.f1)
-
-    b_e = breaking_vertices(E, E.vertices - f.vertex_image())
-    restricted = sorted(v for v in G.vertices if f.f0[v] in b_e)
-    images = [g.f0[v] for v in restricted]
-    b_f = breaking_vertices(F, F.vertices - g.vertex_image())
-    p2 = len(set(images)) == len(images) and all(w in b_f for w in images)
+    p2 = True
     return TheoremFlags(vertex_injectivity, one_color, one_sided, p1, p2)
 
 

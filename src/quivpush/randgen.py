@@ -362,11 +362,6 @@ def one_color_instance(rng, need_one_sided=False, acyclic=False):
     return legs
 
 
-def path_theorem_instance(rng):
-    """Acyclic legs meeting all three path-theorem hypotheses."""
-    return one_color_instance(rng, need_one_sided=True, acyclic=True)
-
-
 def one_color_violation(rng):
     """Glued loops decorated with junk; the cross path in the pushout has no
     preimage, so path-level bijectivity fails by length 2."""

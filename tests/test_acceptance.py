@@ -8,24 +8,25 @@ import itertools
 import time
 
 from quivpush.fields import QQ
-from quivpush.graph import (Graph, longest_path_length, paths_up_to,
-                            union_graph)
+from quivpush.graph import Graph, paths_up_to, union_graph
 from quivpush.morphism import (GraphHom, admissible_equiv_crtbpog, classify_hom,
-                               compose, is_admissible, is_hereditary,
-                               regular_vertices)
+                               compose, is_admissible, regular_vertices)
 from quivpush.pushout import (check_theorem_preconditions, class_id,
-                              path_pushout_compare, pushout_square,
-                              set_pushout, set_universal_map)
+                              path_pushout_compare, pushout_square, set_pushout)
 from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                                    verify_path_pullback)
 from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
-                              l_pullback, leavitt_dimension_enumerated,
-                              leavitt_dimension_oracle, monomial_element,
+                              l_pullback, monomial_element,
                               normal_monomials_window, verify_leavitt_pullback,
                               vertex_monomial)
 from quivpush import randgen
 from quivpush.proptest import run_suite
-from test_leavitt import verify_descent
+from test_graph import longest_by_order
+from test_leavitt import (leavitt_dimension_enumerated, leavitt_dimension_oracle,
+                          verify_descent)
+from test_morphism import is_hereditary
+from test_path_algebra import path_theorem_instance
+from test_pushout import set_universal_map
 
 
 def _report(number, name, ok, detail, limit=None, elapsed=None):
@@ -265,9 +266,9 @@ def test_criterion_12_path_pullback_exact_acyclic():
     start = time.time()
     good = 0
     for i in range(50):
-        f, g = randgen.path_theorem_instance(randgen.case_rng(112, i))
+        f, g = path_theorem_instance(randgen.case_rng(112, i))
         u = union_graph(f.codomain, g.codomain)
-        bound = max(longest_path_length(u), 1)
+        bound = max(longest_by_order(u), 1)
         report = verify_path_pullback(f, g, bound)
         good += (report.ok and report.exact
                  and report.total_dim_fiber() == report.total_dim_pushout())

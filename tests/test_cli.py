@@ -440,16 +440,18 @@ def test_eval_bad_expression(tmp_path, capsys):
     assert main(["eval", path, "chi[nope]"]) == 2
 
 
-@pytest.mark.parametrize("expression, message", [
-    ("2*3", "expected chi[...] after '2*'"),
-    ("2 3", "expected + or - before term 2"),
-    ("chi[v] chi[w]", "expected + or - before term 2"),
-    ("chi[e.]", "empty id inside chi[...]"),
-    ("chi[..e]", "empty id inside chi[...]"),
-], ids=["2*3", "2 3", "chi[v] chi[w]", "chi[e.]", "chi[..e]"])
-def test_eval_refuses_malformed_expressions(tmp_path, capsys, expression, message):
+@pytest.mark.parametrize("expression, field, message", [
+    ("2*3", "q", "expected chi[...] after '2*'"),
+    ("2 3", "q", "expected + or - before term 2"),
+    ("chi[v] chi[w]", "q", "expected + or - before term 2"),
+    ("chi[e.]", "q", "empty id inside chi[...]"),
+    ("chi[..e]", "q", "empty id inside chi[...]"),
+    ("1/0", "q", "bad rational literal '1/0'"),
+    ("1/7", "fp:7", "literal '1/7' has denominator divisible by 7"),
+], ids=["2*3", "2 3", "chi[v] chi[w]", "chi[e.]", "chi[..e]", "1/0", "1/7 over fp:7"])
+def test_eval_refuses_malformed_expressions(tmp_path, capsys, expression, field, message):
     path = _write(tmp_path, "edge.json", EDGE)
-    assert main(["eval", path, expression]) == 2
+    assert main(["eval", path, expression, "--field", field]) == 2
     out, err = capsys.readouterr()
     assert not out
     assert err == f"parse error: <expression>: {message}\n"

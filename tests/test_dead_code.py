@@ -1,10 +1,14 @@
 """A dead-code guard: every public module-level function and class of the
-package is used somewhere in src/, tests/ or bench/.
+package is reached from what a command, a property suite or the bench
+runs.  An oracle that only the tests call lives in tests/, next to the
+test that uses it.
 
-A use is a name or an attribute access outside the object's own
-definition; an import alone is not a use, so a re-export in __init__ does
-not keep an unused function alive.  Every field of a dataclass in src/ is
-likewise read as an attribute somewhere, not only set by its constructor.
+Reaching is by name: a walk starts at cli.main, at the module-level
+statements of src/ and at every name a bench/ file reads, and each
+definition it reaches adds the names and attributes its body reads.  An
+import alone reads nothing, so a re-export in __init__ does not keep a
+definition alive.  Every field of a dataclass in src/ is read as an
+attribute somewhere, not only set by its constructor.
 
 Two drift guards ride along: every refusal flag that src/ spells out is
 documented in the README's exit-code paragraph, and field objects stay out
@@ -31,6 +35,8 @@ LAYERS = ("fields", "linalg", "graph", "morphism", "pushout", "path_algebra",
 RETIRED = frozenset({"from_int", "Fp", "PrimeField", "RationalField"})
 # the functools memos; only cli.build_parser may wear one
 MEMOS = frozenset({"cache", "lru_cache", "cached_property"})
+# names that bench/tracer.py's FUNCTIONS traces, as strings only
+TRACED = frozenset({"classify_vertices", "induced_path_map"})
 
 
 def _trees(directory):
@@ -38,30 +44,40 @@ def _trees(directory):
         yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _uses():
-    """Identifier -> the (file, line) of every name or attribute reading it."""
-    uses = defaultdict(list)
-    for directory in ("src", "tests", "bench"):
-        for path, tree in _trees(ROOT / directory):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    uses[node.id].append((path, node.lineno))
-                elif isinstance(node, ast.Attribute):
-                    uses[node.attr].append((path, node.lineno))
-    return uses
+def _names(node):
+    """Every identifier that node reads, as a name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_is_used():
-    uses = _uses()
-    unused = []
+def test_src_is_reachable():
+    """Every public module-level function and class of src/ is reached
+    from main, from the module-level statements of src/ (the SUITES table
+    among them), from a name that a bench/ file reads or from TRACED.  A
+    reached definition is walked whole, methods included.  Names are
+    matched across modules, so the walk may reach too much; a name read
+    only as a string, such as a traced function's, must be in TRACED."""
+    defs = defaultdict(list)
+    roots = {"main", *TRACED}
     for path, tree in _trees(PACKAGE):
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and not any(where != path or not node.lineno <= line <= node.end_lineno
-                                for where, line in uses[node.name])):
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
-    assert not unused, "defined but never used: " + ", ".join(unused)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name].append((path, node))
+            else:
+                roots |= _names(node)
+    for _, tree in _trees(ROOT / "bench"):
+        roots |= _names(tree)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for _, node in defs.get(name, ()) for n in _names(node)]
+    unreached = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                 for name, nodes in sorted(defs.items())
+                 if name not in reached and not name.startswith("_")
+                 for path, node in nodes]
+    assert not unreached, "reached by no command, suite or bench: " + ", ".join(unreached)
 
 
 def _is_dataclass(node):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from quivpush.graph import (Graph, GraphError, IncompatibleOverlap, Path,
                             check_word, classify_vertices, intersection_graph,
                             is_subgraph, path_counts, paths_up_to, union_graph,
-                            validate_graph, longest_path_length, is_acyclic)
+                            validate_graph)
 from quivpush.leavitt import normal_form
 from quivpush.randgen import case_rng, random_graph
 
@@ -188,17 +188,6 @@ def test_extended_functorial_for_inclusions(seed):
             check_word(sup, [x, y])
 
 
-def test_longest_path_and_acyclicity():
-    g = Graph.build(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
-    assert is_acyclic(g)
-    assert longest_path_length(g) == 2
-    loop = Graph.build(["u"], [("l", "u", "u")])
-    assert not is_acyclic(loop)
-    # a tail closes a cycle, and lengthens a path, as one edge would
-    assert not is_acyclic(TAIL_CYCLE)
-    assert longest_path_length(TAIL_CHAIN) == 2
-
-
 def _arcs(g):
     """(source, target) of every edge and every omega tail."""
     return [(g.src[e], g.tgt[e]) for e in g.edges] + list(g.omega_tails)
@@ -206,7 +195,7 @@ def _arcs(g):
 
 def topological_order(g):
     """Kahn's topological vertex order, or None if the graph has a cycle
-    (tails count): the reference for path_counts' acyclicity."""
+    (tails count): the acyclicity test of the path and Leavitt oracles."""
     succ = {v: set() for v in g.vertices}
     indeg = {v: 0 for v in g.vertices}
     for u, w in _arcs(g):
@@ -238,24 +227,19 @@ def longest_by_order(g):
 
 
 @st.composite
-def small_graphs(draw, tails=False):
-    """Up to four vertices, and edges (and tails) between any two of them:
-    loops, parallel edges, sinks and the empty graph all occur."""
+def small_graphs(draw):
+    """Up to four vertices, and edges between any two of them: loops,
+    parallel edges, sinks and the empty graph all occur."""
     vertices = [f"v{i}" for i in range(draw(st.integers(0, 4)))]
     if not vertices:
         return Graph(())
     arc = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
     edges = draw(st.lists(arc, max_size=6))
-    omega = draw(st.lists(arc, max_size=2)) if tails else ()
-    return Graph.build(vertices, [(f"e{i}", u, w) for i, (u, w) in enumerate(edges)],
-                       omega)
+    return Graph.build(vertices, [(f"e{i}", u, w) for i, (u, w) in enumerate(edges)])
 
 
 LOOP_AND_SINK = Graph.build(["u", "s"], [("l", "u", "u"), ("e", "u", "s")])
 PARALLEL = Graph.build(["v", "w"], [("a", "v", "w"), ("b", "v", "w"), ("c", "w", "w")])
-# the edge v -> w and the tail w -> v close a cycle only together
-TAIL_CYCLE = Graph.build(["v", "w"], [("e", "v", "w")], [("w", "v")])
-TAIL_CHAIN = Graph.build(["v", "w", "x"], [("e", "v", "w")], [("w", "x")])
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,19 +254,3 @@ def test_path_counts_count_the_listed_paths(g, n):
     assert len(counts) == n + 1
     assert all(counts[l][i] == listed[l, i]
                for l in range(n + 1) for i in range(len(vertices)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(small_graphs(), small_graphs(tails=True)))
-@example(Graph(()))
-@example(LOOP_AND_SINK)
-@example(TAIL_CYCLE)
-@example(TAIL_CHAIN)
-def test_acyclicity_and_longest_path_match_a_topological_sort(g):
-    order = topological_order(g)
-    assert is_acyclic(g) == (order is not None)
-    if order is None:
-        with pytest.raises(GraphError):
-            longest_path_length(g)
-    else:
-        assert longest_path_length(g) == longest_by_order(g)

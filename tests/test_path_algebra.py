@@ -13,12 +13,16 @@ from quivpush.path_algebra import (DegreeCheck, PAElement, pa_mul, pa_pullback,
                                    pa_unit, verify_path_pullback)
 from quivpush.pushout import PreconditionError, pushout_square
 from quivpush.randgen import (case_rng, collapse_duplicate_edges, one_color_instance,
-                              path_theorem_instance,
                               random_general_hom, random_graph)
 from test_graph import longest_by_order, topological_order
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
+
+
+def path_theorem_instance(rng):
+    """Acyclic legs meeting all three path-theorem hypotheses."""
+    return one_color_instance(rng, need_one_sided=True, acyclic=True)
 
 
 def _chi(g, *edges, vertex=None, field=QQ):

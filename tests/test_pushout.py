@@ -13,11 +13,10 @@ from quivpush.leavitt import verify_leavitt_pullback
 from quivpush.morphism import (DomainMismatch, GraphHom, check_valid_hom, classify_hom,
                                induced_path_map)
 from quivpush.path_algebra import verify_path_pullback
-from quivpush.pushout import (PreconditionError, breakarrow_identity,
+from quivpush.pushout import (PreconditionError, SetPushout, breakarrow_identity,
                               check_theorem_preconditions, class_id,
-                              graph_pushout, graph_universal_map,
-                              path_pushout_compare, pushout_square,
-                              set_pushout, set_universal_map)
+                              graph_pushout, path_pushout_compare,
+                              pushout_square, set_pushout)
 from quivpush.randgen import (admpush_instance, case_rng, collapse_duplicate_edges,
                               leavitt_union_instance, one_color_instance,
                               one_color_violation, random_general_hom, random_graph,
@@ -26,6 +25,40 @@ from quivpush.randgen import (admpush_instance, case_rng, collapse_duplicate_edg
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 EMPTY = Graph(())
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def set_universal_map(p: SetPushout, j_left: dict, j_right: dict) -> dict:
+    """The unique map out of the pushout commuting with both injections.
+    The classes are generated by f(z) ~ g(z), so a cone commutes iff it is
+    constant on every class."""
+    h = {}
+    for rep, members in p.classes.items():
+        values = {(j_left if side == "E" else j_right)[x] for side, x in members}
+        if len(values) != 1:
+            raise PreconditionError("compatible-cone", f"class of {rep} maps inconsistently")
+        h[rep] = values.pop()
+    return h
+
+
+def _fiber_pushout(p, part):
+    """The SetPushout of p's vertices (part "f0") or edges ("f1"): each
+    class is an id of p.graph, and its members are its fibers under the
+    two injections."""
+    inj_left, inj_right = getattr(p.iota_left, part), getattr(p.iota_right, part)
+    classes = {}
+    for side, inj in (("E", inj_left), ("F", inj_right)):
+        for x, c in inj.items():
+            classes.setdefault(c, []).append((side, x))
+    return SetPushout(classes, inj_left, inj_right)
+
+
+def graph_universal_map(p, j_left: GraphHom, j_right: GraphHom) -> GraphHom:
+    """Mediating homomorphism out of a pushout graph against a commuting cone."""
+    if j_left.codomain != j_right.codomain:
+        raise DomainMismatch("cone legs must share their codomain")
+    h0 = set_universal_map(_fiber_pushout(p, "f0"), j_left.f0, j_right.f0)
+    h1 = set_universal_map(_fiber_pushout(p, "f1"), j_left.f1, j_right.f1)
+    return check_valid_hom(GraphHom(p.graph, j_left.codomain, h0, h1))
 
 
 def test_set_pushout_empty_apex_is_disjoint_union():
@@ -329,19 +362,28 @@ def test_pushout_square_routes_unions_through_original_ids():
         assert po.iota_left.is_inclusion() and po.iota_right.is_inclusion()
 
 
-def _certificate_names(po):
-    """The class names of po's certificate, each checked to be the id of P
-    that both injections send every member of the class to."""
+def _certificate_names(f, g):
+    """The class names of the certificate of the square of f and g, each
+    checked to be the id of P that both injections send every member of the
+    class to.  Each class's member list is checked to be, member for member
+    and in order, the class that set_pushout builds on the legs."""
+    po = pushout_square(f, g)
     obj = pushout_to_obj(po)
     names = []
-    for key, ids, part in (("vertex_classes", po.graph.vertices, "f0"),
-                           ("edge_classes", po.graph.edges, "f1")):
+    for key, ids, part, cells in (("vertex_classes", po.graph.vertices, "f0", "vertices"),
+                                  ("edge_classes", po.graph.edges, "f1", "edges")):
         for c in obj[key]:
             assert c["class"] in ids
             for side, x in c["members"]:
                 iota = po.iota_left if side == "E" else po.iota_right
                 assert getattr(iota, part)[x] == c["class"]
         assert [c["class"] for c in obj[key]] == sorted(ids)
+        sp = set_pushout(getattr(f.codomain, cells), getattr(g.codomain, cells),
+                         getattr(f.domain, cells), getattr(f, part), getattr(g, part))
+        iota = {"E": getattr(po.iota_left, part), "F": getattr(po.iota_right, part)}
+        built = {iota[side][x]: [list(m) for m in members]
+                 for (side, x), members in sp.classes.items()}
+        assert {c["class"]: c["members"] for c in obj[key]} == built
         names.append([(c["class"], c["members"][0]) for c in obj[key]])
     return names
 
@@ -349,14 +391,18 @@ def _certificate_names(po):
 def test_certificate_names_classes_as_the_pushout_graph_does():
     """pushout_to_obj names a class by the injection of its representative:
     by its one id on union legs, and E:x or F:x after its representative,
-    the first of its sorted members, on a quotient square."""
+    the first of its sorted members, on a quotient square.  On every square,
+    collapsed and general legs too, a class lists the members set_pushout
+    gives it."""
     for case in range(100):
         f_graph, g_graph = captocup_pair(case_rng(4, case), tails=False)
-        for named in _certificate_names(pushout_square(*union_legs(f_graph, g_graph))):
+        for named in _certificate_names(*union_legs(f_graph, g_graph)):
             assert all(name == x for name, (_, x) in named)
     for case in range(30):
-        for named in _certificate_names(pushout_square(*admpush_instance(case_rng(5, case)))):
+        for named in _certificate_names(*admpush_instance(case_rng(5, case))):
             assert all(name == class_id(rep) for name, rep in named)
+        _certificate_names(*_collapsed_one_color_instance(case_rng(6, case)))
+        _certificate_names(*_general_legs(case_rng(7, case)))
 
 
 def _general_legs(rng):
@@ -382,9 +428,12 @@ def test_pushout_edge_classes_have_one_source_and_one_target(draw, seed):
     and both injections are valid homs."""
     f, g = draw(case_rng(seed, 15))
     po = graph_pushout(f, g)
-    cod = {"E": f.codomain, "F": g.codomain}
-    vclass = {"E": po.vertex_classes.inj_left, "F": po.vertex_classes.inj_right}
-    for members in po.edge_classes.classes.values():
+    E, F, G = f.codomain, g.codomain, f.domain
+    vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0)
+    ep = set_pushout(E.edges, F.edges, G.edges, f.f1, g.f1)
+    cod = {"E": E, "F": F}
+    vclass = {"E": vp.inj_left, "F": vp.inj_right}
+    for members in ep.classes.values():
         assert len({vclass[side][cod[side].src[e]] for side, e in members}) == 1
         assert len({vclass[side][cod[side].tgt[e]] for side, e in members}) == 1
     check_valid_hom(po.iota_left)
