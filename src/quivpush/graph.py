@@ -14,11 +14,13 @@ path_counts gives c_l(v), the number of paths of length l ending at v, on
 a tail-free graph.  The Leavitt window sizes and the pushout graph's paths
 in each degree are read from it, not from a list of paths.
 
-A Path is a tuple (typing.NamedTuple), as is the Leavitt monomial built
-from two of them, so that the dict lookups keyed by them hash and compare
-in C.  Being tuples, they compare equal to plain tuples of the same fields,
-order as tuples and encode to JSON as lists: nothing may sort raw Paths
-(order them by Path.sort_key) or serialize one to JSON (write str(path)).
+A Path is its start vertex and its composable edges; the trivial path at
+v is Path(v), with no edges.  A Path is a tuple (typing.NamedTuple), as is
+the Leavitt monomial built from two of them, so that the dict lookups keyed
+by them hash and compare in C.  Being tuples, they compare equal to plain
+tuples of the same fields, order as tuples and encode to JSON as lists:
+nothing may sort raw Paths (order them by Path.sort_key) or serialize one
+to JSON (write str(path)).
 
 Graphs are frozen values: vertex and edge sets are frozensets, the source
 and target maps are read-only, and no attribute can be reassigned.  Derived
@@ -43,49 +45,29 @@ class IncompatibleOverlap(GraphError):
 
 
 class Path(NamedTuple):
-    """A finite path: a lone vertex (length 0) or a nonempty composable edge tuple."""
+    """A finite path: its start vertex and its composable edges, none for
+    the trivial path at start."""
 
-    vertex: str | None = None
+    start: str
     edges: tuple[str, ...] = ()
-
-    @staticmethod
-    def at(vertex: str) -> "Path":
-        return Path(vertex)
-
-    @staticmethod
-    def of(edges) -> "Path":
-        edges = tuple(edges)
-        if not edges:
-            raise GraphError("edge sequence path must be nonempty; use Path.at for vertices")
-        return Path(None, edges)
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.vertex is not None
 
     @property
     def length(self) -> int:
         return len(self.edges)
 
-    def source(self, g: "Graph") -> str:
-        return self.vertex if self.is_vertex else g.src[self.edges[0]]
-
     def target(self, g: "Graph") -> str:
-        return self.vertex if self.is_vertex else g.tgt[self.edges[-1]]
+        return g.tgt[self.edges[-1]] if self.edges else self.start
 
     def join(self, q: "Path") -> "Path":
         """This path followed by q; the caller guarantees t(self) = s(q)."""
-        if self.is_vertex:
-            return q
-        if q.is_vertex:
-            return self
-        return Path.of(self.edges + q.edges)
+        return Path(self.start, self.edges + q.edges)
 
     def sort_key(self):
-        return (len(self.edges), self.edges, self.vertex or "")
+        # equal nonempty edge tuples share one start
+        return (len(self.edges), self.edges, self.start)
 
     def __str__(self):
-        return self.vertex if self.is_vertex else ".".join(self.edges)
+        return ".".join(self.edges) or self.start
 
 
 class derived:
@@ -134,10 +116,6 @@ class Graph:
         src = {e: u for e, u, _ in edge_triples}
         tgt = {e: w for e, _, w in edge_triples}
         return Graph(vertices, src.keys(), src, tgt, omega_tails)
-
-    @staticmethod
-    def empty() -> "Graph":
-        return Graph(())
 
     def __eq__(self, other):
         if self is other:
@@ -279,15 +257,15 @@ def paths_up_to(g: Graph, n: int) -> list:
     if n < 0:
         raise GraphError("path length bound must be nonnegative")
     out = g.out_map
-    result = [Path.at(v) for v in sorted(g.vertices)]
-    frontier = [Path.of([e]) for e in sorted(g.edges)]
+    result = [Path(v) for v in sorted(g.vertices)]
+    frontier = [Path(g.src[e], (e,)) for e in sorted(g.edges)]
     length = 1
     while frontier and length <= n:
         result.extend(frontier)
         nxt = []
         for p in frontier:
             for e in out[g.tgt[p.edges[-1]]]:
-                nxt.append(Path.of(p.edges + (e,)))
+                nxt.append(Path(p.start, p.edges + (e,)))
         frontier = nxt
         length += 1
     return result

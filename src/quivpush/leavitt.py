@@ -79,36 +79,30 @@ class LMonomial(NamedTuple):
         return (self.total, self.degree, self.alpha.sort_key(), self.beta.sort_key())
 
     def __str__(self):
-        if self.beta.is_vertex:
+        if not self.beta.edges:
             return str(self.alpha)
         ghosts = ".".join(e + "*" for e in reversed(self.beta.edges))
-        if self.alpha.is_vertex and not self.alpha.edges:
+        if not self.alpha.edges:
             return ghosts
         return f"{self.alpha}.{ghosts}"
 
 
 def vertex_monomial(v: str) -> LMonomial:
-    return LMonomial(Path.at(v), Path.at(v))
+    return LMonomial(Path(v), Path(v))
 
 
 def edge_monomial(g: Graph, e: str) -> LMonomial:
-    return LMonomial(Path.of([e]), Path.at(g.tgt[e]))
+    return LMonomial(Path(g.src[e], (e,)), Path(g.tgt[e]))
 
 
 def ghost_monomial(g: Graph, e: str) -> LMonomial:
-    return LMonomial(Path.at(g.tgt[e]), Path.of([e]))
+    return LMonomial(Path(g.tgt[e]), Path(g.src[e], (e,)))
 
 
 def is_normal(mono: LMonomial, designated: frozenset) -> bool:
     a, b = mono.alpha, mono.beta
     return not (a.edges and b.edges and a.edges[-1] == b.edges[-1]
                 and a.edges[-1] in designated)
-
-
-def _chop(g: Graph, p: Path) -> Path:
-    if p.length == 1:
-        return Path.at(g.src[p.edges[0]])
-    return Path.of(p.edges[:-1])
 
 
 class LElement(LinearCombination):
@@ -131,12 +125,12 @@ def _ck2_accumulate(g: Graph, mono: LMonomial, coeff, acc: dict):
         if a.edges and b.edges and a.edges[-1] == b.edges[-1] and a.edges[-1] in designated:
             gamma = a.edges[-1]
             v = g.src[gamma]
-            a1, b1 = _chop(g, a), _chop(g, b)
-            stack.append((LMonomial(a1, b1), c))
+            a1, b1 = a.edges[:-1], b.edges[:-1]
+            stack.append((LMonomial(Path(a.start, a1), Path(b.start, b1)), c))
             for e in out_map[v]:
                 if e != gamma:
-                    stack.append((LMonomial(Path.of(a1.edges + (e,)),
-                                           Path.of(b1.edges + (e,))), -c))
+                    stack.append((LMonomial(Path(a.start, a1 + (e,)),
+                                           Path(b.start, b1 + (e,))), -c))
         else:
             acc[m] = acc.get(m, 0) + c
 
@@ -167,14 +161,10 @@ def normal_form(g: Graph, letters, coeff=None, field=QQ) -> LElement:
 
 def _prefix_remainder(g: Graph, p: Path, q: Path):
     """r with q = p.r, or None when p is not a prefix of q."""
-    if p.is_vertex:
-        return q if q.source(g) == p.vertex else None
-    if q.is_vertex:
+    k = len(p.edges)
+    if p.start != q.start or q.edges[:k] != p.edges:
         return None
-    if len(q.edges) < len(p.edges) or q.edges[:len(p.edges)] != p.edges:
-        return None
-    rest = q.edges[len(p.edges):]
-    return Path.of(rest) if rest else Path.at(p.target(g))
+    return Path(p.target(g), q.edges[k:])
 
 
 def _mono_mul(g: Graph, m1: LMonomial, m2: LMonomial):

@@ -116,7 +116,7 @@ class GraphHom:
                       for v in self.domain.vertices if v not in reg_dom)
         category = (CATEGORY_CRTBPOG if tb and regular
                     else CATEGORY_TBPOG if tb else CATEGORY_POG)
-        return HomClassification(injective, surjective, True, tb, regular, category)
+        return HomClassification(injective, surjective, tb, regular, category)
 
     @derived
     def vertex_fibers(self):
@@ -133,7 +133,6 @@ class GraphHom:
 class HomClassification:
     injective: bool
     surjective: bool
-    proper: bool
     target_bijective: bool
     regular: bool
     category: str
@@ -184,8 +183,8 @@ def classify_hom(h: GraphHom) -> HomClassification:
     """Exhaustively computed flags and the strongest category containing h,
     computed once per hom.
 
-    Every hom between finite graphs is proper (finite-to-one), so proper is
-    always True and the weakest category returned is POG, never OG.
+    Every hom between finite graphs is proper (finite-to-one), so there is
+    no proper flag and the weakest category returned is POG, never OG.
     """
     return h.classification
 
@@ -201,25 +200,20 @@ def compose(g: GraphHom, f: GraphHom) -> GraphHom:
 
 def induced_path_map(h: GraphHom, p: Path) -> Path:
     """The length-preserving image of a path under the homomorphism."""
-    if p.is_vertex:
-        if p.vertex not in h.domain.vertices:
-            raise HomError(f"vertex {p.vertex} not in the domain")
-        return Path.at(h.f0[p.vertex])
-    dom, edges = h.domain, p.edges
-    if not dom.edges.issuperset(edges):
-        raise HomError(f"{p} is not a path of the domain")
-    for e, nxt in zip(edges, edges[1:]):
-        if dom.tgt[e] != dom.src[nxt]:
+    dom, here = h.domain, p.start
+    if here not in dom.vertices:
+        raise HomError(f"vertex {here} not in the domain")
+    for e in p.edges:
+        if e not in dom.edges or dom.src[e] != here:
             raise HomError(f"{p} is not a path of the domain")
+        here = dom.tgt[e]
     return _path_image(h, p)
 
 
 def _path_image(h: GraphHom, p: Path) -> Path:
     """induced_path_map without its checks, for a path known to lie in the
     domain, such as one that graph.paths_up_to enumerated."""
-    if p.is_vertex:
-        return Path.at(h.f0[p.vertex])
-    return Path.of([h.f1[e] for e in p.edges])
+    return Path(h.f0[p.start], tuple(map(h.f1.__getitem__, p.edges)))
 
 
 def desaturating_vertices(g: Graph, h_set) -> frozenset:

@@ -97,11 +97,13 @@ class PAElement(LinearCombination):
     def basis(graph, path: Path, field=QQ):
         """chi_path; raises GraphError unless path is a path of graph.  The
         constructor does not check its terms."""
-        if path.is_vertex:
-            if path.vertex not in graph.vertices:
-                raise GraphError(f"unknown vertex {path.vertex!r}")
-        else:
+        if path.start not in graph.vertices:
+            raise GraphError(f"unknown vertex {path.start!r}")
+        if path.edges:
             check_word(graph, [(e, False) for e in path.edges])
+            if graph.src[path.edges[0]] != path.start:
+                raise GraphError(f"{path} starts at {graph.src[path.edges[0]]}, "
+                                 f"not {path.start}")
         return PAElement(graph, field, {path: 1})
 
     def __mul__(self, other):
@@ -110,7 +112,7 @@ class PAElement(LinearCombination):
 
 def concat_paths(g: Graph, p: Path, q: Path):
     """pq when t(p) = s(q), else None."""
-    if p.target(g) != q.source(g):
+    if p.target(g) != q.start:
         return None
     return p.join(q)
 
@@ -130,23 +132,24 @@ def pa_mul(a: PAElement, b: PAElement) -> PAElement:
 def pa_unit(g: Graph, field=QQ) -> PAElement:
     """The sum of vertex idempotents; the identity when the graph is nonempty."""
     require_tail_free(g, "path algebra")
-    return PAElement(g, field, {Path.at(v): 1 for v in g.vertices})
+    return PAElement(g, field, {Path(v): 1 for v in g.vertices})
 
 
 def path_preimages(h: GraphHom, p: Path) -> list:
     """All domain paths mapping onto p; finite since lengths are preserved.
     Ordered by their first edge's place in its h.edge_fibers fiber, then
     their second edge's, and so on.  Edge ids need only be hashable, so the
-    (edge, is_ghost) letters of an extended graph serve too."""
+    (edge, is_ghost) letters of an extended graph still serve as edges: a
+    path's start is read from the domain's src, which is keyed by them."""
     dom = h.domain
-    if p.is_vertex:
-        return [Path.at(v) for v in h.vertex_fibers.get(p.vertex, ())]
+    if not p.edges:
+        return [Path(v) for v in h.vertex_fibers.get(p.start, ())]
     fibers, src, tgt = h.edge_fibers, dom.src, dom.tgt
     walks = [(e,) for e in fibers.get(p.edges[0], ())]
     for x in p.edges[1:]:
         options = fibers.get(x, ())
         walks = [w + (e,) for w in walks for e in options if tgt[w[-1]] == src[e]]
-    return [Path.of(w) for w in walks]
+    return [Path(src[w[0]], w) for w in walks]
 
 
 def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:
@@ -180,15 +183,12 @@ class DegreeCheck:
 
 @dataclass(frozen=True)
 class PathPullbackReport:
-    ok: bool
     exact: bool
     degrees: tuple
 
-    def total_dim_pushout(self):
-        return sum(d.dim_pushout for d in self.degrees)
-
-    def total_dim_fiber(self):
-        return sum(d.dim_fiber for d in self.degrees)
+    @property
+    def ok(self):
+        return all(d.ok for d in self.degrees)
 
 
 def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackReport:
@@ -226,5 +226,4 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
         checks.append(DegreeCheck(d, deg.count, r_stacked, dim_fiber,
                                   commutes, injective, surjective))
     exact = not any(path_counts(po.graph, n + 1)[n + 1])
-    ok = all(c.ok for c in checks)
-    return PathPullbackReport(ok, exact, tuple(checks))
+    return PathPullbackReport(exact, tuple(checks))

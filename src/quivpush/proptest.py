@@ -115,7 +115,7 @@ def suite_composition(rng) -> CaseResult:
     outer, inner = randgen.composable_tb_pair(rng)
     comp = compose(outer, inner)
     cls = classify_hom(comp)
-    ok = cls.target_bijective and cls.proper
+    ok = cls.target_bijective
     return CaseResult(ok, "" if ok else f"composite not TB: {_show_legs(outer, inner)}")
 
 

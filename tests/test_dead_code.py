@@ -1,13 +1,13 @@
 """A dead-code guard: every public module-level function and class of the
-package is reached from what a command, a property suite or the bench
-runs.  An oracle that only the tests call lives in tests/, next to the
-test that uses it.
+package, and every public method and property of its classes, is reached
+from what a command, a property suite or the bench runs.  An oracle that
+only the tests call lives in tests/, next to the test that uses it.
 
 Reaching is by name: a walk starts at cli.main, at the module-level
 statements of src/ and at every name a bench/ file reads, and each
-definition it reaches adds the names and attributes its body reads.  An
-import alone reads nothing, so a re-export in __init__ does not keep a
-definition alive.  Every field of a dataclass in src/ is read as an
+definition it reaches adds the names and attributes its body reads; a
+member is reached when the walk reads its name.  An import alone reads
+nothing, so a re-export in __init__ does not keep a definition alive.  Every field of a dataclass in src/ is read as an
 attribute somewhere, not only set by its constructor.
 
 Two drift guards ride along: every refusal flag that src/ spells out is
@@ -54,9 +54,11 @@ def test_src_is_reachable():
     """Every public module-level function and class of src/ is reached
     from main, from the module-level statements of src/ (the SUITES table
     among them), from a name that a bench/ file reads or from TRACED.  A
-    reached definition is walked whole, methods included.  Names are
-    matched across modules, so the walk may reach too much; a name read
-    only as a string, such as a traced function's, must be in TRACED."""
+    reached definition is walked whole, methods included, and a public
+    method or property of a class in src/ must have its name read by the
+    walk.  Names are matched across modules, so the walk may reach too
+    much; a name read only as a string, such as a traced function's, must
+    be in TRACED."""
     defs = defaultdict(list)
     roots = {"main", *TRACED}
     for path, tree in _trees(PACKAGE):
@@ -77,6 +79,11 @@ def test_src_is_reachable():
                  for name, nodes in sorted(defs.items())
                  if name not in reached and not name.startswith("_")
                  for path, node in nodes]
+    unreached += [f"{path.relative_to(ROOT)}:{member.lineno} {name}.{member.name}"
+                  for name, nodes in sorted(defs.items()) for path, node in nodes
+                  if isinstance(node, ast.ClassDef) for member in node.body
+                  if isinstance(member, ast.FunctionDef)
+                  and member.name not in reached and not member.name.startswith("_")]
     assert not unreached, "reached by no command, suite or bench: " + ", ".join(unreached)
 
 

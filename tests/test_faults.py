@@ -41,8 +41,8 @@ def _image_monomial(h, mono):
     """The generator of L(codomain) that h sends the generator mono to."""
     cod = h.codomain
     if mono.total == 0:
-        return vertex_monomial(h.f0[mono.alpha.vertex])
-    if mono.beta.is_vertex:
+        return vertex_monomial(h.f0[mono.alpha.start])
+    if not mono.beta.edges:
         return edge_monomial(cod, h.f1[mono.alpha.edges[0]])
     return ghost_monomial(cod, h.f1[mono.beta.edges[0]])
 

@@ -80,14 +80,14 @@ def test_extended_rejects_tails():
 
 
 def test_paths_single_vertex():
-    assert paths_up_to(Graph(["v"]), 5) == [Path.at("v")]
+    assert paths_up_to(Graph(["v"]), 5) == [Path("v")]
 
 
 def test_paths_loop():
     g = Graph.build(["u"], [("l", "u", "u")])
     paths = paths_up_to(g, 3)
     assert len(paths) == 4
-    assert Path.of(["l", "l", "l"]) in paths
+    assert Path("u", ("l", "l", "l")) in paths
 
 
 def test_paths_single_edge():
@@ -248,8 +248,16 @@ PARALLEL = Graph.build(["v", "w"], [("a", "v", "w"), ("b", "v", "w"), ("c", "w",
 @example(LOOP_AND_SINK, 3)
 @example(PARALLEL, 2)
 def test_path_counts_count_the_listed_paths(g, n):
+    """path_counts agrees with the listing, whose entries are paths: each
+    starts at its first edge's source and its edges compose, none is listed
+    twice, and the list is in sort_key order."""
+    paths = paths_up_to(g, n)
+    assert all(g.src[p.edges[0]] == p.start for p in paths if p.edges)
+    assert all(g.tgt[e] == g.src[x] for p in paths for e, x in zip(p.edges, p.edges[1:]))
+    assert len(set(paths)) == len(paths)
+    assert paths == sorted(paths, key=Path.sort_key)
     vertices = sorted(g.vertices)
-    listed = Counter((p.length, vertices.index(p.target(g))) for p in paths_up_to(g, n))
+    listed = Counter((p.length, vertices.index(p.target(g))) for p in paths)
     counts = path_counts(g, n)
     assert len(counts) == n + 1
     assert all(counts[l][i] == listed[l, i]

@@ -75,7 +75,7 @@ def test_compose_preserves_target_bijectivity(seed):
     outer, inner = composable_tb_pair(case_rng(seed, 1))
     comp = compose(outer, inner)
     cls = classify_hom(comp)
-    assert cls.target_bijective and cls.proper
+    assert cls.target_bijective
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,17 +101,19 @@ def test_compose_rejects_domain_mismatch():
 
 def test_induced_path_map_vertex_and_edges():
     h = GraphHom.identity(EDGE)
-    assert induced_path_map(h, Path.at("v")) == Path.at("v")
+    assert induced_path_map(h, Path("v")) == Path("v")
     two = Graph.build(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
     fold = GraphHom(two, LOOP, {"a": "u", "b": "u", "c": "u"},
                     {"e1": "l", "e2": "l"})
-    assert induced_path_map(fold, Path.of(["e1", "e2"])) == Path.of(["l", "l"])
+    assert induced_path_map(fold, Path("a", ("e1", "e2"))) == Path("u", ("l", "l"))
 
 
 def test_induced_path_map_rejects_non_paths():
     h = GraphHom.identity(EDGE)
     with pytest.raises(HomError):
-        induced_path_map(h, Path.of(["e", "e"]))
+        induced_path_map(h, Path("v", ("e", "e")))
+    with pytest.raises(HomError):
+        induced_path_map(h, Path("w", ("e",)))
 
 
 @settings(max_examples=25, deadline=None)
