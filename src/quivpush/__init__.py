@@ -5,10 +5,10 @@ pushout-to-pullback theorems on finite instances."""
 from .fields import QQ, Field, field_from_name
 from .graph import (Graph, GraphError, IncompatibleOverlap, Path,
                     classify_vertices, intersection_graph, paths_up_to,
-                    union_graph, validate_graph)
+                    union_graph)
 from .morphism import (AdmissibilityReport, GraphHom, HomClassification,
                        admissible_equiv_crtbpog, breaking_vertices, classify_hom,
-                       compose, induced_path_map, is_admissible, validate_hom)
+                       compose, induced_path_map, is_admissible)
 from .pushout import (PreconditionError, PushoutGraph, SetPushout,
                       breakarrow_identity, check_theorem_preconditions,
                       graph_pushout, path_pushout_compare, pushout_square,

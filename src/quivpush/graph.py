@@ -98,7 +98,9 @@ class Graph:
     """A finite quiver with optional omega tails.
 
     Structure maps are read-only and attributes cannot be reassigned, so the
-    derived tables below, each computed on first use, never go stale.
+    derived tables below, each computed on first use, never go stale.  A
+    Graph does not check its invariants; jsonio.graph_from_obj refuses
+    input that breaks them.
     """
 
     __setattr__ = __delattr__ = _immutable
@@ -168,16 +170,11 @@ class Graph:
         return VertexClasses(sinks, sources, regular, infinite)
 
     @derived
-    def special_edges(self):
-        """Regular vertex -> its special edge, the least emitted edge id,
+    def designated(self) -> frozenset:
+        """The special edges: each regular vertex's least emitted edge id,
         which the Leavitt normal form eliminates."""
         out = self.out_map
-        return MappingProxyType({v: out[v][0] for v in self.vertex_classes.regular})
-
-    @derived
-    def designated(self) -> frozenset:
-        """The special edges as a set."""
-        return frozenset(self.special_edges.values())
+        return frozenset(out[v][0] for v in self.vertex_classes.regular)
 
 
 @dataclass(frozen=True)
@@ -186,32 +183,6 @@ class VertexClasses:
     sources: frozenset
     regular: frozenset
     infinite_emitters: frozenset
-
-
-def validate_graph(g: Graph) -> list:
-    """Report every violated graph invariant; an empty list means ok."""
-    problems = []
-    for v in g.vertices:
-        if not isinstance(v, str) or not v:
-            problems.append(f"vertex id {v!r} is not a nonempty string")
-    for e in g.edges:
-        if not isinstance(e, str) or not e:
-            problems.append(f"edge id {e!r} is not a nonempty string")
-    for e in sorted(g.edges):
-        if e not in g.src:
-            problems.append(f"edge {e}: missing source")
-        elif g.src[e] not in g.vertices:
-            problems.append(f"edge {e}: dangling source {g.src[e]}")
-        if e not in g.tgt:
-            problems.append(f"edge {e}: missing target")
-        elif g.tgt[e] not in g.vertices:
-            problems.append(f"edge {e}: dangling target {g.tgt[e]}")
-    for v, w in sorted(g.omega_tails):
-        if v not in g.vertices:
-            problems.append(f"omega tail ({v},{w}): dangling source {v}")
-        if w not in g.vertices:
-            problems.append(f"omega tail ({v},{w}): dangling target {w}")
-    return problems
 
 
 def require_tail_free(g: Graph, context: str):

@@ -16,16 +16,10 @@ from .pushout import PushoutGraph
 
 
 class FormatError(ValueError):
-    def __init__(self, message, path=None, line=None, col=None):
-        self.path = path
-        self.line = line
-        self.col = col
-        where = ""
-        if path:
-            where = f"{path}: "
-        if line is not None:
-            where += f"line {line}, column {col}: "
-        super().__init__(where + message)
+    """A malformed input; the message names the file it is in, when known."""
+
+    def __init__(self, message, path=None):
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _not_a_string(what, value, path) -> FormatError:
@@ -41,6 +35,10 @@ def graph_to_obj(g: Graph) -> dict:
 
 
 def graph_from_obj(obj, path=None) -> Graph:
+    """The graph that obj describes.  A malformed object and a repeated
+    vertex id, edge id or omega tail are refused at once; then every empty
+    id and every edge or tail end that is not a vertex is listed in one
+    error, so each Graph read from a file is valid."""
     if not isinstance(obj, dict):
         raise FormatError("graph must be a JSON object", path)
     if unknown := set(obj) - {"vertices", "edges", "omega_tails"}:
@@ -48,7 +46,8 @@ def graph_from_obj(obj, path=None) -> Graph:
     vertices = obj.get("vertices", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FormatError("'vertices' must be a list of strings", path)
-    if len(set(vertices)) != len(vertices):
+    known = set(vertices)
+    if len(known) != len(vertices):
         raise FormatError("duplicate vertex ids", path)
     src, tgt = {}, {}
     edges = obj.get("edges", [])
@@ -67,7 +66,7 @@ def graph_from_obj(obj, path=None) -> Graph:
             raise FormatError(f"duplicate edge id {e!r}", path)
         src[e] = u
         tgt[e] = w
-    tails = []
+    tails = set()
     omega_tails = obj.get("omega_tails", [])
     if not isinstance(omega_tails, list):
         raise FormatError("'omega_tails' must be a list", path)
@@ -77,7 +76,20 @@ def graph_from_obj(obj, path=None) -> Graph:
         for x in t:
             if not isinstance(x, str):
                 raise _not_a_string("omega tail endpoint", x, path)
-        tails.append((t[0], t[1]))
+        v, w = t
+        if (v, w) in tails:
+            raise FormatError(f"duplicate omega tail ({v},{w})", path)
+        tails.add((v, w))
+    problems = [f"{kind} id '' is not a nonempty string"
+                for kind, ids in (("vertex", known), ("edge", src)) if "" in ids]
+    for e in sorted(src):
+        problems += [f"edge {e}: dangling {end} {x}"
+                     for end, x in (("source", src[e]), ("target", tgt[e])) if x not in known]
+    for v, w in sorted(tails):
+        problems += [f"omega tail ({v},{w}): dangling {end} {x}"
+                     for end, x in (("source", v), ("target", w)) if x not in known]
+    if problems:
+        raise FormatError("; ".join(problems), path)
     return Graph(vertices, src.keys(), src, tgt, tails)
 
 
@@ -92,7 +104,8 @@ def hom_to_obj(h: GraphHom) -> dict:
 
 def hom_from_obj(obj, path=None, base_dir=None, inputs=None) -> GraphHom:
     """A hom whose domain and codomain are graph objects or paths to graph
-    files, relative to base_dir; see load_json for inputs."""
+    files, relative to base_dir; see load_json for inputs.  An error in a
+    graph object names its side, and one in a graph file names that file."""
     if not isinstance(obj, dict):
         raise FormatError("homomorphism must be a JSON object", path)
     for key in ("domain", "codomain", "f0", "f1"):
@@ -104,9 +117,11 @@ def hom_from_obj(obj, path=None, base_dir=None, inputs=None) -> GraphHom:
     def resolve(side):
         value = obj[side]
         if isinstance(value, str):
-            ref = os.path.join(base_dir or "", value)
-            return load_graph(ref, inputs)
-        return graph_from_obj(value, path)
+            return load_graph(os.path.join(base_dir or "", value), inputs)
+        try:
+            return graph_from_obj(value)
+        except FormatError as exc:
+            raise FormatError(f"{side} graph invalid: {exc}", path) from None
 
     f0, f1 = obj["f0"], obj["f1"]
     if not isinstance(f0, dict) or not isinstance(f1, dict):
@@ -174,7 +189,7 @@ def load_json(path, inputs=None):
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", path)
     except json.JSONDecodeError as exc:
-        raise FormatError(exc.msg, path, exc.lineno, exc.colno)
+        raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}", path)
     except RecursionError:
         raise FormatError("arrays or objects nested too deeply", path) from None
 

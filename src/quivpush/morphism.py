@@ -74,7 +74,8 @@ class GraphHom:
 
     @derived
     def problems(self) -> tuple:
-        """Totality, stray-key and commuting-square failures; see validate_hom."""
+        """Totality, stray-key and commuting-square failures; empty when h is
+        a valid homomorphism."""
         dom, cod, f0, f1 = self.domain, self.codomain, self.f0, self.f1
         problems = [f"f0 key {v}: not a domain vertex"
                     for v in sorted(f0.keys() - dom.vertices)]
@@ -136,12 +137,6 @@ class HomClassification:
     target_bijective: bool
     regular: bool
     category: str
-
-
-def validate_hom(h: GraphHom) -> list:
-    """Report totality, stray-key and commuting-square failures; empty list
-    means ok."""
-    return list(h.problems)
 
 
 def check_valid_hom(h: GraphHom) -> GraphHom:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (Graph, intersection_graph, paths_up_to, union_graph,
-                    validate_graph)
+from .graph import Graph, intersection_graph, paths_up_to, union_graph
 from .morphism import (GraphHom, classify_hom, compose, is_admissible,
-                       validate_hom, admissible_equiv_crtbpog)
+                       admissible_equiv_crtbpog)
 from .pushout import (breakarrow_identity, check_theorem_preconditions,
                       path_pushout_compare, pushout_square)
 from .path_algebra import PAElement, pa_mul, pa_pullback, pa_unit
@@ -130,8 +129,6 @@ def suite_captocup(rng) -> CaseResult:
     f_graph, g_graph = randgen.captocup_pair(rng, tails=True)
 
     def fails(fg, gg):
-        if validate_graph(fg) or validate_graph(gg):
-            return False
         inter = intersection_graph(fg, gg)
         if not (is_admissible(GraphHom.inclusion(inter, fg)).strongly
                 and is_admissible(GraphHom.inclusion(inter, gg)).strongly):
@@ -151,7 +148,7 @@ def suite_admpush(rng) -> CaseResult:
     f, g = randgen.admpush_instance(rng)
 
     def fails(ff, gg):
-        if validate_hom(ff) or validate_hom(gg):
+        if ff.problems or gg.problems:
             return False
         cf, cg = classify_hom(ff), classify_hom(gg)
         if not (cf.target_bijective and cf.regular and cg.target_bijective
@@ -178,7 +175,7 @@ def suite_h_bijective(rng) -> CaseResult:
         return CaseResult(True)
 
     def fails(ff, gg):
-        if validate_hom(ff) or validate_hom(gg):
+        if ff.problems or gg.problems:
             return False
         po = pushout_square(ff, gg)
         flags = check_theorem_preconditions(ff, gg, po)

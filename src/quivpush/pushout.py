@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, path_counts, paths_up_to
-from .morphism import (GraphHom, DomainMismatch, check_valid_hom, _injective,
-                       _path_image)
+from .morphism import GraphHom, check_valid_hom, _injective, _path_image
 
 
 class PreconditionError(Exception):
@@ -25,7 +24,6 @@ class PreconditionError(Exception):
 
     def __init__(self, flag: str, detail: str = ""):
         self.flag = flag
-        self.detail = detail
         super().__init__(f"precondition {flag} failed" + (f": {detail}" if detail else ""))
 
 
@@ -110,10 +108,10 @@ def graph_pushout(f: GraphHom, g: GraphHom) -> PushoutGraph:
     The other members agree: f1(z) ~ g1(z) joins edges whose sources
     f0(s z) ~ g0(s z) already share a class, and likewise their targets, so
     the injections are valid homs.  Refused: legs with different domains
-    (DomainMismatch), graphs with omega tails (tail-free), invalid legs.
+    (shared-domain), graphs with omega tails (tail-free), invalid legs.
     """
     if f.domain != g.domain:
-        raise DomainMismatch("pushout legs must share their domain")
+        raise PreconditionError("shared-domain", "pushout legs must share their domain")
     E, F, G = f.codomain, g.codomain, f.domain
     for what, graph in (("domain", G), ("left codomain", E), ("right codomain", F)):
         if graph.has_tails:

@@ -623,6 +623,29 @@ MALFORMED = {
     "empty chi": (["eval", "g", "chi[]"], {"g": EDGE}, 2, "empty chi[...]"),
     "vertex and edge": (["eval", "g", "chi[a]"], {"g": BOTH}, 2,
                         "id 'a' is both a vertex and an edge"),
+    "empty vertex id": (["eval", "g", "1"], {"g": {"vertices": [""]}}, 2,
+                        "vertex id '' is not a nonempty string"),
+    "dangling tail": (["eval", "g", "1"], {"g": {"vertices": ["v"], "omega_tails": [["v", "w"]]}},
+                      2, "omega tail (v,w): dangling target w"),
+    "duplicate tail": (["union", "g", "g"],
+                       {"g": {"vertices": ["v", "w"], "omega_tails": [["v", "w"]] * 2}}, 2,
+                       "duplicate omega tail (v,w)"),
+    "dangling graph file": (["classify", "h"],
+                            {"h": {**POINT_HOM, "codomain": "g.json"}, "g": DANGLING}, 2,
+                            "g.json: edge e: dangling target x"),
+    "blank expression": (["eval", "g", "   "], {"g": EDGE}, 2, "empty expression"),
+    # empty ids first, then each edge's ends by edge id, then each tail's
+    "every graph problem": (["union", "g", "g"],
+                            {"g": {"vertices": ["", "b", "a"],
+                                   "edges": [{"id": "z", "src": "a", "tgt": "q"},
+                                             {"id": "", "src": "p", "tgt": "b"},
+                                             {"id": "m", "src": "r", "tgt": "s"}],
+                                   "omega_tails": [["x", "a"], ["b", "y"]]}}, 2,
+                            "vertex id '' is not a nonempty string; "
+                            "edge id '' is not a nonempty string; edge : dangling source p; "
+                            "edge m: dangling source r; edge m: dangling target s; "
+                            "edge z: dangling target q; omega tail (b,y): dangling target y; "
+                            "omega tail (x,a): dangling source x"),
 }
 
 

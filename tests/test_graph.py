@@ -5,26 +5,24 @@ from hypothesis import example, given, settings, strategies as st
 
 from quivpush.graph import (Graph, GraphError, IncompatibleOverlap, Path,
                             check_word, classify_vertices, intersection_graph,
-                            is_subgraph, path_counts, paths_up_to, union_graph,
-                            validate_graph)
+                            is_subgraph, path_counts, paths_up_to, union_graph)
+from quivpush.jsonio import FormatError, graph_from_obj, graph_to_obj
 from quivpush.leavitt import normal_form
-from quivpush.randgen import case_rng, random_graph
+from quivpush.randgen import case_rng, random_graph, restrict_graph
 
 
 def test_validate_single_vertex_ok():
-    assert validate_graph(Graph(["v"])) == []
+    assert graph_from_obj({"vertices": ["v"]}) == Graph(["v"])
 
 
 def test_validate_dangling_source():
-    g = Graph(["w"], ["e"], {"e": "v"}, {"e": "w"})
-    problems = validate_graph(g)
-    assert any("dangling source" in p for p in problems)
+    with pytest.raises(FormatError, match="edge e: dangling source v"):
+        graph_from_obj({"vertices": ["w"], "edges": [{"id": "e", "src": "v", "tgt": "w"}]})
 
 
 def test_validate_dangling_tail():
-    g = Graph(["v"], omega_tails=[("v", "w")])
-    problems = validate_graph(g)
-    assert any("dangling target" in p for p in problems)
+    with pytest.raises(FormatError, match=r"omega tail \(v,w\): dangling target w"):
+        graph_from_obj({"vertices": ["v"], "omega_tails": [["v", "w"]]})
 
 
 def test_classify_loop():
@@ -152,20 +150,32 @@ def test_union_rejects_incompatible_overlap():
         intersection_graph(f, g)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_union_intersection_subgraph_invariants(seed):
+def _overlapping_pair(seed):
+    """A drawn graph with omega tails and two of its induced subgraphs,
+    which agree on every shared id."""
     rng = case_rng(seed, 1)
     base = random_graph(rng, max_v=5, max_e=6, tails=True)
     keep_f = {v for v in base.vertices if rng.random() < 0.8}
     keep_g = {v for v in base.vertices if rng.random() < 0.8}
-    from quivpush.randgen import restrict_graph
-    f = restrict_graph(base, keep_f)
-    g = restrict_graph(base, keep_g)
+    return base, restrict_graph(base, keep_f), restrict_graph(base, keep_g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_graph_objects_read_back(seed):
+    """Every drawn graph, its subgraphs, their union and their
+    intersection are valid: the parser reads each one's object back to it."""
+    base, f, g = _overlapping_pair(seed)
+    for h in (base, f, g, union_graph(f, g), intersection_graph(f, g)):
+        assert graph_from_obj(graph_to_obj(h)) == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_union_intersection_subgraph_invariants(seed):
+    _, f, g = _overlapping_pair(seed)
     u = union_graph(f, g)
     inter = intersection_graph(f, g)
-    assert validate_graph(u) == []
-    assert validate_graph(inter) == []
     assert is_subgraph(inter, f) and is_subgraph(inter, g)
     assert is_subgraph(f, u) and is_subgraph(g, u)
 

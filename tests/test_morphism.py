@@ -7,7 +7,7 @@ from quivpush.graph import Graph, GraphError, Path
 from quivpush.morphism import (GraphHom, HomError, admissible_equiv_crtbpog,
                                breaking_vertices, classify_hom, compose,
                                desaturating_vertices, induced_path_map,
-                               is_admissible, validate_hom)
+                               is_admissible)
 from quivpush.randgen import (case_rng, composable_tb_pair, random_general_hom,
                               random_graph, random_injective_hom, random_tb_hom)
 
@@ -18,18 +18,17 @@ VERTEX_TO_LOOP = GraphHom(ONE, LOOP, {"p": "u"}, {})
 
 
 def test_validate_identity():
-    assert validate_hom(GraphHom.identity(EDGE)) == []
+    assert GraphHom.identity(EDGE).problems == ()
 
 
 def test_validate_vertex_into_loop():
-    assert validate_hom(VERTEX_TO_LOOP) == []
+    assert VERTEX_TO_LOOP.problems == ()
 
 
 def test_validate_broken_square():
     cod = Graph.build(["a", "b"], [("x", "a", "b")])
     h = GraphHom(EDGE, cod, {"v": "b", "w": "b"}, {"e": "x"})
-    problems = validate_hom(h)
-    assert any("source square" in p for p in problems)
+    assert any("source square" in p for p in h.problems)
 
 
 def test_stray_keys_are_problems_and_not_an_inclusion():
@@ -38,8 +37,8 @@ def test_stray_keys_are_problems_and_not_an_inclusion():
     validity check."""
     point = Graph(["a"])
     h = GraphHom(point, point, {"a": "a", "zz": "a"}, {"x": "y"})
-    assert validate_hom(h) == ["f0 key zz: not a domain vertex",
-                               "f1 key x: not a domain edge"]
+    assert h.problems == ("f0 key zz: not a domain vertex",
+                          "f1 key x: not a domain edge")
     assert not h.is_inclusion()
     assert GraphHom.identity(point).is_inclusion()
 

@@ -1,8 +1,8 @@
 import pytest
 
 from quivpush import proptest
-from quivpush.graph import Graph, validate_graph
-from quivpush.morphism import GraphHom, validate_hom
+from quivpush.graph import Graph
+from quivpush.morphism import GraphHom
 from quivpush.proptest import SUITES, minimize_graph_pair, minimize_legs, run_suite
 from quivpush.pushout import path_pushout_compare, pushout_square
 from quivpush.randgen import case_rng, one_color_violation
@@ -27,7 +27,7 @@ def test_minimizer_strips_decoration_from_violation():
     f, g = one_color_violation(case_rng(9, 40))
 
     def fails(ff, gg):
-        if validate_hom(ff) or validate_hom(gg):
+        if ff.problems or gg.problems:
             return False
         if not (ff.domain.vertices and ff.codomain.vertices
                 and gg.codomain.vertices):
@@ -48,7 +48,7 @@ def test_minimizer_keeps_valid_instance():
     loop = Graph.build(["u"], [("l", "u", "u")])
     f = GraphHom(point, loop, {"z": "u"}, {})
     small_f, small_g = minimize_legs(lambda a, b: True, f, f)
-    assert validate_hom(small_f) == []
+    assert small_f.problems == ()
 
 
 def test_minimize_graph_pair_keeps_the_failing_core():
@@ -59,8 +59,7 @@ def test_minimize_graph_pair_keeps_the_failing_core():
 
     def fails(fg, gg):
         tried.append((fg, gg))
-        return (not validate_graph(fg) and not validate_graph(gg)
-                and "e2" in fg.edges and "y" in gg.vertices)
+        return "e2" in fg.edges and "y" in gg.vertices
 
     small_f, small_g = minimize_graph_pair(fails, f_graph, g_graph)
     assert small_f == Graph.build(["x"], [("e2", "x", "x")])
