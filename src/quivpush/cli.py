@@ -3,22 +3,23 @@
 Every command prints a deterministic JSON certificate (command echo, input
 digests, per-check verdicts with witnesses) so reruns on identical inputs
 are byte identical.  Exit codes: 0 pass, 1 check failed, 2 parse error,
-3 precondition refused.
+3 precondition refused.  main maps each error type to one exit code; the
+commands pass errors on as raised, adding context only through _reading.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
 
 from .fields import QQ, FieldError, field_from_name
-from .graph import (Graph, GraphError, IncompatibleOverlap, Path, check_word,
-                    intersection_graph, union_graph)
+from .graph import (Graph, GraphError, Path, PreconditionError, check_word,
+                    intersection_graph, require_tail_free, union_graph)
 from .morphism import GraphHom, HomError, classify_hom, is_admissible
-from .pushout import (PreconditionError, check_theorem_preconditions,
-                      path_pushout_compare, pushout_square)
+from .pushout import check_theorem_preconditions, path_pushout_compare, pushout_square
 from .path_algebra import PAElement, pa_unit, verify_path_pullback
 from .leavitt import (l_unit, normal_form, verify_leavitt_pullback,
                       vertex_monomial, monomial_element)
@@ -95,9 +96,9 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
     """Parse a linear combination like '3/2*chi[e1.e2] - chi[v]'.
 
     Ghost markers (chi[e*]) force Leavitt mode; bare coefficients multiply
-    the unit.  Graphs with omega tails are refused in both modes with
-    PreconditionError("tail-free"), and graphs with an id that chi[...]
-    cannot name with ExprError.
+    the unit.  Graphs with omega tails are refused in both modes by
+    graph.require_tail_free, and graphs with an id that chi[...] cannot
+    name with ExprError.
     """
     unnamed = sorted(x for x in g.vertices | g.edges if _UNNAMEABLE.search(x))
     if unnamed:
@@ -134,9 +135,7 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         atoms.append((sign, coef, chi))
     if any(chi and "*" in chi for _, _, chi in atoms):
         leavitt = True
-    if g.has_tails:
-        algebra = "Leavitt path algebra" if leavitt else "path algebra"
-        raise PreconditionError("tail-free", f"the {algebra} rejects graphs with omega tails")
+    require_tail_free(g)
 
     def term_element(sign, coef, chi):
         scalar = 1 if coef is None else field.parse(coef)
@@ -171,6 +170,16 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         elem = term_element(sign, coef, chi)
         total = elem if total is None else total + elem
     return total, leavitt
+
+
+@contextlib.contextmanager
+def _reading(what):
+    """Report an error in the text of an expression or option, raised in
+    the block, as a parse error of what."""
+    try:
+        yield
+    except (ExprError, FieldError) as exc:
+        raise jsonio.FormatError(str(exc), what) from None
 
 
 def cmd_classify(args, argv):
@@ -220,11 +229,8 @@ def cmd_union(args, argv):
     cert = Certificate(argv)
     f_graph = jsonio.load_graph(args.left, cert.obj["inputs"])
     g_graph = jsonio.load_graph(args.right, cert.obj["inputs"])
-    try:
-        u = union_graph(f_graph, g_graph)
-        inter = intersection_graph(f_graph, g_graph)
-    except IncompatibleOverlap as exc:
-        raise PreconditionError("compatible-overlap", str(exc))
+    u = union_graph(f_graph, g_graph)
+    inter = intersection_graph(f_graph, g_graph)
     cert.extra("union", jsonio.graph_to_obj(u))
     cert.extra("intersection", jsonio.graph_to_obj(inter))
     for name, sub, sup in (("inter_in_left", inter, f_graph),
@@ -244,7 +250,8 @@ def cmd_verify(args, argv):
     cert = Certificate(argv)
     f = jsonio.load_hom(args.left, cert.obj["inputs"])
     g = jsonio.load_hom(args.right, cert.obj["inputs"])
-    field = field_from_name(args.field)
+    with _reading(f"--field {args.field}"):
+        field = field_from_name(args.field)
     cert.param("field", args.field)
     cert.param("max_degree", args.max_degree)
     if args.leavitt:
@@ -271,12 +278,11 @@ def cmd_verify(args, argv):
 def cmd_eval(args, argv):
     cert = Certificate(argv)
     g = jsonio.load_graph(args.graph, cert.obj["inputs"])
-    field = field_from_name(args.field)
+    with _reading(f"--field {args.field}"):
+        field = field_from_name(args.field)
     cert.param("field", args.field)
-    try:
+    with _reading("<expression>"):
         elem, leavitt = parse_element(args.expression, g, field, args.leavitt)
-    except (ExprError, FieldError) as exc:
-        raise jsonio.FormatError(str(exc), "<expression>")
     cert.param("mode", "leavitt" if leavitt else "path-algebra")
     cert.check("evaluated", True, result=repr(elem),
                terms=len(elem.terms))
@@ -288,10 +294,11 @@ def cmd_proptest(args, argv):
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return EXIT_PARSE
-    lines = []
-    passes, failures = run_suite(args.suite, args.seed, args.cases, emit=lines.append)
-    for line in lines:
-        print(line)
+    passes, failures = run_suite(args.suite, args.seed, args.cases)
+    for i, result in failures:
+        print(f"case {i:04d} FAIL {args.suite}: {result.detail}")
+        if result.minimized:
+            print(f"  minimized: {result.minimized}")
     print(f"suite {args.suite}: {passes}/{args.cases} passed (seed {args.seed})")
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
@@ -365,9 +372,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args, argv)
     except jsonio.FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FieldError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

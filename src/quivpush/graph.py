@@ -3,8 +3,9 @@
 A graph is a quadruple of vertex set, edge set and source/target maps.
 Infinite emitters are modelled combinatorially: an omega tail ``(v, w)``
 stands for countably many anonymous parallel edges from v to w.  Tails
-take part in single-graph predicates and in union/intersection only; the
-algebra modules and graph pushouts reject tailed graphs.
+take part in single-graph predicates and in union/intersection only:
+require_tail_free refuses them for path enumeration, graph pushouts and
+both algebras.  A path or word not in a graph is a GraphError.
 
 A word is a sequence of letters (e, is_ghost): the edge e runs from s(e) to
 t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
@@ -40,8 +41,13 @@ class GraphError(ValueError):
     pass
 
 
-class IncompatibleOverlap(GraphError):
-    """Shared ids on which two graphs disagree; union/intersection undefined."""
+class PreconditionError(Exception):
+    """A hypothesis of the operation fails; .flag names it.  Each flag is
+    raised by the one function that owns its rule."""
+
+    def __init__(self, flag: str, detail: str = ""):
+        self.flag = flag
+        super().__init__(f"precondition {flag} failed" + (f": {detail}" if detail else ""))
 
 
 class Path(NamedTuple):
@@ -185,9 +191,10 @@ class VertexClasses:
     infinite_emitters: frozenset
 
 
-def require_tail_free(g: Graph, context: str):
+def require_tail_free(g: Graph, what: str = "graph"):
+    """Refuse g, named what, if it has omega tails."""
     if g.has_tails:
-        raise GraphError(f"{context} rejects graphs with omega tails")
+        raise PreconditionError("tail-free", f"the {what} has omega tails")
 
 
 def classify_vertices(g: Graph) -> VertexClasses:
@@ -222,9 +229,19 @@ def check_word(g: Graph, letters):
                              f"{y} starts at {there}")
 
 
+def check_path(g: Graph, p: Path):
+    """Raise GraphError unless p is a path of g."""
+    if p.start not in g.vertices:
+        raise GraphError(f"unknown vertex {p.start!r}")
+    if p.edges:
+        check_word(g, [(e, False) for e in p.edges])
+        if g.src[p.edges[0]] != p.start:
+            raise GraphError(f"{p} starts at {g.src[p.edges[0]]}, not {p.start}")
+
+
 def paths_up_to(g: Graph, n: int) -> list:
     """All paths of length <= n, each once, vertices included, in (length, edges) order."""
-    require_tail_free(g, "path enumeration")
+    require_tail_free(g)
     if n < 0:
         raise GraphError("path length bound must be nonnegative")
     out = g.out_map
@@ -250,7 +267,7 @@ def _check_overlap(f: Graph, g: Graph):
         if f.tgt[e] != g.tgt[e]:
             bad.append(f"edge {e}: targets differ ({f.tgt[e]} vs {g.tgt[e]})")
     if bad:
-        raise IncompatibleOverlap("; ".join(bad))
+        raise PreconditionError("compatible-overlap", "; ".join(bad))
 
 
 def union_graph(f: Graph, g: Graph) -> Graph:

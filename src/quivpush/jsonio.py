@@ -48,7 +48,8 @@ def graph_from_obj(obj, path=None) -> Graph:
         raise FormatError("'vertices' must be a list of strings", path)
     known = set(vertices)
     if len(known) != len(vertices):
-        raise FormatError("duplicate vertex ids", path)
+        first = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+        raise FormatError(f"duplicate vertex id {first!r}", path)
     src, tgt = {}, {}
     edges = obj.get("edges", [])
     if not isinstance(edges, list):

@@ -52,12 +52,11 @@ from operator import mul
 from typing import NamedTuple
 
 from .fields import QQ
-from .graph import (Graph, Path, check_word, path_counts, paths_up_to,
-                    require_tail_free)
+from .graph import (Graph, Path, PreconditionError, check_word, path_counts,
+                    paths_up_to, require_tail_free)
 from .linalg import rank
-from .morphism import (GraphHom, DomainMismatch, check_valid_hom,
-                       CATEGORY_CRTBPOG, _path_image, compose)
-from .pushout import PreconditionError, pushout_square
+from .morphism import GraphHom, DomainMismatch, CATEGORY_CRTBPOG, _path_image, compose
+from .pushout import pushout_square
 from .path_algebra import LinearCombination, path_preimages
 
 
@@ -149,7 +148,7 @@ def normal_form(g: Graph, letters, coeff=None, field=QQ) -> LElement:
     path (see graph.check_word); the generators e and e* are multiplied
     left to right with l_mul.
     """
-    require_tail_free(g, "Leavitt path algebra")
+    require_tail_free(g)
     check_word(g, letters)
     product = None
     for e, ghost in letters:
@@ -192,17 +191,16 @@ def l_mul(a: LElement, b: LElement) -> LElement:
 
 def l_unit(g: Graph, field=QQ) -> LElement:
     """The sum of vertex idempotents; the identity when the graph is nonempty."""
-    require_tail_free(g, "Leavitt path algebra")
+    require_tail_free(g)
     return LElement(g, field, {vertex_monomial(v): 1 for v in g.vertices})
 
 
 def _require_pullback(h: GraphHom):
     """Refuse h unless it induces a Leavitt pullback: a valid CRTBPOG
     morphism of tail-free graphs."""
-    check_valid_hom(h)
-    require_tail_free(h.domain, "Leavitt path algebra")
-    require_tail_free(h.codomain, "Leavitt path algebra")
     cls = h.classification
+    require_tail_free(h.domain, "domain")
+    require_tail_free(h.codomain, "codomain")
     if cls.category != CATEGORY_CRTBPOG:
         raise PreconditionError("CRTBPOG", f"morphism classifies as {cls.category}")
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .graph import (Graph, GraphError, Path, _immutable, derived, is_subgraph,
-                    regular_vertices)
+from .graph import (Graph, GraphError, Path, _immutable, check_path, derived,
+                    is_subgraph, regular_vertices)
 
 CATEGORY_POG = "POG"
 CATEGORY_TBPOG = "TBPOG"
@@ -194,14 +194,9 @@ def compose(g: GraphHom, f: GraphHom) -> GraphHom:
 
 
 def induced_path_map(h: GraphHom, p: Path) -> Path:
-    """The length-preserving image of a path under the homomorphism."""
-    dom, here = h.domain, p.start
-    if here not in dom.vertices:
-        raise HomError(f"vertex {here} not in the domain")
-    for e in p.edges:
-        if e not in dom.edges or dom.src[e] != here:
-            raise HomError(f"{p} is not a path of the domain")
-        here = dom.tgt[e]
+    """The length-preserving image of a path under the homomorphism; raises
+    GraphError unless p is a path of the domain (graph.check_path)."""
+    check_path(h.domain, p)
     return _path_image(h, p)
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from operator import index
 
 from .fields import QQ
-from .graph import Graph, GraphError, Path, check_word, path_counts, require_tail_free
+from .graph import (Graph, Path, PreconditionError, check_path, path_counts,
+                    require_tail_free)
 from .linalg import rank
 from .morphism import GraphHom, DomainMismatch, check_valid_hom
-from .pushout import (PreconditionError, check_theorem_preconditions, path_degrees,
-                      pushout_square)
+from .pushout import check_theorem_preconditions, path_degrees, pushout_square
 
 
 class LinearCombination:
@@ -94,17 +94,12 @@ class PAElement(LinearCombination):
     __slots__ = ()
 
     @staticmethod
-    def basis(graph, path: Path, field=QQ):
-        """chi_path; raises GraphError unless path is a path of graph.  The
-        constructor does not check its terms."""
-        if path.start not in graph.vertices:
-            raise GraphError(f"unknown vertex {path.start!r}")
-        if path.edges:
-            check_word(graph, [(e, False) for e in path.edges])
-            if graph.src[path.edges[0]] != path.start:
-                raise GraphError(f"{path} starts at {graph.src[path.edges[0]]}, "
-                                 f"not {path.start}")
-        return PAElement(graph, field, {path: 1})
+    def basis(graph, path: Path):
+        """chi_path over Q; raises GraphError unless path is a path of
+        graph (graph.check_path).  The constructor does not check its
+        terms."""
+        check_path(graph, path)
+        return PAElement(graph, QQ, {path: 1})
 
     def __mul__(self, other):
         return pa_mul(self, other)
@@ -131,7 +126,7 @@ def pa_mul(a: PAElement, b: PAElement) -> PAElement:
 
 def pa_unit(g: Graph, field=QQ) -> PAElement:
     """The sum of vertex idempotents; the identity when the graph is nonempty."""
-    require_tail_free(g, "path algebra")
+    require_tail_free(g)
     return PAElement(g, field, {Path(v): 1 for v in g.vertices})
 
 
@@ -155,8 +150,8 @@ def path_preimages(h: GraphHom, p: Path) -> list:
 def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:
     """The algebra homomorphism sending chi_p to the sum over path preimages."""
     check_valid_hom(h)
-    require_tail_free(h.domain, "path algebra")
-    require_tail_free(h.codomain, "path algebra")
+    require_tail_free(h.domain, "domain")
+    require_tail_free(h.codomain, "codomain")
     if a.graph != h.codomain:
         raise DomainMismatch("element must live over the codomain graph")
     terms = {}
@@ -208,11 +203,12 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
     """
     po = pushout_square(f, g)
     flags = check_theorem_preconditions(f, g, po)
-    for name, value in (("vertex_injectivity", flags.vertex_injectivity),
-                        ("one_color", flags.one_color),
-                        ("one_sided_injectivity", flags.one_sided_injectivity)):
-        if not value:
-            raise PreconditionError(name)
+    if not flags.vertex_injectivity:
+        raise PreconditionError("vertex_injectivity")
+    if not flags.one_color:
+        raise PreconditionError("one_color")
+    if not flags.one_sided_injectivity:
+        raise PreconditionError("one_sided_injectivity")
     checks = []
     for d, deg in enumerate(path_degrees(f, g, n, po)):
         # each image path is a column, numbered at its first appearance

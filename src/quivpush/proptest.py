@@ -262,10 +262,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, cases: int, emit=None):
-    """Run a suite; returns (pass_count, list of failing CaseResults)."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+def run_suite(name: str, seed: int, cases: int):
+    """Run the suite SUITES[name]; returns (pass_count, list of
+    (case index, failing CaseResult)) in case order."""
     suite = SUITES[name]
     failures = []
     passes = 0
@@ -275,8 +274,4 @@ def run_suite(name: str, seed: int, cases: int, emit=None):
             passes += 1
         else:
             failures.append((i, result))
-            if emit:
-                emit(f"case {i:04d} FAIL {name}: {result.detail}")
-                if result.minimized:
-                    emit(f"  minimized: {result.minimized}")
     return passes, failures

@@ -15,16 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, path_counts, paths_up_to
+from .graph import (Graph, GraphError, PreconditionError, path_counts, paths_up_to,
+                    require_tail_free)
 from .morphism import GraphHom, check_valid_hom, _injective, _path_image
-
-
-class PreconditionError(Exception):
-    """A verification op refused to run; .flag names the failing hypothesis."""
-
-    def __init__(self, flag: str, detail: str = ""):
-        self.flag = flag
-        super().__init__(f"precondition {flag} failed" + (f": {detail}" if detail else ""))
 
 
 class _UnionFind:
@@ -114,8 +107,7 @@ def graph_pushout(f: GraphHom, g: GraphHom) -> PushoutGraph:
         raise PreconditionError("shared-domain", "pushout legs must share their domain")
     E, F, G = f.codomain, g.codomain, f.domain
     for what, graph in (("domain", G), ("left codomain", E), ("right codomain", F)):
-        if graph.has_tails:
-            raise PreconditionError("tail-free", f"the {what} has omega tails")
+        require_tail_free(graph, what)
     check_valid_hom(f)
     check_valid_hom(g)
     vp = set_pushout(E.vertices, F.vertices, G.vertices, f.f0, g.f0)

@@ -114,9 +114,10 @@ def random_tb_hom(rng, cod: Graph, prefix="u", regular=False) -> GraphHom:
     return GraphHom(dom, cod, f0, f1)
 
 
-def random_general_hom(rng, cod: Graph, min_lifts=0) -> GraphHom:
+def random_general_hom(rng, cod: Graph) -> GraphHom:
     """An arbitrary homomorphism onto cod by free fiber lifting, from a
-    domain with vertices u0, u1, ... and edges ue0, ue1, ..."""
+    domain with vertices u0, u1, ... and edges ue0, ue1, ...: one or two
+    preimages per vertex and zero to two per edge."""
     fiber = {}
     f0 = {}
     counter = 0
@@ -131,7 +132,7 @@ def random_general_hom(rng, cod: Graph, min_lifts=0) -> GraphHom:
     f1 = {}
     eidx = 0
     for x in sorted(cod.edges):
-        for _ in range(rng.randint(min_lifts, 2)):
+        for _ in range(rng.randint(0, 2)):
             e = f"ue{eidx}"
             eidx += 1
             triples.append((e, rng.choice(fiber[cod.src[x]]),
@@ -273,11 +274,11 @@ def leavitt_union_instance(rng):
             GraphHom.inclusion(d_graph, g_graph))
 
 
-def composable_tb_pair(rng, regular=False):
+def composable_tb_pair(rng):
     """(outer, inner) target-bijective proper homs with matching middle."""
     base = random_graph(rng, max_v=3, max_e=4, prefix="h")
-    outer = random_tb_hom(rng, base, prefix="m", regular=regular)
-    inner = random_tb_hom(rng, outer.domain, prefix="d", regular=regular)
+    outer = random_tb_hom(rng, base, prefix="m")
+    inner = random_tb_hom(rng, outer.domain, prefix="d")
     return outer, inner
 
 
@@ -292,17 +293,17 @@ def random_crtbpog_hom(rng) -> GraphHom:
     return GraphHom.inclusion(sub, cod)
 
 
-def fold_hom(k: int, base: Graph, prefix="c") -> GraphHom:
-    """The k-fold cover folding onto base; target bijective and regular."""
+def fold_hom(k: int, base: Graph) -> GraphHom:
+    """The k-fold cover folding onto base, copy i of an id x named ci_x;
+    target bijective and regular."""
     f0, f1, triples, vertices = {}, {}, [], []
     for i in range(k):
         for v in sorted(base.vertices):
-            vertices.append(f"{prefix}{i}_{v}")
-            f0[f"{prefix}{i}_{v}"] = v
+            vertices.append(f"c{i}_{v}")
+            f0[f"c{i}_{v}"] = v
         for e in sorted(base.edges):
-            name = f"{prefix}{i}_{e}"
-            triples.append((name, f"{prefix}{i}_{base.src[e]}",
-                            f"{prefix}{i}_{base.tgt[e]}"))
+            name = f"c{i}_{e}"
+            triples.append((name, f"c{i}_{base.src[e]}", f"c{i}_{base.tgt[e]}"))
             f1[name] = e
     return GraphHom(Graph.build(vertices, triples), base, f0, f1)
 
@@ -350,12 +351,11 @@ def collapse_duplicate_edges(rng, legs):
             GraphHom(d2, g.codomain, dict(g.f0), f1g))
 
 
-def one_color_instance(rng, need_one_sided=False, acyclic=False):
+def one_color_instance(rng, need_one_sided=False):
     """Vertex-injective legs with a one-color pushout.  Admissible unions
     provide both properties; sometimes the legs additionally collapse
     duplicated edges, which keeps both flags but leaves the inclusion route."""
-    f_graph, g_graph = captocup_pair(rng, tails=False, max_v=5, max_e=6,
-                                     acyclic=acyclic)
+    f_graph, g_graph = captocup_pair(rng, tails=False, max_v=5, max_e=6)
     legs = union_legs(f_graph, g_graph)
     if not need_one_sided and rng.random() < 0.35:
         legs = collapse_duplicate_edges(rng, legs)

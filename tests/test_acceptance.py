@@ -65,7 +65,7 @@ def test_criterion_03_hereditarity_from_a2():
     for i in range(500):
         rng = randgen.case_rng(103, i)
         cod = randgen.random_graph(rng, max_v=6, max_e=8)
-        h = randgen.random_general_hom(rng, cod, min_lifts=1)
+        h = randgen.random_general_hom(rng, cod)
         good += bool(is_hereditary(cod, cod.vertices - h.vertex_image()))
     _report(3, "hereditarity-from-A2", good == 500, f"{good}/500",
             elapsed=time.time() - start)
@@ -153,7 +153,7 @@ def test_criterion_07_path_algebra_functor():
         cod = randgen.random_graph(rng, max_v=4, max_e=5)
         h = randgen.random_general_hom(rng, cod)
         paths = paths_up_to(cod, 4)
-        inner = randgen.random_general_hom(rng, h.domain, min_lifts=0)
+        inner = randgen.random_general_hom(rng, h.domain)
         comp = compose(h, inner)
         for _ in range(4):
             a = PAElement.basis(cod, rng.choice(paths))

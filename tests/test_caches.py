@@ -5,8 +5,8 @@ import pytest
 from test_leavitt import _pullback_through_extended_hom
 
 from quivpush.fields import field_from_name
-from quivpush.graph import (Graph, GraphError, Path, check_word, classify_vertices,
-                            paths_up_to)
+from quivpush.graph import (Graph, GraphError, Path, PreconditionError, check_word,
+                            classify_vertices, paths_up_to)
 from quivpush.leavitt import (LMonomial, l_pullback, monomial_element, normal_form,
                               normal_monomials_window, vertex_monomial)
 from quivpush.morphism import GraphHom, classify_hom, induced_path_map
@@ -59,7 +59,7 @@ def test_extended_graph_matches_reference(seed):
     two in the extended graph, built here from scratch."""
     g = _graph(seed)
     if g.omega_tails:
-        with pytest.raises(GraphError, match="omega tails"):
+        with pytest.raises(PreconditionError, match="omega tails"):
             normal_form(g, [(e, False) for e in sorted(g.edges)[:1]])
         return
     src, tgt = {}, {}

@@ -16,6 +16,8 @@ from quivpush.jsonio import (canonical_dumps, graph_from_obj, graph_to_obj,
 from quivpush.morphism import GraphHom
 from quivpush.leavitt import LElement, normal_monomials_window
 from quivpush.path_algebra import PAElement
+from quivpush.proptest import SUITES, CaseResult
+from quivpush.randgen import case_rng
 
 LOOP = {"vertices": ["u"], "edges": [{"id": "l", "src": "u", "tgt": "u"}],
         "omega_tails": []}
@@ -377,7 +379,8 @@ def test_field_has_one_spelling(tmp_path, capsys, spec):
     assert json.loads(capsys.readouterr().out)["params"]["field"] == "fp:7"
     assert main(["eval", path, "chi[l.l*] - 2*chi[u]", "--field", spec]) == 2
     out, err = capsys.readouterr()
-    assert not out and "parse error: bad field spec" in err and "Traceback" not in err
+    assert not out and f"parse error: --field {spec}: bad field spec" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", [[], ["--leavitt"]], ids=["path", "leavitt"])
@@ -549,6 +552,28 @@ def test_proptest_runs_cases(capsys):
     assert "25/25 passed" in out
 
 
+def test_proptest_prints_each_failure_in_case_order(monkeypatch, capsys):
+    """Each failing case prints one FAIL line, then its minimized instance
+    when there is one, before the summary."""
+    def flaky(rng):
+        draw = rng.randrange(3)
+        return CaseResult(draw == 0, f"drew {draw}", "small" if draw == 2 else "")
+
+    monkeypatch.setitem(SUITES, "flaky", flaky)
+    assert main(["proptest", "--suite", "flaky", "--seed", "5", "--cases", "6"]) == 1
+    expected = []
+    for i in range(6):
+        draw = case_rng(5, i).randrange(3)
+        if draw:
+            expected.append(f"case {i:04d} FAIL flaky: drew {draw}")
+        if draw == 2:
+            expected.append("  minimized: small")
+    passes = 6 - sum(line.startswith("case") for line in expected)
+    expected.append(f"suite flaky: {passes}/6 passed (seed 5)")
+    assert 0 < passes < 6 and "  minimized: small" in expected
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_certificates_deterministic(tmp_path, capsys):
     hom = {"domain": LOOP, "codomain": LOOP, "f0": {"u": "u"}, "f1": {"l": "l"}}
     path = _write(tmp_path, "ident.json", hom)
@@ -597,6 +622,8 @@ MALFORMED = {
     "edge without tgt": (["eval", "g", "1"],
                          {"g": {"vertices": ["v"], "edges": [{"id": "e", "src": "v"}]}}, 2,
                          "each edge needs 'id', 'src' and 'tgt'"),
+    "duplicate vertex id": (["eval", "g", "1"], {"g": {"vertices": ["v", "w", "w", "v"]}}, 2,
+                            "duplicate vertex id 'w'"),
     "duplicate edge id": (["eval", "g", "1"],
                           {"g": {"vertices": ["v"],
                                  "edges": [{"id": "e", "src": "v", "tgt": "v"}] * 2}}, 2,
@@ -634,6 +661,10 @@ MALFORMED = {
                             {"h": {**POINT_HOM, "codomain": "g.json"}, "g": DANGLING}, 2,
                             "g.json: edge e: dangling target x"),
     "blank expression": (["eval", "g", "   "], {"g": EDGE}, 2, "empty expression"),
+    "bad eval field": (["eval", "g", "chi[e*]", "--field", "fp:4"], {"g": EDGE}, 2,
+                       "parse error: --field fp:4: 4 is not prime"),
+    "bad verify field": (["verify", "--leavitt", "h", "h", "--field", "fp:4"],
+                         {"h": POINT_HOM}, 2, "parse error: --field fp:4: 4 is not prime"),
     # empty ids first, then each edge's ends by edge id, then each tail's
     "every graph problem": (["union", "g", "g"],
                             {"g": {"vertices": ["", "b", "a"],
@@ -651,9 +682,9 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_inputs_exit_with_one_named_line(tmp_path, capsys, case):
-    """Each malformed graph, hom, file or expression exits 2 (3 for legs
-    with different domains) with one stderr line naming the problem and
-    nothing on stdout."""
+    """Each malformed graph, hom, file, expression or option exits 2 (3 for
+    legs with different domains) with one stderr line naming the problem
+    and nothing on stdout."""
     argv, files, code, message = MALFORMED[case]
     paths = {"absent": str(tmp_path / "absent.json")}
     paths.update((name, _write(tmp_path, f"{name}.json", obj)) for name, obj in files.items())

@@ -10,11 +10,11 @@ member is reached when the walk reads its name.  An import alone reads
 nothing, so a re-export in __init__ does not keep a definition alive.  Every field of a dataclass in src/ is read as an
 attribute somewhere, not only set by its constructor.
 
-Two drift guards ride along: every refusal flag that src/ spells out is
-documented in the README's exit-code paragraph, and field objects stay out
+Two drift guards ride along: the refusal flags that src/ raises are the
+ones the README's exit-code paragraph lists, and field objects stay out
 of linalg, whose matrices hold ints, and out of the scalars, which are
 plain numbers.  A guard fails on a parameter that its function never
-reads or whose default no caller overrides, a layering guard on a module
+reads or whose default no caller in src/ or bench/ overrides, a layering guard on a module
 that imports one above it or on path_algebra building its own path-set
 square, a memo guard on a functools cache anywhere but on
 cli.build_parser, and an import guard on a name that a module of src/ or
@@ -24,6 +24,7 @@ tests/ imports and never reads.
 import ast
 import math
 import pathlib
+import re
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -113,21 +114,37 @@ def test_every_dataclass_field_is_read():
     assert not unread, "dataclass fields never read: " + ", ".join(unread)
 
 
-def test_readme_names_every_refusal_flag():
-    """The string-literal flag of each PreconditionError(...) call in src/
-    appears, in backticks, in the README paragraph on exit codes."""
-    flags = set()
-    for _, tree in _trees(PACKAGE):
+def _refusal_flags():
+    """Every string-literal flag that src/ raises PreconditionError with,
+    and the places whose flag is not a literal."""
+    flags, unread = set(), []
+    for path, tree in _trees(PACKAGE):
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "PreconditionError"
-                    and node.args and isinstance(node.args[0], ast.Constant)):
-                flags.add(node.args[0].value)
+                    and node.func.id == "PreconditionError"):
+                if node.args and isinstance(node.args[0], ast.Constant):
+                    flags.add(node.args[0].value)
+                else:
+                    unread.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return flags, unread
+
+
+def test_readme_names_every_refusal_flag():
+    """The flags that src/ raises PreconditionError with are exactly the
+    backticked names of the README's list of flags, the part of the
+    exit-code paragraph after 'The flags:' outside parentheses; and each
+    flag of src/ is a string literal."""
+    flags, unread = _refusal_flags()
+    assert not unread, "PreconditionError flags that are not literals: " + ", ".join(unread)
     assert flags, "no PreconditionError flag found in src/"
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraph = readme[readme.index("Exit codes:"):].split("\n\n", 1)[0]
-    undocumented = sorted(f for f in flags if f"`{f}`" not in paragraph)
-    assert not undocumented, "refusal flags missing from README: " + ", ".join(undocumented)
+    listed = re.sub(r"\([^()]*\)", "", paragraph.split("The flags:", 1)[1])
+    documented = set(re.findall(r"`([^`]+)`", listed))
+    assert not flags - documented, ("refusal flags missing from README: "
+                                     + ", ".join(sorted(flags - documented)))
+    assert not documented - flags, ("README flags that src/ never raises: "
+                                    + ", ".join(sorted(documented - flags)))
 
 
 def _retired(node):
@@ -190,9 +207,9 @@ def test_every_parameter_is_read():
 
 
 def _calls():
-    """Called name or attribute -> every call of it in src/, tests/ or bench/."""
+    """Called name or attribute -> every call of it in src/ or bench/."""
     calls = defaultdict(list)
-    for directory in ("src", "tests", "bench"):
+    for directory in ("src", "bench"):
         for _, tree in _trees(ROOT / directory):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
@@ -214,8 +231,10 @@ def _passed(call, index, name):
 def test_every_default_is_overridden():
     """Every parameter with a default, of a function or method in src/
     other than a dunder, is given a value by some call, by position or by
-    keyword, in src/, tests/ or bench/.  A default that no caller overrides
-    is a constant dressed as an option.  Calls are matched by name, so a
+    keyword, in src/ or bench/.  A default that no caller overrides is a
+    constant dressed as an option, and a value that only a test sets
+    selects a variant that no command runs: the test builds that variant
+    itself.  Calls are matched by name, so a
     name shared by two functions counts the calls of both."""
     calls = _calls()
     never = []

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivpush.graph import (Graph, GraphError, IncompatibleOverlap, Path,
+from quivpush.graph import (Graph, GraphError, Path, PreconditionError,
                             check_word, classify_vertices, intersection_graph,
                             is_subgraph, path_counts, paths_up_to, union_graph)
 from quivpush.jsonio import FormatError, graph_from_obj, graph_to_obj
@@ -72,7 +72,7 @@ def test_extended_no_edges():
 
 
 def test_extended_rejects_tails():
-    with pytest.raises(GraphError, match="omega tails"):
+    with pytest.raises(PreconditionError, match="tail-free failed: the graph has omega tails"):
         normal_form(Graph(["v"], ["l"], {"l": "v"}, {"l": "v"}, [("v", "v")]),
                     [("l", True)])
 
@@ -144,10 +144,10 @@ def test_union_intersection_spec_example():
 def test_union_rejects_incompatible_overlap():
     f = Graph.build(["v", "w"], [("e", "v", "w")])
     g = Graph.build(["v", "w"], [("e", "w", "v")])
-    with pytest.raises(IncompatibleOverlap):
-        union_graph(f, g)
-    with pytest.raises(IncompatibleOverlap):
-        intersection_graph(f, g)
+    for combine in (union_graph, intersection_graph):
+        with pytest.raises(PreconditionError, match="compatible-overlap failed: "
+                           r"edge e: sources differ \(v vs w\); edge e: targets differ"):
+            combine(f, g)
 
 
 def _overlapping_pair(seed):

@@ -12,8 +12,9 @@ from quivpush import path_algebra
 from quivpush.path_algebra import (DegreeCheck, PAElement, pa_mul, pa_pullback,
                                    pa_unit, verify_path_pullback)
 from quivpush.pushout import PreconditionError, pushout_square
-from quivpush.randgen import (case_rng, collapse_duplicate_edges, one_color_instance,
-                              random_general_hom, random_graph)
+from quivpush.randgen import (captocup_pair, case_rng, collapse_duplicate_edges,
+                              one_color_instance, random_general_hom, random_graph,
+                              union_legs)
 from test_graph import longest_by_order, topological_order
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
@@ -22,12 +23,12 @@ EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
 
 def path_theorem_instance(rng):
     """Acyclic legs meeting all three path-theorem hypotheses."""
-    return one_color_instance(rng, need_one_sided=True, acyclic=True)
+    return union_legs(*captocup_pair(rng, tails=False, max_v=5, max_e=6, acyclic=True))
 
 
 def _chi(g, *edges, vertex=None, field=QQ):
     path = Path(vertex) if vertex else Path(g.src[edges[0]], edges)
-    return PAElement.basis(g, path, field)
+    return PAElement(g, field, PAElement.basis(g, path).terms)
 
 
 def test_prime_field_arithmetic():
@@ -174,8 +175,8 @@ def test_pullback_is_algebra_hom_unital_graded(seed):
 def test_pullback_contravariant(seed):
     rng = case_rng(seed, 23)
     cod = random_graph(rng, max_v=3, max_e=4)
-    outer = random_general_hom(rng, cod, min_lifts=0)
-    inner = random_general_hom(rng, outer.domain, min_lifts=0)
+    outer = random_general_hom(rng, cod)
+    inner = random_general_hom(rng, outer.domain)
     comp = compose(outer, inner)
     for p in paths_up_to(cod, 3)[:12]:
         chi = PAElement.basis(cod, p)
