@@ -291,9 +291,8 @@ def cmd_eval(args, argv):
 
 def cmd_proptest(args, argv):
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise jsonio.FormatError(f"unknown suite; choose from {sorted(SUITES)}",
+                                 f"--suite {args.suite}")
     passes, failures = run_suite(args.suite, args.seed, args.cases)
     for i, result in failures:
         print(f"case {i:04d} FAIL {args.suite}: {result.detail}")

@@ -13,7 +13,11 @@ the monomials that the Leavitt normal form multiplies out.
 
 path_counts gives c_l(v), the number of paths of length l ending at v, on
 a tail-free graph.  The Leavitt window sizes and the pushout graph's paths
-in each degree are read from it, not from a list of paths.
+in each degree are read from it, not from a list of paths.  path_walk
+lists the paths of paths_up_to as int ids instead of Paths: each id holds
+its parent (the path less its last edge), last edge, end vertex and length,
+so the Leavitt window columns hash ints, and PathWalk.path rebuilds the
+Path of an id where one is needed.
 
 A Path is its start vertex and its composable edges; the trivial path at
 v is Path(v), with no edges.  A Path is a tuple (typing.NamedTuple), as is
@@ -257,6 +261,50 @@ def paths_up_to(g: Graph, n: int) -> list:
         frontier = nxt
         length += 1
     return result
+
+
+class PathWalk(NamedTuple):
+    """The paths of length <= n of a tail-free graph as ids 0, 1, ... in
+    paths_up_to order: path i is path parent[i] followed by the edge
+    last[i], ends at end[i] and has length length[i]; a trivial path has
+    parent -1 and last None.  See path_walk."""
+
+    parent: list
+    last: list
+    end: list
+    length: list
+
+    def path(self, i: int) -> Path:
+        """The Path with id i."""
+        edges = []
+        while self.last[i] is not None:
+            edges.append(self.last[i])
+            i = self.parent[i]
+        return Path(self.end[i], tuple(reversed(edges)))
+
+
+def path_walk(g: Graph, n: int) -> PathWalk:
+    """The paths of paths_up_to(g, n) as a PathWalk, one int id each, with
+    no Path built."""
+    require_tail_free(g)
+    if n < 0:
+        raise GraphError("path length bound must be nonnegative")
+    out, src, tgt = g.out_map, g.src, g.tgt
+    end = sorted(g.vertices)
+    at = {v: i for i, v in enumerate(end)}
+    walk = PathWalk([-1] * len(end), [None] * len(end), end, [0] * len(end))
+    # (parent id, last edge) of each path of the next length, in order
+    level = [(at[src[e]], e) for e in sorted(g.edges)]
+    for length in range(1, n + 1):
+        first = len(end)
+        for i, e in level:
+            walk.parent.append(i)
+            walk.last.append(e)
+            end.append(tgt[e])
+        walk.length.extend([length] * len(level))
+        if length < n:
+            level = [(i, e) for i in range(first, len(end)) for e in out[end[i]]]
+    return walk
 
 
 def _check_overlap(f: Graph, g: Graph):

@@ -31,12 +31,17 @@ tests check the descent identities, and no verdict re-proves them.
 
 The pullback verifier's window cross-check ranks the image of the pushout's
 window under both injection pullbacks, and builds those pullbacks in the
-other direction: one pass over the domain's pairs alpha' beta'* maps each
-domain path forward once and adds the normal form of alpha' beta'* to the
-column of (h alpha')(h beta')*, unless that is not normal.  No window is
-listed: only E and F are enumerated, and the window sizes of the square's
-four graphs are counted in closed form from graph.path_counts.  The fiber product needs no rank:
-its dimension is a count (see _window_cross_check).
+other direction: one pass over the domain's pairs alpha' beta'* adds the
+normal form of alpha' beta'* to the column of (h alpha')(h beta')*, unless
+that is not normal.  The pass runs on ints: graph.path_walk numbers the
+domain's paths, and one image table, shared by both injections, numbers
+their images in P, so a row and a column key are each a pair of ids, and
+only a pair that CK2 rewrites is rebuilt as Paths.  Before the rank, one
+sweep peels the columns that a row of their own makes independent of the
+rest.  No window is listed: only E and F are walked, and the window sizes
+of the square's four graphs are counted in closed form from
+graph.path_counts.  The fiber product needs no rank: its dimension is a
+count (see _window_cross_check).
 
 An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
 and compare in C; like a Path it is never sorted raw or written to JSON
@@ -45,17 +50,17 @@ and compare in C; like a Path it is never sorted raw or written to JSON
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 from typing import NamedTuple
 
 from .fields import QQ
-from .graph import (Graph, Path, PreconditionError, check_word, path_counts,
-                    paths_up_to, require_tail_free)
+from .graph import (Graph, Path, PathWalk, PreconditionError, check_word, path_counts,
+                    path_walk, paths_up_to, require_tail_free)
 from .linalg import rank
-from .morphism import GraphHom, DomainMismatch, CATEGORY_CRTBPOG, _path_image, compose
+from .morphism import GraphHom, DomainMismatch, CATEGORY_CRTBPOG, compose
 from .pushout import pushout_square
 from .path_algebra import LinearCombination, path_preimages
 
@@ -424,31 +429,39 @@ def _window_sizes(g: Graph, n: int) -> dict:
     return {**sizes, **{-d: k for d, k in sizes.items() if d}}
 
 
-def _window_columns(h: GraphHom, n: int, columns: dict, offset: int = 0) -> list:
-    """Add to columns, a defaultdict(dict) of degree -> {(alpha, beta):
-    {row: int}}, the pullback along h of each NORMAL codomain monomial with
-    total <= n, and return the N domain paths of length <= n: the i-th and
-    j-th make the row offset + i N + j.  Each domain pair adds its normal
-    form to the column of its image if that is normal, so every term is a
-    NORMAL domain monomial of the column's degree with total <= n.  Pairs
-    enter with 1 and CK2 rewriting only negates, so columns hold ints.  The
-    caller has already refused any h with no pullback."""
+def _window_columns(h: GraphHom, n: int, columns: dict, images: dict,
+                    offset: int = 0) -> PathWalk:
+    """Add to columns, a defaultdict(dict) of degree -> {(a, b): {row: int}},
+    the pullback along h of each NORMAL codomain monomial alpha beta* with
+    total <= n, and return the graph.path_walk of the N domain paths of
+    length <= n: the i-th and j-th make the row offset + i N + j.  The
+    column key (a, b) holds the ids of alpha and beta in images, which
+    numbers every codomain path that a domain path maps to, keyed by its
+    vertex if it is trivial and else by the pair of the id of the path less
+    its last edge and that edge; callers that share images share ids.  Each
+    domain pair adds its normal form to the column of its image if that is
+    normal, so every term is a NORMAL domain monomial of the column's
+    degree with total <= n.  Pairs enter with 1 and CK2 rewriting only
+    negates, so columns hold ints.  The caller has already refused any h
+    with no pullback."""
     E, e_special, p_special = h.domain, h.domain.designated, h.codomain.designated
-    paths = paths_up_to(E, n)
-    size, index = len(paths), {p: i for i, p in enumerate(paths)}
-    # by end vertex: index, path, length, image, special last edges or None
+    walk = path_walk(E, n)
+    size, image, index = len(walk.end), [], None
+    # by end vertex: id, length, image id, special last edge or None, and
+    # the image's special last edge or None
     ends = {}
-    for i, a in enumerate(paths):
-        ha = _path_image(h, a)
-        ends.setdefault(a.target(E), []).append(
-            (i, a, len(a.edges), ha,
-             a.edges[-1] if a.edges and a.edges[-1] in e_special else None,
-             ha.edges[-1] if ha.edges and ha.edges[-1] in p_special else None))
-    for walk in ends.values():
-        # walk is in length order, so the betas that fit form a prefix
-        for i, a, la, ha, sa, hsa in walk:
+    for i, (parent, last, end, length) in enumerate(zip(*walk)):
+        hlast = None if last is None else h.f1[last]
+        key = h.f0[end] if last is None else (image[parent], hlast)
+        image.append(images.setdefault(key, len(images)))
+        ends.setdefault(end, []).append(
+            (i, length, image[i], last if last in e_special else None,
+             hlast if hlast in p_special else None))
+    for run in ends.values():
+        # run is in length order, so the betas that fit form a prefix
+        for i, la, ha, sa, hsa in run:
             base = offset + i * size
-            for j, b, lb, hb, sb, hsb in walk:
+            for j, lb, hb, sb, hsb in run:
                 if la + lb > n:
                     break
                 if hsa is not None and hsa == hsb:
@@ -457,12 +470,24 @@ def _window_columns(h: GraphHom, n: int, columns: dict, offset: int = 0) -> list
                 if sa is None or sa != sb:
                     col[base + j] = col.get(base + j, 0) + 1
                     continue
+                if index is None:
+                    index = {walk.path(k): k for k in range(size)}
                 acc = {}
-                _ck2_accumulate(E, LMonomial(a, b), 1, acc)
+                _ck2_accumulate(E, LMonomial(walk.path(i), walk.path(j)), 1, acc)
                 for t, c in acc.items():
                     r = offset + index[t.alpha] * size + index[t.beta]
                     col[r] = col.get(r, 0) + c
-    return paths
+    return walk
+
+
+def _peel(columns: list, p: int):
+    """The number of columns that have a row no other column touches, with
+    an entry nonzero in characteristic p, and the list of the others; see
+    _window_cross_check."""
+    touched = Counter(chain.from_iterable(columns))
+    residue = [col for col in columns
+               if not any(touched[r] == 1 and (c % p if p else c) for r, c in col.items())]
+    return len(columns) - len(residue), residue
 
 
 def _window_cross_check(f, g, po, n, field):
@@ -472,19 +497,28 @@ def _window_cross_check(f, g, po, n, field):
     because [f* | -g*] has rank |G_d|: f is injective (P1), so by the
     descent lemma a normal alpha' beta'* of G's window pulls back from the
     normal form of (f alpha')(f beta')*, which is in E's window.  Only E and
-    F are enumerated, for the injections' columns (see _window_columns);
-    window sizes are counted in closed form (see _window_sizes)."""
+    F are walked, for the injections' columns (see _window_columns);
+    window sizes are counted in closed form (see _window_sizes).
+
+    The image is ranked column by column (rank is transpose-invariant),
+    after one peeling sweep, the singleton step of LaMacchia and Odlyzko
+    (CRYPTO '90).  Call a column peeled if it has a row that no other
+    column touches, with an entry nonzero in the field.  In a vanishing
+    combination of all columns, the entry in that row is the peeled
+    column's coefficient times its entry, so the coefficient is 0.  Hence
+    every vanishing combination is one of the other columns, the residue,
+    and the rank is the number of peeled columns plus rank(residue)."""
     # the columns of both injections, F's rows after every pair of E's paths
-    columns = defaultdict(dict)
-    e_paths = _window_columns(po.iota_left, n, columns)
-    _window_columns(po.iota_right, n, columns, len(e_paths) ** 2)
+    columns, images = defaultdict(dict), {}
+    e_walk = _window_columns(po.iota_left, n, columns, images)
+    _window_columns(po.iota_right, n, columns, images, len(e_walk.end) ** 2)
     # the window sizes of the four graphs of the square, named after them
     P, E, F, G = (_window_sizes(x, n) for x in (po.graph, f.codomain, g.codomain, f.domain))
     checks = []
     for d in sorted(P.keys() | E.keys() | F.keys() | G.keys()):
-        # the image goes to rank column by column (rank is transpose-
-        # invariant); a window monomial hit by neither injection adds nothing
-        dim_image = rank(list(columns[d].values()), field.characteristic)
+        # a window monomial hit by neither injection adds no column
+        peeled, residue = _peel(list(columns[d].values()), field.characteristic)
+        dim_image = peeled + rank(residue, field.characteristic)
         dim_fiber = E.get(d, 0) + F.get(d, 0) - G.get(d, 0)
         checks.append(WindowCheck(d, P.get(d, 0), dim_image, dim_fiber))
     return checks

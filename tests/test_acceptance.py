@@ -60,15 +60,23 @@ def test_criterion_02_admissible_equiv_crtbpog():
 
 
 def test_criterion_03_hereditarity_from_a2():
+    """The inclusion of an admissible subgraph satisfies (A2), and the
+    vertices it misses form a hereditary set.  It misses some vertex in
+    244 of the 500 seeded cases; at least 200 must, so that the check is
+    not vacuous."""
     start = time.time()
-    good = 0
+    good = missed = 0
     for i in range(500):
         rng = randgen.case_rng(103, i)
         cod = randgen.random_graph(rng, max_v=6, max_e=8)
-        h = randgen.random_general_hom(rng, cod)
-        good += bool(is_hereditary(cod, cod.vertices - h.vertex_image()))
-    _report(3, "hereditarity-from-A2", good == 500, f"{good}/500",
-            elapsed=time.time() - start)
+        sub, _ = randgen.admissible_subgraph(rng, cod)
+        h = GraphHom.inclusion(sub, cod)
+        complement = cod.vertices - h.vertex_image()
+        good += ("A2_edge" not in is_admissible(h).witnesses
+                 and bool(is_hereditary(cod, complement)))
+        missed += bool(complement)
+    _report(3, "hereditarity-from-A2", good == 500 and missed >= 200,
+            f"{good}/500, {missed} miss a vertex", elapsed=time.time() - start)
 
 
 def test_criterion_04_captocup_with_tails():

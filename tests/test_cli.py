@@ -542,7 +542,12 @@ def test_bounds_must_be_non_negative_integers(argv, capsys):
 
 
 def test_proptest_unknown_suite(capsys):
+    """An unknown suite is a parse error that names the option, as a bad
+    --field is."""
     assert main(["proptest", "--suite", "nope", "--cases", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: --suite nope: unknown suite; choose from [")
+    assert "'admissible-equiv'" in err
 
 
 def test_proptest_runs_cases(capsys):

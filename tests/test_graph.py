@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from quivpush.graph import (Graph, GraphError, Path, PreconditionError,
                             check_word, classify_vertices, intersection_graph,
-                            is_subgraph, path_counts, paths_up_to, union_graph)
+                            is_subgraph, path_counts, path_walk, paths_up_to,
+                            union_graph)
 from quivpush.jsonio import FormatError, graph_from_obj, graph_to_obj
 from quivpush.leavitt import normal_form
 from quivpush.randgen import case_rng, random_graph, restrict_graph
@@ -272,3 +273,33 @@ def test_path_counts_count_the_listed_paths(g, n):
     assert len(counts) == n + 1
     assert all(counts[l][i] == listed[l, i]
                for l in range(n + 1) for i in range(len(vertices)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(0, 5))
+@example(Graph(()), 3)
+@example(LOOP_AND_SINK, 5)
+@example(PARALLEL, 4)
+def test_path_walk_is_the_listing(g, n):
+    """The walk, rebuilt path by path, is paths_up_to, on drawn graphs with
+    loops, parallel edges and sinks, and the empty graph; each id's parent,
+    last edge, end vertex and length are its path's."""
+    walk = path_walk(g, n)
+    paths = paths_up_to(g, n)
+    assert [walk.path(i) for i in range(len(walk.end))] == paths
+    assert len(walk.parent) == len(walk.last) == len(walk.length) == len(paths)
+    for i, p in enumerate(paths):
+        assert (walk.end[i], walk.length[i]) == (p.target(g), p.length)
+        if p.edges:
+            assert paths[walk.parent[i]] == Path(p.start, p.edges[:-1])
+            assert walk.last[i] == p.edges[-1]
+        else:
+            assert (walk.parent[i], walk.last[i]) == (-1, None)
+
+
+def test_path_walk_refuses_what_paths_up_to_refuses():
+    tailed = Graph.build(["v", "w"], [("e", "v", "w")], omega_tails=[("v", "w")])
+    with pytest.raises(PreconditionError, match="tail-free"):
+        path_walk(tailed, 2)
+    with pytest.raises(GraphError, match="nonnegative"):
+        path_walk(LOOP_AND_SINK, -1)

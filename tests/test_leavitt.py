@@ -414,15 +414,32 @@ def test_prime_field_coefficients_are_reduced_ints(seed, p, data):
             nonzero.scale(Fraction(1, 2))
 
 
-def _columns_by_monomial(h, n):
+def _image_paths(images):
+    """Id -> codomain Path of an image table of leavitt._window_columns,
+    whose keys are a vertex or the pair of a path's id and an edge."""
+    paths = []
+    for key, i in images.items():
+        assert i == len(paths)
+        if isinstance(key, str):
+            paths.append(Path(key))
+        else:
+            prefix, edge = key
+            paths.append(Path(paths[prefix].start, paths[prefix].edges + (edge,)))
+    return paths
+
+
+def _columns_by_monomial(h, n, images=None):
     """The window columns of h (see leavitt._window_columns), degree ->
-    {codomain monomial: {domain monomial: int}}."""
-    by_degree = defaultdict(dict)
-    paths = leavitt._window_columns(h, n, by_degree)
-    size = len(paths)
-    return {d: {LMonomial(*m): {LMonomial(paths[r // size], paths[r % size]): c
-                                for r, c in col.items()}
-                for m, col in cols.items()}
+    {codomain monomial: {domain monomial: int}}: column keys decode through
+    the image table, images if given, and rows through the walk."""
+    by_degree, images = defaultdict(dict), {} if images is None else images
+    walk = leavitt._window_columns(h, n, by_degree, images)
+    size = len(walk.end)
+    paths = [walk.path(i) for i in range(size)]
+    image = _image_paths(images)
+    return {d: {LMonomial(image[a], image[b]): {LMonomial(paths[r // size], paths[r % size]): c
+                                                for r, c in col.items()}
+                for (a, b), col in cols.items()}
             for d, cols in by_degree.items()}
 
 
@@ -444,7 +461,7 @@ def test_window_column_terms_lie_in_the_domain_window(seed, n):
                 assert (t.degree, t.total <= n) == (d, True)
 
 
-def _assert_window_columns_match_oracle(h, n, field):
+def _assert_window_columns_match_oracle(h, n, field, images=None):
     """The window cross-check builds all columns of a window in one pass
     over the domain's pairs.  The slow reference pulls back each window
     monomial on its own; the two must agree term by term, so an empty
@@ -453,7 +470,7 @@ def _assert_window_columns_match_oracle(h, n, field):
     vanishes mod p drops out."""
     oracle = {m: terms for m in normal_monomials_window(h.codomain, n)
               if (terms := l_pullback(h, monomial_element(h.codomain, m, field)).terms)}
-    columns = {m: col for cols in _columns_by_monomial(h, n).values()
+    columns = {m: col for cols in _columns_by_monomial(h, n, images).values()
                for m, col in cols.items()}
     assert all(type(c) is int for col in columns.values() for c in col.values())
     p = field.characteristic
@@ -473,11 +490,19 @@ def test_window_columns_match_per_monomial_pullbacks(seed, field_name, n):
 @given(st.integers(0, 10**6), st.sampled_from([leavitt_union_instance, admpush_instance]),
        st.sampled_from(["q", "fp:7", "fp:2"]), st.integers(0, 4))
 def test_pushout_square_columns_match_per_monomial_pullbacks(seed, instance, field_name, n):
-    """All four homs of a criterion-11 square: both legs and both injections."""
+    """All four homs of a criterion-11 square: both legs and both injections.
+    The injections share one image table, as in the window cross-check, and
+    it gives each path of P that either one hits one id."""
     f, g = instance(case_rng(seed, 42))
     po = pushout_square(f, g)
-    for h in (f, g, po.iota_left, po.iota_right):
-        _assert_window_columns_match_oracle(h, n, field_from_name(field_name))
+    field = field_from_name(field_name)
+    for h in (f, g):
+        _assert_window_columns_match_oracle(h, n, field)
+    images = {}
+    for h in (po.iota_left, po.iota_right):
+        _assert_window_columns_match_oracle(h, n, field, images)
+    image = _image_paths(images)
+    assert len(set(image)) == len(image)
 
 
 def _fiber_rank_oracle(f, g, n, p):
@@ -486,12 +511,13 @@ def _fiber_rank_oracle(f, g, n, p):
     g, as columns over G's window of the same degree.  The verifier counts
     the fiber as |E_d| + |F_d| - |G_d| instead, which needs this rank to be
     |G_d|.  A window monomial that pulls back to 0 has no column, which
-    leaves the rank as it is."""
-    legs = [defaultdict(dict), defaultdict(dict)]
-    for h, cols in zip((f, g), legs):
-        leavitt._window_columns(h, n, cols)
+    leaves the rank as it is.  Rows are G's monomials, decoded from both
+    legs' walks and numbered here."""
+    legs = [_columns_by_monomial(h, n) for h in (f, g)]
+    rows = {}
     degrees = set().union(*(_window_sizes(x, n) for x in (f.codomain, g.codomain, f.domain)))
-    return {d: rank([col for cols in legs for col in cols.get(d, {}).values()], p)
+    return {d: rank([{rows.setdefault(t, len(rows)): c for t, c in col.items()}
+                     for cols in legs for col in cols.get(d, {}).values()], p)
             for d in degrees}
 
 
@@ -523,6 +549,48 @@ def test_fiber_count_matches_the_rank_oracle(seed, instance, field_name, n):
         d = w.degree
         assert ranks[d] == sizes_g[d]
         assert w.dim_fiber == sizes_e[d] + sizes_f[d] - ranks[d]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([leavitt_union_instance, admpush_instance]),
+       st.sampled_from(["q", "fp:2", "fp:7"]), st.integers(0, 4))
+def test_peel_then_rank_is_rank(seed, instance, field_name, n):
+    """On the image columns of a criterion-11 square, built as the window
+    cross-check builds them, the peeled count plus the residue's rank is
+    the rank of all the columns."""
+    f, g = instance(case_rng(seed, 46))
+    po = pushout_square(f, g)
+    p = field_from_name(field_name).characteristic
+    columns, images = defaultdict(dict), {}
+    walk = leavitt._window_columns(po.iota_left, n, columns, images)
+    leavitt._window_columns(po.iota_right, n, columns, images, len(walk.end) ** 2)
+    for cols in columns.values():
+        cols = list(cols.values())
+        peeled, residue = leavitt._peel(cols, p)
+        assert peeled + rank(residue, p) == rank(cols, p)
+
+
+def test_peel_leaves_columns_that_share_rows():
+    """Three columns share rows 0 and 1, and one of them is the sum of the
+    others, so rank eliminates; the fourth has row 2 to itself.  Over Z/5
+    its entry there is 0, so it stays too."""
+    cols = [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 2, 1: 3}, {0: 1, 2: 5}]
+    peeled, residue = leavitt._peel(cols, 0)
+    assert (peeled, residue) == (1, cols[:3])
+    assert peeled + rank(residue, 0) == rank(cols, 0) == 3
+    peeled, residue = leavitt._peel(cols, 5)
+    assert (peeled, residue) == (0, cols)
+    assert rank(cols, 5) == 2
+
+
+def test_peel_needs_a_private_entry_nonzero_in_the_field():
+    """The second column's only private entry is 2: over Z/2 it does not
+    peel, and the two columns are equal there."""
+    cols = [{0: 1}, {0: 1, 1: 2}]
+    assert leavitt._peel(cols, 2) == (0, cols)
+    assert rank(cols, 2) == 1
+    assert leavitt._peel(cols, 0) == (1, cols[:1])
+    assert rank(cols, 0) == 2
 
 
 @pytest.mark.parametrize("case", range(20))

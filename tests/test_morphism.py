@@ -8,8 +8,8 @@ from quivpush.morphism import (GraphHom, HomError, admissible_equiv_crtbpog,
                                breaking_vertices, classify_hom, compose,
                                desaturating_vertices, induced_path_map,
                                is_admissible)
-from quivpush.randgen import (case_rng, composable_tb_pair, random_general_hom,
-                              random_graph, random_injective_hom, random_tb_hom)
+from quivpush.randgen import (case_rng, composable_tb_pair, random_graph,
+                              random_injective_hom, random_tb_hom)
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
@@ -238,14 +238,22 @@ def test_admissible_equiv_random(seed):
     assert admissible_equiv_crtbpog(h)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_hereditarity_from_a2(seed):
-    rng = case_rng(seed, 5)
-    cod = random_graph(rng, max_v=5, max_e=6)
-    h = random_general_hom(rng, cod)
-    complement = cod.vertices - h.vertex_image()
-    assert is_hereditary(cod, complement).ok
+def test_hereditarity_from_a2():
+    """An injective hom whose every codomain edge into the vertex image is
+    in the edge image, (A2) as is_admissible reads it, misses a hereditary
+    set of vertices.  Of 200 seeded random_injective_homs, 107 satisfy
+    (A2), and 53 of those miss some vertex; at least 40 must, so that the
+    check is not vacuous."""
+    holds = missed = 0
+    for i in range(200):
+        h = random_injective_hom(case_rng(5, i))
+        if "A2_edge" in is_admissible(h).witnesses:
+            continue
+        complement = h.codomain.vertices - h.vertex_image()
+        assert is_hereditary(h.codomain, complement).ok
+        holds += 1
+        missed += bool(complement)
+    assert holds >= 80 and missed >= 40, (holds, missed)
 
 
 @settings(max_examples=40, deadline=None)

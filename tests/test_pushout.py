@@ -461,29 +461,34 @@ def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs):
 def test_verifiers_rank_only_the_image(monkeypatch):
     """Both verifiers count the fiber: per degree they rank the image once.
     The Leavitt verifier builds the window columns of the two injections
-    and of no other map, so it enumerates the paths of E and F and of no
-    other graph; the window sizes it counts in closed form."""
-    calls = Counter()
+    and of no other map, so it walks the paths of E and F and of no other
+    graph, and lists none; the window sizes it counts in closed form."""
+    calls, walked = Counter(), []
 
     def count(module, name):
         original = getattr(module, name)
 
         def spy(*args):
             calls[module.__name__, name] += 1
+            if name == "path_walk":
+                walked.append(args[0])
             return original(*args)
         monkeypatch.setattr(module, name, spy)
 
     for module, name in ((leavitt, "rank"), (leavitt, "_window_columns"),
-                         (leavitt, "paths_up_to"), (path_algebra, "rank")):
+                         (leavitt, "path_walk"), (leavitt, "paths_up_to"),
+                         (path_algebra, "rank")):
         count(module, name)
     for instance in (leavitt_union_instance, admpush_instance):
         for case in range(5):
             f, g = instance(case_rng(5, case))
             calls.clear()
+            walked.clear()
             report = verify_leavitt_pullback(f, g, 3)
             assert calls == {("quivpush.leavitt", "rank"): len(report.window_checks),
                              ("quivpush.leavitt", "_window_columns"): 2,
-                             ("quivpush.leavitt", "paths_up_to"): 2}
+                             ("quivpush.leavitt", "path_walk"): 2}
+            assert walked == [f.codomain, g.codomain]
     for case in range(5):
         f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
         calls.clear()
