@@ -186,9 +186,12 @@ def breakarrow_identity(f: GraphHom, po: PushoutGraph):
     Returns (ok, witness list of offending vertices).  Only the breakarrow
     property suite checks it: both sides are edges from the vertex, and
     they can differ only at an edge whose target lies outside the shared
-    image while its class is hit from the right, where the Leavitt
-    verifier's kernel-vertex fails, or inside it while its class is not
-    hit, where the square does not commute.
+    image while its class is hit from the right, or inside it while its
+    class is not hit.  The tests' postconditions of the square fail on
+    either (tests/test_faults.py): the first puts a kernel vertex of E in a
+    class that F reaches, and the second is a square that does not commute.
+    On a square of graph_pushout neither happens (see
+    leavitt.verify_leavitt_pullback).
     """
     E = f.codomain
     p_graph = po.graph

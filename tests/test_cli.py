@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from quivpush.cli import main, parse_element, ExprError
 from quivpush.fields import QQ
-from quivpush.graph import Graph, paths_up_to
+from quivpush.graph import Graph, PreconditionError, paths_up_to
 from quivpush.jsonio import (canonical_dumps, graph_from_obj, graph_to_obj,
                              hom_from_obj, hom_to_obj, FormatError)
 from quivpush.morphism import GraphHom
 from quivpush.leavitt import LElement, normal_monomials_window
-from quivpush.path_algebra import PAElement
+from quivpush.path_algebra import PAElement, verify_path_pullback
 from quivpush.proptest import SUITES, CaseResult
 from quivpush.randgen import case_rng
 
@@ -321,6 +321,23 @@ def test_verify_path_exact_instance(tmp_path, capsys):
     assert cert["ok"] is True
 
 
+def test_verify_path_refuses_a_leg_that_folds_vertices(tmp_path, capsys):
+    """A leg that sends two vertices of G to one, on either side, is not
+    injective on vertices: the path verifier refuses it by
+    vertex_injectivity, and verify --path exits 3 with that flag."""
+    pair = Graph(["z1", "z2"])
+    fold = GraphHom(pair, Graph(["c"]), {"z1": "c", "z2": "c"}, {})
+    ident = GraphHom.identity(pair)
+    for legs in ((fold, ident), (ident, fold)):
+        with pytest.raises(PreconditionError) as err:
+            verify_path_pullback(*legs, 2)
+        assert err.value.flag == "vertex_injectivity"
+        paths = [_write(tmp_path, f"{side}.json", hom_to_obj(h)) for side, h in zip("fg", legs)]
+        assert main(["verify", "--path", *paths]) == 3
+        out, err_text = capsys.readouterr()
+        assert (out, err_text) == ("", "refused: precondition vertex_injectivity failed\n")
+
+
 def test_verify_refusal_exit_code(tmp_path, capsys):
     point = {"vertices": ["z"], "edges": [], "omega_tails": []}
     f = {"domain": point, "codomain": EDGE, "f0": {"z": "w"}, "f1": {}}
@@ -534,11 +551,10 @@ def test_proptest_zero_cases_passes(capsys):
     ["proptest", "--suite", "composition", "--cases", "-1"],
 ])
 def test_bounds_must_be_non_negative_integers(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "expected an integer >= 0" in err
+    assert err.startswith(f"parse error: {argv[-2]} {argv[-1]}: ")
+    assert "expected an integer >= 0" in err
 
 
 def test_proptest_unknown_suite(capsys):

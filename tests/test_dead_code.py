@@ -10,8 +10,9 @@ member is reached when the walk reads its name.  An import alone reads
 nothing, so a re-export in __init__ does not keep a definition alive.  Every field of a dataclass in src/ is read as an
 attribute somewhere, not only set by its constructor.
 
-Two drift guards ride along: the refusal flags that src/ raises are the
-ones the README's exit-code paragraph lists, and field objects stay out
+Three drift guards ride along: the refusal flags that src/ raises are the
+ones the README's exit-code paragraph lists, each of them is named by
+some other test file, and field objects stay out
 of linalg, whose matrices hold ints, and out of the scalars, which are
 plain numbers.  A guard fails on a parameter that its function never
 reads or whose default no caller in src/ or bench/ overrides, a layering guard on a module
@@ -145,6 +146,34 @@ def test_readme_names_every_refusal_flag():
                                      + ", ".join(sorted(flags - documented)))
     assert not documented - flags, ("README flags that src/ never raises: "
                                     + ", ".join(sorted(documented - flags)))
+
+
+def _test_strings():
+    """The string constants of every test file but this one, docstrings
+    left out."""
+    strings = []
+    for path, tree in _trees(ROOT / "tests"):
+        if path.name == pathlib.Path(__file__).name:
+            continue
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        strings += [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings]
+    return strings
+
+
+def test_every_refusal_flag_is_reached_by_a_test():
+    """Each flag that src/ raises PreconditionError with appears in a
+    string of another test file, outside docstrings, as the flag a test
+    compares, matches or finds in an error text; a refusal that no test
+    names is one that no test shows can fire."""
+    flags, _ = _refusal_flags()
+    strings = _test_strings()
+    unreached = sorted(flag for flag in flags if not any(flag in text for text in strings))
+    assert not unreached, "refusal flags that no test names: " + ", ".join(unreached)
 
 
 def _retired(node):

@@ -1,15 +1,17 @@
-"""Wrong pushout squares that the Leavitt and path pullback verifiers and
-the path comparison map must reject.
+"""Wrong pushout squares that the square's postconditions, the Leavitt and
+path pullback verifiers and the path comparison map must reject.
 
 Each fault replaces leavitt.pushout_square, path_algebra.pushout_square or
-cli.pushout_square with a square that is not the pushout, so a verdict of
-ok would mean that the obligations named in the expected failures cannot
-say no.
+cli.pushout_square with a square that is not the pushout, or is handed
+to _square_postconditions directly, so a verdict of ok would mean that the
+check named in the expected failures cannot say no.
 
-The Leavitt verifier decides obligations (2), (3) and commutativity on
-fibers.  A slow oracle here decides them in the algebra, by pulling back
-each generator as an element, and every Leavitt verdict below, faulty or
-not, must agree with it."""
+Given P1 and CRTBPOG legs, four facts hold on every square that
+graph_pushout builds, by the proof in verify_leavitt_pullback's
+docstring, so the verifier decides by its window cross-check alone and
+_square_postconditions checks the four here, on fibers.  A slow oracle
+decides three of them in the algebra, by pulling back each generator as
+an element, and every square below, faulty or not, must agree with it."""
 
 import dataclasses
 import json
@@ -20,21 +22,68 @@ from test_leavitt import _window_sizes
 from test_path_algebra import _path_counts
 
 from quivpush import cli, leavitt, path_algebra
-from quivpush.cli import LEAVITT_CHECKS, main
+from quivpush.cli import main
 from quivpush.fields import QQ, field_from_name
 from quivpush.graph import Graph, GraphError
 from quivpush.jsonio import hom_to_obj, save_json
 from quivpush.leavitt import (edge_monomial, generator_monomials, ghost_monomial,
                               ker_generators, l_pullback, monomial_element,
                               verify_leavitt_pullback, vertex_monomial)
-from quivpush.morphism import GraphHom
+from quivpush.morphism import GraphHom, compose
 from quivpush.pushout import (PreconditionError, breakarrow_identity, path_pushout_compare,
                               pushout_square)
 from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
                               one_color_instance)
 
 EXTRA = "extra"
-FIBER_OBLIGATIONS = ("surjectivity", "kernel-vertex", "commutes")
+POSTCONDITIONS = ("kerint", "surjectivity", "kernel-vertex", "commutes")
+FIBER_OBLIGATIONS = POSTCONDITIONS[1:]
+
+
+def _fiber_mismatches(g, vertex_ok, edge_ok):
+    """The generators of L(g) that fail a test on their vertex or edge,
+    named as str names their monomials, in generator_monomials order: an
+    edge e that fails is reported as e and then e*."""
+    bad = [v for v in sorted(g.vertices) if not vertex_ok(v)]
+    for e in sorted(g.edges):
+        if not edge_ok(e):
+            bad += [e, e + "*"]
+    return bad
+
+
+def _square_postconditions(f, g, po):
+    """The failures of the four postconditions of the square po on the
+    legs E <-f- G -g-> F, with f injective and both legs CRTBPOG, in this
+    order, each a tuple that names its postcondition first:
+      kerint: every vertex of P lifts to E or F (kernel intersection zero);
+      surjectivity: each generator of L(F) pulls back from its image along
+          iota_F (that of L(G) along f needs no check, as f is injective);
+      kernel-vertex: the class of each vertex of E outside f's image is
+          reached from no vertex of F and pulls back to that vertex alone;
+      commutes: the square commutes on every generator of L(P).
+    Along a CRTBPOG morphism a generator v, e or e* pulls back to the sum
+    over its fiber, so the last three are decided on vertex_fibers and
+    edge_fibers, the same over every field."""
+    iota_e, iota_f = po.iota_left, po.iota_right
+    uncovered = po.graph.vertices - set(iota_e.f0.values()) - set(iota_f.f0.values())
+    failures = [("kerint", sorted(uncovered))] if uncovered else []
+    # x pulls back from iota_F(x) iff x alone maps there
+    vfib, efib = iota_f.vertex_fibers, iota_f.edge_fibers
+    failures += [("surjectivity", "iota_F", x) for x in _fiber_mismatches(
+        iota_f.domain, lambda v: vfib[iota_f.f0[v]] == (v,),
+        lambda e: efib[iota_f.f1[e]] == (e,))]
+    # the idempotent of q = iota_E(v) pulls back to v along iota_E and to 0
+    # along iota_F
+    for v in sorted(ker_generators(f)):
+        q = iota_e.f0[v]
+        if q in iota_f.vertex_fibers or iota_e.vertex_fibers[q] != (v,):
+            failures.append(("kernel-vertex", v))
+    left, right = compose(iota_e, f), compose(iota_f, g)
+    failures += [("commutes", x) for x in _fiber_mismatches(
+        po.graph,
+        lambda q: left.vertex_fibers.get(q, ()) == right.vertex_fibers.get(q, ()),
+        lambda e: left.edge_fibers.get(e, ()) == right.edge_fibers.get(e, ()))]
+    return failures
 
 
 def _image_monomial(h, mono):
@@ -48,11 +97,12 @@ def _image_monomial(h, mono):
 
 
 def _algebra_obligations(f, g, po, field):
-    """The failures of obligations (2), (3) and commutativity, in report
-    order, decided in the algebras over field: (2) pulls the image of each
-    generator back along f and iota_F, (3) pulls the idempotent of each
-    kernel vertex's class back along both injections, and commutativity
-    pulls each generator of L(P) back through both composites."""
+    """The failures of surjectivity, kernel-vertex and commutes, in
+    _square_postconditions order, decided in the algebras over field:
+    surjectivity pulls the image of each generator back along f and
+    iota_F, kernel-vertex pulls the idempotent of each kernel vertex's
+    class back along both injections, and commutes pulls each generator of
+    L(P) back through both composites."""
     iota_e, iota_f = po.iota_left, po.iota_right
     failures = []
     for hom, side in ((f, "f"), (iota_f, "iota_F")):
@@ -73,16 +123,13 @@ def _algebra_obligations(f, g, po, field):
     return failures
 
 
-def _verify_against_oracle(f, g, n, field=QQ):
-    """verify_leavitt_pullback's report, after checking its fiber
+def _checked_postconditions(f, g, po, field=QQ):
+    """_square_postconditions of the square, after checking its fiber
     obligations against _algebra_obligations on the same square."""
-    report = verify_leavitt_pullback(f, g, n, field)
-    want = _algebra_obligations(f, g, leavitt.pushout_square(f, g), field)
-    assert [x for x in report.failures if x[0] in FIBER_OBLIGATIONS] == want
-    kinds = {x[0] for x in want}
-    for obligation in FIBER_OBLIGATIONS:
-        assert report.holds(obligation) == (obligation not in kinds)
-    return report
+    failures = _square_postconditions(f, g, po)
+    want = _algebra_obligations(f, g, po, field)
+    assert [x for x in failures if x[0] in FIBER_OBLIGATIONS] == want
+    return failures
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,7 +137,9 @@ def _verify_against_oracle(f, g, n, field=QQ):
        st.sampled_from(["q", "fp:2"]))
 def test_fiber_obligations_match_the_algebra(seed, instance, field_name):
     f, g = instance(case_rng(seed, 43))
-    assert _verify_against_oracle(f, g, 1, field_from_name(field_name)).ok
+    field = field_from_name(field_name)
+    assert _checked_postconditions(f, g, pushout_square(f, g), field) == []
+    assert verify_leavitt_pullback(f, g, 1, field).ok
 
 
 def _with_isolated_vertex(f, g):
@@ -112,18 +161,20 @@ def _with_isolated_vertex(f, g):
 def test_extra_pushout_vertex_fails_kerint_and_window(monkeypatch, case):
     f, g = leavitt_union_instance(case_rng(5, case))
     assert verify_leavitt_pullback(f, g, 3).ok
+    assert _checked_postconditions(f, g, _with_isolated_vertex(f, g)) == [("kerint", [EXTRA])]
     monkeypatch.setattr(leavitt, "pushout_square", _with_isolated_vertex)
-    report = _verify_against_oracle(f, g, 3)
-    assert not report.ok
-    assert not report.holds("kerint") and not report.holds("window")
-    assert ("kerint", [EXTRA]) in report.failures
-    assert {item[0] for item in report.failures} == {"kerint", "window"}
+    report = verify_leavitt_pullback(f, g, 3)
+    assert not report.ok and {item[0] for item in report.failures} == {"window"}
     # the extra vertex idempotent is the one column of degree 0 the image loses
     zero = next(w for w in report.window_checks if w.degree == 0)
     assert not zero.injective and zero.dim_image == zero.dim_window - 1
+    assert ("window", 0, zero.dim_image, zero.dim_fiber) in report.failures
 
 
 def test_cli_exits_1_and_lists_failures_on_a_wrong_square(monkeypatch, tmp_path, capsys):
+    """On the extra-vertex and the coproduct square verify --leavitt fails
+    through its one check, window_cross_check, and lists each failing
+    window as ["window", degree, dim_image, dim_fiber]."""
     f, g = leavitt_union_instance(case_rng(5, 0))
     fp, gp = str(tmp_path / "f.json"), str(tmp_path / "g.json")
     save_json(fp, hom_to_obj(f))
@@ -131,14 +182,18 @@ def test_cli_exits_1_and_lists_failures_on_a_wrong_square(monkeypatch, tmp_path,
     argv = ["verify", "--leavitt", fp, gp, "--max-degree", "3"]
     assert main(argv) == 0
     assert "failures" not in json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(leavitt, "pushout_square", _with_isolated_vertex)
-    assert main(argv) == 1
-    cert = json.loads(capsys.readouterr().out)
-    assert cert["ok"] is False
-    assert ["kerint", str([EXTRA])] in cert["failures"]
-    assert {item[0] for item in cert["failures"]} == {"kerint", "window"}
-    checks = {c["name"]: c["ok"] for c in cert["checks"]}
-    assert not checks["kernel_intersection"] and not checks["window_cross_check"]
+    for square in (_with_isolated_vertex, _coproduct):
+        monkeypatch.setattr(leavitt, "pushout_square", square)
+        assert main(argv) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["ok"] is False
+        assert [(c["name"], c["ok"]) for c in cert["checks"]] == [("window_cross_check", False)]
+        # a window is inconsistent when its image is not the whole window or
+        # exceeds the fiber
+        failing = [["window", str(w["degree"]), str(w["dim_image"]), str(w["dim_fiber"])]
+                   for w in cert["checks"][0]["windows"]
+                   if w["dim_image"] != w["dim_window"] or w["leakage"] < 0]
+        assert failing and cert["failures"] == failing
 
 
 # G = {}, E = {a}, F = {b1, b2} with empty legs: the true pushout is
@@ -165,23 +220,22 @@ KERNEL_HIT_FROM_F = _square(["ab", "b2"], {"a": "ab"}, {"b1": "ab", "b2": "b2"})
 
 
 @pytest.mark.parametrize("square, failures", [
-    (MERGED_TWINS, (("surjectivity", "iota_F", "b1"), ("surjectivity", "iota_F", "b2"))),
-    (KERNEL_HIT_FROM_F, (("kernel-vertex", "a"),)),
+    (MERGED_TWINS, [("surjectivity", "iota_F", "b1"), ("surjectivity", "iota_F", "b2")]),
+    (KERNEL_HIT_FROM_F, [("kernel-vertex", "a")]),
 ], ids=["merged-twins", "kernel-vertex-hit-from-F"])
 @pytest.mark.parametrize("field_name", ["q", "fp:2"])
 def test_two_vertex_squares_fail_one_fiber_obligation(monkeypatch, square, failures,
                                                       field_name):
     f, g = EMPTY_LEGS
     field = field_from_name(field_name)
-    assert _verify_against_oracle(f, g, 2, field).ok
-    monkeypatch.setattr(leavitt, "pushout_square", square)
-    report = _verify_against_oracle(f, g, 2, field)
-    assert not report.ok and report.failures == failures
-    assert report.holds("kerint") and report.holds("commutes")
-    assert report.holds("surjectivity") != report.holds("kernel-vertex")
+    assert _checked_postconditions(f, g, pushout_square(f, g), field) == []
+    assert _checked_postconditions(f, g, square(f, g), field) == failures
     # the truncated window cannot see either fault: it only asks for
-    # dim_image <= dim_fiber, and the image falls one short of the fiber
-    assert report.holds("window")
+    # dim_image <= dim_fiber, and the image falls one short of the fiber,
+    # so the verifier passes both squares; an exact window would not
+    monkeypatch.setattr(leavitt, "pushout_square", square)
+    report = verify_leavitt_pullback(f, g, 2, field)
+    assert report.ok
     zero = next(w for w in report.window_checks if w.degree == 0)
     assert (zero.dim_window, zero.dim_image, zero.dim_fiber) == (2, 2, 3)
 
@@ -210,14 +264,16 @@ def _coproduct(f, g):
 @pytest.mark.parametrize("case", range(10))
 def test_coproduct_square_fails_commutes(monkeypatch, case):
     """The coproduct also reaches the fiber count: its image is all of
-    E_d ⊕ F_d, which exceeds the fiber |E_d| + |F_d| - |G_d| by |G_d|."""
+    E_d ⊕ F_d, which exceeds the fiber |E_d| + |F_d| - |G_d| by |G_d|, so
+    the verifier's window fails in every degree that G's window has."""
     f, g = leavitt_union_instance(case_rng(5, case))
-    monkeypatch.setattr(leavitt, "pushout_square", _coproduct)
-    report = _verify_against_oracle(f, g, 2)
-    assert not report.ok and not report.holds("commutes")
-    assert all(report.holds(x) for x in ("kerint", "surjectivity", "kernel-vertex"))
+    failures = _checked_postconditions(f, g, _coproduct(f, g))
+    assert {item[0] for item in failures} == {"commutes"}
     reached = {"E." + f.f0[v] for v in f.domain.vertices}
-    assert {("commutes", q) for q in reached} <= set(report.failures)
+    assert reached and {("commutes", q) for q in reached} <= set(failures)
+    monkeypatch.setattr(leavitt, "pushout_square", _coproduct)
+    report = verify_leavitt_pullback(f, g, 2)
+    assert not report.ok
     window_g = _window_sizes(f.domain, 2)
     for w in report.window_checks:
         assert w.dim_image - w.dim_fiber == window_g[w.degree]
@@ -339,46 +395,39 @@ def test_comparison_map_is_ill_defined_on_the_coproduct_square(monkeypatch, tmp_
     assert not captured.out
 
 
-def _fault_reports(monkeypatch):
-    """(f, g, square, the Leavitt verifier's report) for every fault square
-    of this module, over the draws its tests use, except where the legs
-    are refused."""
+def _fault_squares():
+    """(f, g, square) for every fault square of this module, over the
+    draws its tests use."""
     draws = ([leavitt_union_instance(case_rng(5, case)) for case in range(10)]
              + _one_color_draws())
     squares = [(f, g, square) for f, g in draws
                for square in (_with_isolated_vertex, _coproduct, _merged_isolated)
                if _applies(square, f, g)]
-    squares += [(*EMPTY_LEGS, MERGED_TWINS), (*EMPTY_LEGS, KERNEL_HIT_FROM_F)]
-    reports = []
-    for f, g, square in squares:
-        monkeypatch.setattr(leavitt, "pushout_square", square)
-        try:
-            reports.append((f, g, square, verify_leavitt_pullback(f, g, 2)))
-        except PreconditionError:
-            pass
-    return reports
+    return squares + [(*EMPTY_LEGS, MERGED_TWINS), (*EMPTY_LEGS, KERNEL_HIT_FROM_F)]
 
 
-def test_breakarrow_fails_only_with_kernel_or_commutes(monkeypatch):
+def test_breakarrow_fails_only_with_kernel_or_commutes():
     """At a uniquely covered vertex w of E the two sides of the breaking-
     arrow identity can differ only on an edge e from w whose target t(e)
     is outside f(G) while its class lies in the image of iota_F, where
     kernel-vertex fails at t(e), or is some f(z) while its class does not,
     where the square does not commute at z.  So on no fault square does
-    the identity fail while the verifier's kernel-vertex and commutes both
-    hold, and the verifier does not check it."""
-    failing = [report for f, g, square, report in _fault_reports(monkeypatch)
-               if not breakarrow_identity(f, square(f, g))[0]]
+    the identity fail while the postconditions kernel-vertex and commutes
+    both hold, and neither they nor the verifier check it."""
+    failing = [_square_postconditions(f, g, po) for f, g, square in _fault_squares()
+               if not breakarrow_identity(f, po := square(f, g))[0]]
     assert failing
-    for r in failing:
-        assert not r.holds("kernel-vertex") or not r.holds("commutes"), r.failures
+    for failures in failing:
+        assert {"kernel-vertex", "commutes"} & {x[0] for x in failures}, failures
 
 
 def test_every_leavitt_certificate_check_can_fail(monkeypatch):
-    """Each obligation that a verify --leavitt certificate reports is false
-    on some fault square of this module."""
-    reports = [report for *_, report in _fault_reports(monkeypatch)]
-    obligations = [obligation for _, obligation in LEAVITT_CHECKS] + ["window"]
-    assert obligations == ["kerint", "surjectivity", "kernel-vertex", "commutes", "window"]
-    for obligation in obligations:
-        assert any(not r.holds(obligation) for r in reports), obligation
+    """The one check of a verify --leavitt certificate, window_cross_check,
+    is false on some fault square of this module, and so is each of the
+    four postconditions that hold by construction of a pushout square."""
+    failed = set()
+    for f, g, square in _fault_squares():
+        failed |= {x[0] for x in _square_postconditions(f, g, square(f, g))}
+        monkeypatch.setattr(leavitt, "pushout_square", square)
+        failed |= {x[0] for x in verify_leavitt_pullback(f, g, 2).failures}
+    assert failed == {*POSTCONDITIONS, "window"}

@@ -27,15 +27,15 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = [
     (["verify", "--leavitt", "union_f.json", "union_g.json"],
-     "34686cbbd751b6858d105ede0ea14d2fa004af03c4b9bb007868760ef34c81f6"),
+     "fbb0cac53f553748fc7dc720669c9ad0a7858fa93c70a13906be9b81c8bab397"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "union_f.json", "union_g.json"],
-     "a59b0049415c0b84e4a4bbbd68dcdef0906560be31bd6a830693c2a13e62d681"),
+     "1e63ef9af56bc96788b54eda7b32604235a0c8126080a8653c88bb667a7ce26f"),
     (["verify", "--leavitt", "admpush_f.json", "admpush_g.json"],
-     "2ffdc8c5c1442631f1abc405bc1456505cd13d93c7d6427054cf8fa5a47cf426"),
+     "3ca331dfe42ebc85273fd0ab0f8289d4595d2bf6168f00845d596235b1a30566"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "admpush_f.json", "admpush_g.json"],
-     "628e726281f655fab66fcd77dfcf9a9cdbc849d72f4ced337ae401585c9e80ff"),
+     "c3cbfbd401d23da9ec24f876c3766bf5069ccffe6c34fbf9be8bd3d8c1275e3c"),
     (["verify", "--leavitt", "--field", "fp:2", "admpush_f.json", "admpush_g.json"],
-     "e9675c1cd068382d08294e16263bf46639e0204c902e33c6823758fa2241a4a8"),
+     "a8f0a8dd9eacf8b796e0af8e78b56b6bc29bb09cf78cc592ec169c48c9bff82b"),
     (["verify", "--path", "path_f.json", "path_g.json"],
      "c2d19b848ee8c6983e60ca0c8f48d4cde234dfcf0d3484c298c7eaf44c334549"),
     (["pushout", "onecolor_f.json", "onecolor_g.json"],
@@ -59,7 +59,7 @@ GOLDEN = [
     (["classify", "admpush_f_ref.json"],
      "61c0eea61a956269d670c2187be6233636759201fa536133af4305558cd99604"),
     (["verify", "--leavitt", "admpush_f_ref.json", "admpush_g_ref.json"],
-     "7787a2f030ed183950d750046847c04013680ac33b33df766a3840c3ff754de0"),
+     "a5721423d473d5c49c0fc56fd2d4fed86e8392ec2f8ab260f8f91dd0c337d3b4"),
     (["eval", "graph.json", "3/2*chi[c0_ke0.xe0.xe2] - chi[x0] + 2"],
      "f65c6f13966190fde32a0e6fe32511d394067f2d91c10fe9f9393bfdf1e891a4"),
     (["eval", "--leavitt", "graph.json",

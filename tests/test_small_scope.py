@@ -1,0 +1,83 @@
+"""Every small pushout square, not a sample of them.
+
+The small-scope hypothesis (Jackson, Software Abstractions, MIT Press
+2006) holds that most faults show on some small instance.  So this lists
+every tail-free graph up to isomorphism with at most 3 vertices and 3
+edges, every hom between two of them, and every square E <-f- G -g-> F
+with G of at most 2 vertices and 2 edges, f injective (P1) and both legs
+CRTBPOG.  On each, the square graph_pushout builds has the properties that
+leavitt.verify_leavitt_pullback proves in its docstring and leaves
+unchecked, and the verifier passes with leakage 0 in every window.
+"""
+
+import itertools
+
+from test_faults import _square_postconditions
+
+from quivpush.graph import Graph
+from quivpush.leavitt import verify_leavitt_pullback
+from quivpush.morphism import CATEGORY_CRTBPOG, GraphHom
+from quivpush.pushout import graph_pushout
+
+
+def _graphs(max_v, max_e):
+    """Every graph with at most max_v vertices and max_e edges, loops and
+    parallel edges included, once per isomorphism class: its edges, as
+    pairs of vertex numbers, are the least sorted list over every
+    renumbering of the vertices.  Vertex i is named v<i>, and edge j of
+    that list e<j>, so small graphs share ids and some homs are
+    inclusions."""
+    graphs = []
+    for k in range(max_v + 1):
+        pairs = list(itertools.product(range(k), repeat=2))
+        renumberings = list(itertools.permutations(range(k)))
+        for m in range(max_e + 1):
+            forms = {min(tuple(sorted((p[s], p[t]) for s, t in edges)) for p in renumberings)
+                     for edges in itertools.combinations_with_replacement(pairs, m)}
+            graphs += [Graph.build([f"v{i}" for i in range(k)],
+                                   [(f"e{j}", f"v{s}", f"v{t}")
+                                    for j, (s, t) in enumerate(form)])
+                       for form in sorted(forms)]
+    return graphs
+
+
+def _homs(dom, cod):
+    """Every hom dom -> cod: each vertex map, with each choice of an edge
+    over each edge of dom."""
+    vertices, edges = sorted(dom.vertices), sorted(dom.edges)
+    for image in itertools.product(sorted(cod.vertices), repeat=len(vertices)):
+        f0 = dict(zip(vertices, image))
+        over = [[x for x in sorted(cod.edges)
+                 if (cod.src[x], cod.tgt[x]) == (f0[dom.src[e]], f0[dom.tgt[e]])]
+                for e in edges]
+        for f1 in itertools.product(*over):
+            yield GraphHom(dom, cod, f0, dict(zip(edges, f1)))
+
+
+def _squares():
+    """The legs (f, g) of every square in scope."""
+    large = _graphs(3, 3)
+    squares = []
+    for G in _graphs(2, 2):
+        legs = [h for H in large for h in _homs(G, H)
+                if h.classification.category == CATEGORY_CRTBPOG]
+        squares += [(f, g) for f in legs if f.classification.injective for g in legs]
+    return squares
+
+
+def test_every_small_square_is_a_pullback_square():
+    """Each square's injections are CRTBPOG, its postconditions hold, and
+    verify --leavitt's verdict at n = 2 passes with leakage 0.  Of the
+    8,232 squares, 4,624 have the empty G, where P is the disjoint union
+    of E and F, and 3,608 a nonempty one."""
+    assert (len(_graphs(2, 2)), len(_graphs(3, 3))) == (13, 68)
+    squares = _squares()
+    assert len(squares) == 8232
+    assert sum(1 for f, _ in squares if f.domain.vertices) == 3608
+    for f, g in squares:
+        po = graph_pushout(f, g)
+        assert po.iota_left.classification.category == CATEGORY_CRTBPOG, (f, g)
+        assert po.iota_right.classification.category == CATEGORY_CRTBPOG, (f, g)
+        assert _square_postconditions(f, g, po) == [], (f, g)
+        report = verify_leavitt_pullback(f, g, 2)
+        assert report.ok and all(w.leakage == 0 for w in report.window_checks), (f, g)
