@@ -295,19 +295,28 @@ def cmd_proptest(args, argv):
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
-class _NonNegativeInt(argparse.Action):
-    """A bound or count option: an integer >= 0.  Any other text is a parse
-    error that names the option, raised out of parse_args to main as a bad
-    --field is, not an argparse usage error."""
+class _Integer(argparse.Action):
+    """An integer option; least, if set, is the smallest value it takes.
+    Any other text is a parse error that names the option, raised out of
+    parse_args to main as a bad --field is, not an argparse usage error."""
+
+    least = None
 
     def __call__(self, parser, namespace, text, option_string=None):
         try:
             value = int(text)
         except ValueError:
-            value = -1
-        if value < 0:
-            raise jsonio.FormatError("expected an integer >= 0", f"{option_string} {text}")
+            value = None
+        if value is None or self.least is not None and value < self.least:
+            bound = "" if self.least is None else f" >= {self.least}"
+            raise jsonio.FormatError(f"expected an integer{bound}", f"{option_string} {text}")
         setattr(namespace, self.dest, value)
+
+
+class _NonNegativeInt(_Integer):
+    """A bound or count option: an integer >= 0."""
+
+    least = 0
 
 
 @functools.cache
@@ -355,7 +364,7 @@ def build_parser():
 
     p = sub.add_parser("proptest", help="run a seeded randomized suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", action=_Integer, default=0)
     p.add_argument("--cases", action=_NonNegativeInt, default=100)
     p.set_defaults(func=cmd_proptest)
     return parser

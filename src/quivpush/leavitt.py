@@ -32,19 +32,21 @@ tests check the descent identities, and no verdict re-proves them.
 The pullback verifier decides on its refusals and its window cross-check;
 the rest of the theorem's square holds by construction of the pushout, as
 its docstring proves, and the tests check it on every small square.  The
-window cross-check ranks the image of the pushout's window under both
-injection pullbacks, and builds those pullbacks in the other direction:
-one pass over the domain's pairs alpha' beta'* adds the normal form of
-alpha' beta'* to the column of (h alpha')(h beta')*, unless that is not
-normal.  The pass runs on ints: graph.path_walk numbers the
+window cross-check counts the dimension of the image of the pushout's
+window under both injection pullbacks, and builds those pullbacks in the
+other direction: one pass over the domain's pairs alpha' beta'* adds the
+normal form of alpha' beta'* to the column of (h alpha')(h beta')*, unless
+that is not normal.  The pass runs on ints: graph.path_walk numbers the
 domain's paths, and one image table, shared by both injections, numbers
 their images in P, so a row and a column key are each a pair of ids, and
-only a pair that CK2 rewrites is rebuilt as Paths.  Before the rank, one
-sweep peels the columns that a row of their own makes independent of the
-rest.  No window is listed: only E and F are walked, and the window sizes
-of the square's four graphs are counted in closed form from
-graph.path_counts.  The fiber product needs no rank: its dimension is a
-count (see _window_cross_check).
+only a pair that CK2 rewrites is rebuilt as Paths.  A pair that CK2 does
+not rewrite adds 1 to a row of its own, so most columns are counted as
+keys in a set and never built: only the rows that a rewrite reaches, the
+touched rows, go into columns, and only the columns with no row of their
+own, the residue, are ranked.  No window is listed: only E and F are
+walked, and the window sizes of the square's four graphs are counted in
+closed form from graph.path_counts.  The fiber product needs no rank: its
+dimension is a count (see _window_cross_check).
 
 An LMonomial is a tuple of two Paths, so the dicts keyed by monomials hash
 and compare in C; like a Path it is never sorted raw or written to JSON
@@ -53,9 +55,9 @@ and compare in C; like a Path it is never sorted raw or written to JSON
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import mul
 from typing import NamedTuple
 
@@ -394,65 +396,74 @@ def _window_sizes(g: Graph, n: int) -> dict:
     return {**sizes, **{-d: k for d, k in sizes.items() if d}}
 
 
-def _window_columns(h: GraphHom, n: int, columns: dict, images: dict,
+def _window_columns(h: GraphHom, n: int, private: dict, columns: dict, images: dict,
                     offset: int = 0) -> PathWalk:
-    """Add to columns, a defaultdict(dict) of degree -> {(a, b): {row: int}},
-    the pullback along h of each NORMAL codomain monomial alpha beta* with
-    total <= n, and return the graph.path_walk of the N domain paths of
-    length <= n: the i-th and j-th make the row offset + i N + j.  The
-    column key (a, b) holds the ids of alpha and beta in images, which
-    numbers every codomain path that a domain path maps to, keyed by its
-    vertex if it is trivial and else by the pair of the id of the path less
-    its last edge and that edge; callers that share images share ids.  Each
-    domain pair adds its normal form to the column of its image if that is
-    normal, so every term is a NORMAL domain monomial of the column's
-    degree with total <= n.  Pairs enter with 1 and CK2 rewriting only
-    negates, so columns hold ints.  The caller has already refused any h
-    with no pullback."""
+    """Add to private and columns, the window image, the pullback along h
+    of each NORMAL codomain monomial alpha beta* with total <= n, and
+    return the graph.path_walk of the N domain paths of length <= n: the
+    i-th and j-th make the row offset + i N + j.  A column is keyed by
+    (a, b), the ids of alpha and beta in images, which numbers every
+    codomain path that a domain path maps to, keyed by its vertex if it is
+    trivial and else by the pair of the id of the path less its last edge
+    and that edge; callers that share images share ids.
+
+    Each domain pair adds its normal form to the column of its image if
+    that is normal, so every term is a NORMAL domain monomial of the
+    column's degree with total <= n.  A pair that is not normal itself, as
+    both its legs end with one special edge whose image is not special, is
+    rewritten first: its normal form goes into columns, a defaultdict(dict)
+    of degree -> {key: {row: int}}, and each row it reaches is touched.
+    Pairs enter with 1 and CK2 rewriting only negates, so columns hold
+    ints.  Every other pair adds 1 to its own row, and to no other: into
+    its column's dict if a rewrite touched that row, and else by putting
+    its key into private, a defaultdict(set) of degree -> keys.  So each
+    key in private has an entry 1 in a row that no other column touches.
+    The caller has already refused any h with no pullback."""
     E, e_special, p_special = h.domain, h.domain.designated, h.codomain.designated
     walk = path_walk(E, n)
-    size, image, index = len(walk.end), [], None
-    # by end vertex: id, length, image id, special last edge or None, and
-    # the image's special last edge or None
-    ends = {}
+    size, image = len(walk.end), []
+    # by end vertex: id, length, image id, the image's special last edge or
+    # None, and the special last edge that CK2 rewrites or None
+    ends, redexes = {}, defaultdict(list)
     for i, (parent, last, end, length) in enumerate(zip(*walk)):
         hlast = None if last is None else h.f1[last]
         key = h.f0[end] if last is None else (image[parent], hlast)
         image.append(images.setdefault(key, len(images)))
-        ends.setdefault(end, []).append(
-            (i, length, image[i], last if last in e_special else None,
-             hlast if hlast in p_special else None))
-    for run in ends.values():
-        # run is in length order, so the betas that fit form a prefix
-        for i, la, ha, sa, hsa in run:
-            base = offset + i * size
-            for j, lb, hb, sb, hsb in run:
+        hs = hlast if hlast in p_special else None
+        s = last if hs is None and last in e_special else None
+        ends.setdefault(end, []).append((i, length, image[i], hs, s))
+        if s is not None:
+            redexes[s].append((i, length))
+    touched = set()
+    if redexes:
+        index = {walk.path(k): k for k in range(size)}
+    for run in redexes.values():
+        for i, la in run:
+            for j, lb in run:
                 if la + lb > n:
                     break
-                if hsa is not None and hsa == hsb:
-                    continue
-                col = columns[la - lb].setdefault((ha, hb), {})
-                if sa is None or sa != sb:
-                    col[base + j] = col.get(base + j, 0) + 1
-                    continue
-                if index is None:
-                    index = {walk.path(k): k for k in range(size)}
                 acc = {}
                 _ck2_accumulate(E, LMonomial(walk.path(i), walk.path(j)), 1, acc)
+                col = columns[la - lb].setdefault((image[i], image[j]), {})
                 for t, c in acc.items():
                     r = offset + index[t.alpha] * size + index[t.beta]
                     col[r] = col.get(r, 0) + c
+                    touched.add(r)
+    for run in ends.values():
+        # run is in length order, so the betas that fit form a prefix
+        for i, la, ha, hsa, sa in run:
+            base = offset + i * size
+            for j, lb, hb, hsb, sb in run:
+                if la + lb > n:
+                    break
+                if hsa is not None and hsa == hsb or sa is not None and sa == sb:
+                    continue
+                if base + j in touched:
+                    col = columns[la - lb].setdefault((ha, hb), {})
+                    col[base + j] = col.get(base + j, 0) + 1
+                else:
+                    private[la - lb].add((ha, hb))
     return walk
-
-
-def _peel(columns: list, p: int):
-    """The number of columns that have a row no other column touches, with
-    an entry nonzero in characteristic p, and the list of the others; see
-    _window_cross_check."""
-    touched = Counter(chain.from_iterable(columns))
-    residue = [col for col in columns
-               if not any(touched[r] == 1 and (c % p if p else c) for r, c in col.items())]
-    return len(columns) - len(residue), residue
 
 
 def _window_cross_check(f, g, po, n, field):
@@ -465,25 +476,32 @@ def _window_cross_check(f, g, po, n, field):
     F are walked, for the injections' columns (see _window_columns);
     window sizes are counted in closed form (see _window_sizes).
 
-    The image is ranked column by column (rank is transpose-invariant),
-    after one peeling sweep, the singleton step of LaMacchia and Odlyzko
-    (CRYPTO '90).  Call a column peeled if it has a row that no other
-    column touches, with an entry nonzero in the field.  In a vanishing
-    combination of all columns, the entry in that row is the peeled
-    column's coefficient times its entry, so the coefficient is 0.  Hence
-    every vanishing combination is one of the other columns, the residue,
-    and the rank is the number of peeled columns plus rank(residue)."""
-    # the columns of both injections, F's rows after every pair of E's paths
-    columns, images = defaultdict(dict), {}
-    e_walk = _window_columns(po.iota_left, n, columns, images)
-    _window_columns(po.iota_right, n, columns, images, len(e_walk.end) ** 2)
+    The image's dimension is a count plus the rank of a residue (rank is
+    transpose-invariant, so the columns are ranked as rows).  Each domain
+    pair's row belongs to one column, the key of its image.  Only the
+    normal forms of the pairs that CK2 rewrites reach other rows, and
+    _window_columns marks every row they reach as touched.  So each key in
+    private has an entry 1 in a row that no other column touches.  In a
+    vanishing combination of all columns, the entry in that row is the
+    key's coefficient, so the coefficient is 0, over every field.  Hence
+    every vanishing combination is one of the other columns, the residue:
+    the built columns whose key is not in private.  The rank is
+    len(private) plus rank(residue); this is the singleton step of
+    structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90).
+    The residue holds only columns that CK2 rewriting touches, and rank
+    stays their exact path."""
+    # the image of both injections, F's rows after every pair of E's paths
+    private, columns, images = defaultdict(set), defaultdict(dict), {}
+    e_walk = _window_columns(po.iota_left, n, private, columns, images)
+    _window_columns(po.iota_right, n, private, columns, images, len(e_walk.end) ** 2)
     # the window sizes of the four graphs of the square, named after them
     P, E, F, G = (_window_sizes(x, n) for x in (po.graph, f.codomain, g.codomain, f.domain))
     checks = []
     for d in sorted(P.keys() | E.keys() | F.keys() | G.keys()):
         # a window monomial hit by neither injection adds no column
-        peeled, residue = _peel(list(columns[d].values()), field.characteristic)
-        dim_image = peeled + rank(residue, field.characteristic)
+        keys = private[d]
+        residue = [col for key, col in columns[d].items() if key not in keys]
+        dim_image = len(keys) + rank(residue, field.characteristic)
         dim_fiber = E.get(d, 0) + F.get(d, 0) - G.get(d, 0)
         checks.append(WindowCheck(d, P.get(d, 0), dim_image, dim_fiber))
     return checks

@@ -1,0 +1,76 @@
+"""The wide small scope: every square of test_small_scope.py's kind with G
+of 1 to 3 vertices and at most 3 edges and E and F of at most 3 vertices
+and 4 edges, 21,002 squares, checked at n = 4.  The squares of the empty G
+are left out: their P is the disjoint union of E and F, and at this scope
+they would add 31,684 squares on which CK2 rewriting never runs.  It
+takes about a minute, so pytest does not collect it; run it from the
+checkout root as
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/small_scope_wide.py
+
+For each square it compares the image dimension that verify --leavitt
+counts with the rank of the columns that the tests' oracle builds in full,
+and prints every disagreement and every failed verdict.  Then it prints
+the number of squares, how many pairs CK2 rewriting ran on, and how many
+columns the count left to rank, with how many of them were dependent.
+It exits 1 if any square disagreed or failed.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from test_leavitt import _image_ranks  # noqa: E402
+from test_small_scope import _residues, _squares  # noqa: E402
+
+from quivpush import jsonio, leavitt  # noqa: E402
+from quivpush.linalg import rank  # noqa: E402
+from quivpush.pushout import graph_pushout  # noqa: E402
+
+N = 4
+
+
+def _name(f, g):
+    """The legs of a square as JSON homs, one line."""
+    return " ".join(jsonio.canonical_dumps(jsonio.hom_to_obj(h)) for h in (f, g))
+
+
+def main():
+    squares = [(f, g) for f, g in _squares((3, 3), (3, 4)) if f.domain.vertices]
+    ck2, rewrites = leavitt._ck2_accumulate, []
+
+    def counted(*args):
+        rewrites.append(None)
+        return ck2(*args)
+
+    residue = dependent = bad = 0
+    for f, g in squares:
+        po = graph_pushout(f, g)
+        report = leavitt.verify_leavitt_pullback(f, g, N)
+        ranks = _image_ranks(po, N, 0)
+        for w in report.window_checks:
+            if w.dim_image != ranks.get(w.degree, 0):
+                bad += 1
+                print(f"disagree: {_name(f, g)} degree {w.degree}: counted {w.dim_image}, "
+                      f"rank {ranks.get(w.degree, 0)}")
+        if report.failures:
+            bad += 1
+            print(f"failed: {_name(f, g)}: {report.failures}")
+        leavitt._ck2_accumulate = counted
+        try:
+            residues = _residues(po, N)
+        finally:
+            leavitt._ck2_accumulate = ck2
+        for cols in residues.values():
+            residue += len(cols)
+            dependent += len(cols) - rank(cols, 0)
+    print(f"squares: {len(squares)}")
+    print(f"CK2 rewrites: {len(rewrites)}")
+    print(f"residue columns: {residue}, dependent: {dependent}")
+    print(f"disagreements and failures: {bad}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -557,6 +557,20 @@ def test_bounds_must_be_non_negative_integers(argv, capsys):
     assert "expected an integer >= 0" in err
 
 
+@pytest.mark.parametrize("seed", ["x", "1.5", ""])
+def test_proptest_seed_must_be_an_integer(seed, capsys):
+    """A seed that is not an integer is a parse error that names the
+    option, returned by main as a bad bound is."""
+    assert main(["proptest", "--suite", "composition", "--cases", "1", "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"parse error: --seed {seed}: expected an integer\n"
+
+
+def test_proptest_takes_a_negative_seed(capsys):
+    """Any integer is a seed; case_rng masks a negative one."""
+    assert main(["proptest", "--suite", "composition", "--cases", "2", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out.endswith("suite composition: 2/2 passed (seed -3)\n")
+
+
 def test_proptest_unknown_suite(capsys):
     """An unknown suite is a parse error that names the option, as a bad
     --field is."""
