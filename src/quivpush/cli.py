@@ -23,7 +23,6 @@ from .pushout import check_theorem_preconditions, path_pushout_compare, pushout_
 from .path_algebra import PAElement, pa_unit, verify_path_pullback
 from .leavitt import (l_unit, normal_form, verify_leavitt_pullback,
                       vertex_monomial, monomial_element)
-from .proptest import SUITES, run_suite
 from . import jsonio
 
 VERSION = "quivpush 0.1.0"
@@ -283,6 +282,9 @@ def cmd_eval(args, argv):
 
 
 def cmd_proptest(args, argv):
+    # the suites and their generators load only for the command that runs them
+    from .proptest import SUITES, run_suite
+
     if args.suite not in SUITES:
         raise jsonio.FormatError(f"unknown suite; choose from {sorted(SUITES)}",
                                  f"--suite {args.suite}")

@@ -20,12 +20,17 @@ so the Leavitt window columns hash ints, and PathWalk.path rebuilds the
 Path of an id where one is needed.
 
 A Path is its start vertex and its composable edges; the trivial path at
-v is Path(v), with no edges.  A Path is a tuple (typing.NamedTuple), as is
-the Leavitt monomial built from two of them, so that the dict lookups keyed
-by them hash and compare in C.  Being tuples, they compare equal to plain
-tuples of the same fields, order as tuples and encode to JSON as lists:
-nothing may sort raw Paths (order them by Path.sort_key) or serialize one
-to JSON (write str(path)).
+v is Path(v), with no edges.  A Path is a tuple (typing.NamedTuple), as
+is the Leavitt monomial built from two of them, so that the dict lookups
+keyed by them hash and compare in C.  Every other record of the library
+(the vertex classes here, the reports, flags and squares of the other
+modules) is a NamedTuple too: it needs no dataclasses import, and
+defining one costs a fraction of a dataclass, so that a CLI start stays
+short.  Being tuples, records compare equal to plain tuples, and to
+records of another class, with the same fields, order as tuples and
+encode to JSON as lists: nothing may sort raw records (order Paths by
+Path.sort_key) or serialize one to JSON (write str(path), or the fields
+by name), and a record is compared only with records of its own class.
 
 Graphs are frozen values: vertex and edge sets are frozensets, the source
 and target maps are read-only, and no attribute can be reassigned.  Derived
@@ -36,7 +41,6 @@ operations here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -187,8 +191,7 @@ class Graph:
         return frozenset(out[v][0] for v in self.vertex_classes.regular)
 
 
-@dataclass(frozen=True)
-class VertexClasses:
+class VertexClasses(NamedTuple):
     sinks: frozenset
     sources: frozenset
     regular: frozenset

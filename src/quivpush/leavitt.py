@@ -56,7 +56,6 @@ and compare in C; like a Path it is never sorted raw or written to JSON
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 from typing import NamedTuple
@@ -284,8 +283,7 @@ def normal_monomials_window(g: Graph, max_total: int) -> list:
                    if is_normal(m, g.designated)), key=LMonomial.sort_key)
 
 
-@dataclass(frozen=True)
-class WindowCheck:
+class WindowCheck(NamedTuple):
     degree: int
     dim_window: int
     dim_image: int
@@ -306,8 +304,7 @@ class WindowCheck:
         return self.dim_fiber - self.dim_image
 
 
-@dataclass(frozen=True)
-class LeavittPullbackReport:
+class LeavittPullbackReport(NamedTuple):
     """The window checks and the failures of a Leavitt pullback verdict:
     ("window", degree, dim_image, dim_fiber) for each inconsistent window."""
 
@@ -384,7 +381,7 @@ def _window_sizes(g: Graph, n: int) -> dict:
     symmetric in l1 and l2, degree -d has the size of degree d."""
     counts = path_counts(g, n)
     # each regular vertex, and no other, is s gamma of one special edge gamma
-    regular = [v in g.vertex_classes.regular for v in sorted(g.vertices)]
+    regular = list(map(g.vertex_classes.regular.__contains__, sorted(g.vertices)))
     at_specials = [list(compress(c, regular)) for c in counts]
     sizes = {}
     for l2 in range(n // 2 + 1):

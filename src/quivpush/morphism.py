@@ -9,8 +9,8 @@ still behaves like countably many parallel edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .graph import (Graph, GraphError, Path, _immutable, check_path, derived,
                     is_subgraph, regular_vertices)
@@ -130,8 +130,7 @@ class GraphHom:
         return _fibers(self.f1, self.domain.edges)
 
 
-@dataclass(frozen=True)
-class HomClassification:
+class HomClassification(NamedTuple):
     injective: bool
     surjective: bool
     target_bijective: bool
@@ -245,11 +244,10 @@ def breaking_vertices(g: Graph, h_set) -> frozenset:
     return frozenset(result)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     strongly: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
 
 def is_admissible(h: GraphHom) -> AdmissibilityReport:

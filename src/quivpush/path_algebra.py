@@ -15,8 +15,8 @@ pushout and the fiber product by path counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
+from typing import NamedTuple
 
 from .fields import QQ
 from .graph import (Graph, Path, PreconditionError, check_path, path_counts,
@@ -161,8 +161,7 @@ def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:
     return PAElement(h.domain, a.field, terms)
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(NamedTuple):
     degree: int
     dim_pushout: int
     dim_image: int
@@ -176,8 +175,7 @@ class DegreeCheck:
         return self.commutes and self.injective and self.surjective
 
 
-@dataclass(frozen=True)
-class PathPullbackReport:
+class PathPullbackReport(NamedTuple):
     exact: bool
     degrees: tuple
 
@@ -213,10 +211,11 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
     for d, deg in enumerate(path_degrees(f, g, n, po)):
         # each image path is a column, numbered at its first appearance
         p_idx = {}
-        stacked = [{p_idx.setdefault(q, len(p_idx)): 1} for q in deg.images]
+        images = deg.images
+        stacked = [{p_idx.setdefault(q, len(p_idx)): 1} for q in images]
         r_stacked = rank(stacked, 0)
         injective = r_stacked == deg.count
-        commutes = all(deg.images[i] == deg.images[j] for i, j in deg.links)
+        commutes = all(images[i] == images[j] for i, j in deg.links)
         dim_fiber = len(deg.paths) - len(deg.links)
         surjective = commutes and r_stacked == dim_fiber
         checks.append(DegreeCheck(d, deg.count, r_stacked, dim_fiber,

@@ -9,7 +9,7 @@ an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, intersection_graph, paths_up_to, union_graph
 from .morphism import (GraphHom, classify_hom, compose, is_admissible,
@@ -22,8 +22,7 @@ from .leavitt import (generator_monomials, ker_generators, l_mul, l_pullback, l_
 from . import randgen
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     ok: bool
     detail: str = ""
     minimized: str = ""

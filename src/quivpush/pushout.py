@@ -13,7 +13,7 @@ and to the comparison map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (Graph, GraphError, PreconditionError, path_counts, paths_up_to,
                     require_tail_free)
@@ -41,8 +41,7 @@ class _UnionFind:
 _SIDES = ("E", "F")     # class sides: the left and the right codomain
 
 
-@dataclass(frozen=True)
-class SetPushout:
+class SetPushout(NamedTuple):
     """Quotient of E ⊔ F by the relation generated by f(z) ~ g(z).
 
     classes maps each canonical representative (side, element), side "E"
@@ -78,8 +77,7 @@ def set_pushout(left, right, apex, f: dict, g: dict) -> SetPushout:
     return SetPushout(classes, inj_left, inj_right)
 
 
-@dataclass(frozen=True)
-class PushoutGraph:
+class PushoutGraph(NamedTuple):
     graph: Graph
     iota_left: GraphHom
     iota_right: GraphHom
@@ -139,8 +137,7 @@ def pushout_square(f: GraphHom, g: GraphHom) -> PushoutGraph:
     return graph_pushout(f, g)
 
 
-@dataclass(frozen=True)
-class TheoremFlags:
+class TheoremFlags(NamedTuple):
     vertex_injectivity: bool
     one_color: bool
     one_sided_injectivity: bool
@@ -212,8 +209,7 @@ def breakarrow_identity(f: GraphHom, po: PushoutGraph):
     return not witnesses, witnesses
 
 
-@dataclass(frozen=True)
-class PathDegree:
+class PathDegree(NamedTuple):
     """Degree d of the path-set square E_d <- G_d -> F_d, mapped into P:
     (side, path) for E_d then F_d, each in Path.sort_key order; the image in
     P of each; one index pair per path q of G_d, joining f(q) to g(q); and
@@ -233,20 +229,20 @@ def path_degrees(f: GraphHom, g: GraphHom, n: int, po: PushoutGraph) -> list:
     for by_length, graph in zip(buckets, (f.codomain, g.codomain, f.domain)):
         for p in paths_up_to(graph, n):
             by_length[len(p.edges)].append(p)
+    left, right = po.iota_left, po.iota_right
     degrees = []
     for pe, pf, pg, count in zip(*buckets, path_counts(po.graph, n)):
         at_e = {p: i for i, p in enumerate(pe)}
         at_f = {p: i for i, p in enumerate(pf, len(pe))}
-        images = ([_path_image(po.iota_left, p) for p in pe]
-                  + [_path_image(po.iota_right, p) for p in pf])
+        images = ([_path_image(left, p) for p in pe]
+                  + [_path_image(right, p) for p in pf])
         links = [(at_e[_path_image(f, q)], at_f[_path_image(g, q)]) for q in pg]
         degrees.append(PathDegree([("E", p) for p in pe] + [("F", p) for p in pf],
                                   images, links, sum(count)))
     return degrees
 
 
-@dataclass(frozen=True)
-class PathCompareReport:
+class PathCompareReport(NamedTuple):
     bijective: bool
     injective: bool
     surjective: bool
@@ -268,17 +264,18 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     collisions = {"E": [], "F": []}     # by the side of the later class
     total = 0
     for deg in path_degrees(f, g, n, po):
+        paths, images = deg.paths, deg.images
         total += deg.count
-        uf = _UnionFind(range(len(deg.paths)))
+        uf = _UnionFind(range(len(paths)))
         for i, j in deg.links:
             uf.union(i, j)
         first = {}      # class root -> the index of the path naming the class
-        for i, (side, q) in enumerate(deg.paths):
+        for i, (side, q) in enumerate(paths):
             rep = first.setdefault(uf.find(i), i)
-            image = deg.images[i]
-            if image != deg.images[rep]:
+            image = images[i]
+            if image != images[rep]:
                 raise GraphError("natural path map ill defined on class of "
-                                 + class_id(deg.paths[rep]))
+                                 + class_id(paths[rep]))
             if rep == i and image in seen:
                 collisions[side].append((str(seen[image]), str(q), str(image)))
             elif rep == i:

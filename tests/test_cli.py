@@ -587,6 +587,23 @@ def test_proptest_runs_cases(capsys):
     assert "25/25 passed" in out
 
 
+def test_cli_import_leaves_out_dataclasses_and_the_suites():
+    """A fresh interpreter (python -S) that imports quivpush.cli loads
+    neither dataclasses nor inspect, which cost every CLI start about
+    10 ms, nor the property suites and their generators, which only the
+    proptest command runs; that command still loads and runs them."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})",
+        "import quivpush.cli",
+        "print(sorted({'dataclasses', 'inspect', 'quivpush.proptest', 'quivpush.randgen'}"
+        " & set(sys.modules)))",
+        "sys.exit(quivpush.cli.main(['proptest', '--suite', 'kerver', '--cases', '3']))"])
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "[]\nsuite kerver: 3/3 passed (seed 0)\n"
+
+
 def test_proptest_prints_each_failure_in_case_order(monkeypatch, capsys):
     """Each failing case prints one FAIL line, then its minimized instance
     when there is one, before the summary."""

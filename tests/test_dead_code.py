@@ -7,7 +7,8 @@ Reaching is by name: a walk starts at cli.main, at the module-level
 statements of src/ and at every name a bench/ file reads, and each
 definition it reaches adds the names and attributes its body reads; a
 member is reached when the walk reads its name.  An import alone reads
-nothing, so a re-export in __init__ does not keep a definition alive.  Every field of a dataclass in src/ is read as an
+nothing, so a re-export in __init__ does not keep a definition alive.
+Every field of a record (a NamedTuple class) in src/ is read as an
 attribute somewhere, not only set by its constructor.
 
 Three drift guards ride along: the refusal flags that src/ raises are the
@@ -89,18 +90,15 @@ def test_src_is_reachable():
     assert not unreached, "reached by no command, suite or bench: " + ", ".join(unreached)
 
 
-def _is_dataclass(node):
-    """Whether the class definition node is decorated with dataclass or
-    dataclass(...)."""
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass" for d in node.decorator_list)
+def _is_record(node):
+    """Whether the class definition node subclasses NamedTuple."""
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
 
 
-def test_every_dataclass_field_is_read():
-    """Each annotated field of a dataclass in src/ is read as an attribute
-    (x.field) in src/, tests/ or bench/; a field that is only filled in by
-    the constructor is dead weight in every instance."""
+def test_every_record_field_is_read():
+    """Each annotated field of a record (a NamedTuple class) in src/ is read
+    as an attribute (x.field) in src/, tests/ or bench/; a field that is
+    only filled in by the constructor is dead weight in every instance."""
     read = set()
     for directory in ("src", "tests", "bench"):
         for _, tree in _trees(ROOT / directory):
@@ -108,11 +106,11 @@ def test_every_dataclass_field_is_read():
                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [f"{path.relative_to(ROOT)}:{stmt.lineno} {node.name}.{stmt.target.id}"
               for path, tree in _trees(PACKAGE) for node in ast.walk(tree)
-              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              if isinstance(node, ast.ClassDef) and _is_record(node)
               for stmt in node.body
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in read]
-    assert not unread, "dataclass fields never read: " + ", ".join(unread)
+    assert not unread, "record fields never read: " + ", ".join(unread)
 
 
 def _refusal_flags():

@@ -13,7 +13,6 @@ _square_postconditions checks the four here, on fibers.  A slow oracle
 decides three of them in the algebra, by pulling back each generator as
 an element, and every square below, faulty or not, must agree with it."""
 
-import dataclasses
 import json
 
 import pytest
@@ -150,8 +149,8 @@ def _with_isolated_vertex(f, g):
     p = po.graph
     assert EXTRA not in p.vertices
     bigger = Graph(p.vertices | {EXTRA}, p.edges, p.src, p.tgt)
-    return dataclasses.replace(
-        po, graph=bigger,
+    return po._replace(
+        graph=bigger,
         iota_left=GraphHom(po.iota_left.domain, bigger, po.iota_left.f0, po.iota_left.f1),
         iota_right=GraphHom(po.iota_right.domain, bigger, po.iota_right.f0,
                             po.iota_right.f1))
@@ -206,8 +205,8 @@ def _square(p_vertices, iota_e_f0, iota_f_f0):
     """A pushout_square stand-in with the edgeless P and injections given."""
     def square(f, g):
         p = Graph(p_vertices)
-        return dataclasses.replace(
-            pushout_square(f, g), graph=p,
+        return pushout_square(f, g)._replace(
+            graph=p,
             iota_left=GraphHom(f.codomain, p, iota_e_f0, {}),
             iota_right=GraphHom(g.codomain, p, iota_f_f0, {}))
     return square
@@ -257,8 +256,8 @@ def _coproduct(f, g):
     def injection(side, x):
         return GraphHom(x, p, {v: tagged(side, v) for v in x.vertices},
                         {e: tagged(side, e) for e in x.edges})
-    return dataclasses.replace(po, graph=p, iota_left=injection("E", E),
-                               iota_right=injection("F", F))
+    return po._replace(graph=p, iota_left=injection("E", E),
+                       iota_right=injection("F", F))
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -296,8 +295,8 @@ def _merged_isolated(f, g):
     def merge(h):
         return GraphHom(h.domain, merged,
                         {v: keep if q == drop else q for v, q in h.f0.items()}, h.f1)
-    return dataclasses.replace(po, graph=merged, iota_left=merge(po.iota_left),
-                               iota_right=merge(po.iota_right))
+    return po._replace(graph=merged, iota_left=merge(po.iota_left),
+                       iota_right=merge(po.iota_right))
 
 
 def _applies(square, f, g):

@@ -9,7 +9,9 @@ CRTBPOG.  On each, the square graph_pushout builds has the properties that
 leavitt.verify_leavitt_pullback proves in its docstring and leaves
 unchecked, the verifier passes with leakage 0 in every window, and the
 image dimension it counts is the rank of the columns that the tests'
-oracle builds in full.  small_scope_wide.py compares that count with the
+oracle builds in full.  Where verify --path does not refuse the square,
+the image dimension it ranks in each degree is the number of distinct
+image paths.  small_scope_wide.py compares the Leavitt count with the
 oracle on a wider scope, outside the test run.
 """
 
@@ -20,11 +22,12 @@ from test_faults import _square_postconditions
 from test_leavitt import _image_ranks
 
 from quivpush import leavitt
-from quivpush.graph import Graph
+from quivpush.graph import Graph, PreconditionError
 from quivpush.leavitt import verify_leavitt_pullback
 from quivpush.linalg import rank
 from quivpush.morphism import CATEGORY_CRTBPOG, GraphHom
-from quivpush.pushout import graph_pushout
+from quivpush.path_algebra import verify_path_pullback
+from quivpush.pushout import graph_pushout, path_degrees
 
 
 def _graphs(max_v, max_e):
@@ -127,3 +130,25 @@ def test_a_rewritten_column_is_ranked():
     residues = _residues(_assert_pullback_square(f, g, 2), 2)
     assert {d: len(cols) for d, cols in residues.items() if cols} == {0: 1}
     assert rank(residues[0], 0) == 1
+
+
+def test_path_rank_counts_distinct_images():
+    """On each square with a nonempty G that verify_path_pullback does not
+    refuse at n = 2, the dim_image it ranks in each degree is the number of
+    distinct images, len(set(deg.images)), in that degree of
+    pushout.path_degrees: the rank of unit rows, one per image path, is
+    the number of distinct rows.  Of the 3,608 squares, 2,648 get a verdict
+    and 960 are refused."""
+    counts = {"verdict": 0, "refused": 0}
+    for f, g in _squares():
+        if not f.domain.vertices:
+            continue
+        try:
+            report = verify_path_pullback(f, g, 2)
+        except PreconditionError:
+            counts["refused"] += 1
+            continue
+        counts["verdict"] += 1
+        distinct = [len(set(deg.images)) for deg in path_degrees(f, g, 2, graph_pushout(f, g))]
+        assert [d.dim_image for d in report.degrees] == distinct, (f, g)
+    assert counts == {"verdict": 2648, "refused": 960}
