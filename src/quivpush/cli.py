@@ -262,8 +262,8 @@ def cmd_verify(args, argv):
         for deg in report.degrees:
             cert.check(f"degree_{deg.degree}", deg.ok,
                        dim_pushout=deg.dim_pushout, dim_image=deg.dim_image,
-                       dim_fiber=deg.dim_fiber, commutes=deg.commutes,
-                       injective=deg.injective, surjective=deg.surjective)
+                       dim_fiber=deg.dim_fiber, injective=deg.injective,
+                       surjective=deg.surjective)
     return cert.finish()
 
 
@@ -298,27 +298,27 @@ def cmd_proptest(args, argv):
 
 
 class _Integer(argparse.Action):
-    """An integer option; least, if set, is the smallest value it takes.
-    Any other text is a parse error that names the option, raised out of
-    parse_args to main as a bad --field is, not an argparse usage error."""
+    """An integer option with one spelling, as --field has: 0, or ASCII
+    digits with no leading zero, signed by '-' only where negatives are
+    allowed.  Other text is a parse error naming the option, as for --field."""
 
-    least = None
+    spelling = re.compile(r"0|-?[1-9][0-9]*")
+    bound = ""
 
     def __call__(self, parser, namespace, text, option_string=None):
         try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or self.least is not None and value < self.least:
-            bound = "" if self.least is None else f" >= {self.least}"
-            raise jsonio.FormatError(f"expected an integer{bound}", f"{option_string} {text}")
+            value = int(self.spelling.fullmatch(text)[0])
+        except (TypeError, ValueError):     # no match, or too many digits for int()
+            raise jsonio.FormatError(f"expected an integer{self.bound}",
+                                     f"{option_string} {text}") from None
         setattr(namespace, self.dest, value)
 
 
 class _NonNegativeInt(_Integer):
     """A bound or count option: an integer >= 0."""
 
-    least = 0
+    spelling = re.compile(r"0|[1-9][0-9]*")
+    bound = " >= 0"
 
 
 @functools.cache

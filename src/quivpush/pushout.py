@@ -8,7 +8,7 @@ pushout square, union squares included, and keeps of it only what defines
 it: the graph P and the two injections.  A class of P is the fiber of the
 injections over it.  The universal property is checked by the tests.
 path_degrees gives the path-set square once per degree to verify --path
-and to the comparison map.
+and to the comparison map, which is well defined by construction.
 """
 
 from __future__ import annotations
@@ -256,9 +256,11 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     pushout graph through the natural map, reporting bijectivity up to n.
 
     In each degree the links join the paths into classes, each named by its
-    first path.  A class whose image an earlier class hit is a collision,
-    reported in the (side, Path.sort_key) order of the later class.  P's
-    paths are listed, to name the missing ones, only if some are missing.
+    first path, whose image is the class's: on po = graph_pushout(f, g)
+    every path of a class has one image (see verify_path_pullback).  A
+    class whose image an earlier class hit is a collision, reported in the
+    (side, Path.sort_key) order of the later class.  P's paths are listed,
+    to name the missing ones, only if some are missing.
     """
     seen = {}       # image path -> the path naming the first class to hit it
     collisions = {"E": [], "F": []}     # by the side of the later class
@@ -271,14 +273,12 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
             uf.union(i, j)
         first = {}      # class root -> the index of the path naming the class
         for i, (side, q) in enumerate(paths):
-            rep = first.setdefault(uf.find(i), i)
+            if first.setdefault(uf.find(i), i) != i:
+                continue
             image = images[i]
-            if image != images[rep]:
-                raise GraphError("natural path map ill defined on class of "
-                                 + class_id(paths[rep]))
-            if rep == i and image in seen:
+            if image in seen:
                 collisions[side].append((str(seen[image]), str(q), str(image)))
-            elif rep == i:
+            else:
                 seen[image] = q
     missing = ()
     if len(seen) < total:

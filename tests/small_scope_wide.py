@@ -10,12 +10,17 @@ checkout root as
 
 For each square it compares the image dimension that verify --leavitt
 counts with the rank of the columns that the tests' oracle builds in full,
-and prints every disagreement and every failed verdict.  Then it prints
-the number of squares, how many pairs CK2 rewriting ran on, and how many
-columns the count left to rank, with how many of them were dependent.
-It exits 1 if any square disagreed or failed.
+and prints every disagreement and every failed verdict.  Where verify
+--path does not refuse the square, it also checks each degree of
+pushout.path_degrees: each link joins two paths with one image, and the
+verdict's dim_image is the number of distinct images.  Then it prints the
+number of squares, how many pairs CK2 rewriting ran on, how many columns
+the count left to rank, with how many of them were dependent, and how
+many path verdicts it checked.  It exits 1 if any square disagreed or
+failed.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -25,15 +30,35 @@ from test_leavitt import _image_ranks  # noqa: E402
 from test_small_scope import _residues, _squares  # noqa: E402
 
 from quivpush import jsonio, leavitt  # noqa: E402
+from quivpush.graph import PreconditionError  # noqa: E402
 from quivpush.linalg import rank  # noqa: E402
-from quivpush.pushout import graph_pushout  # noqa: E402
+from quivpush.path_algebra import verify_path_pullback  # noqa: E402
+from quivpush.pushout import graph_pushout, path_degrees  # noqa: E402
 
 N = 4
 
 
 def _name(f, g):
     """The legs of a square as JSON homs, one line."""
-    return " ".join(jsonio.canonical_dumps(jsonio.hom_to_obj(h)) for h in (f, g))
+    return " ".join(json.dumps(jsonio.hom_to_obj(h), sort_keys=True) for h in (f, g))
+
+
+def _path_disagreements(f, g, po):
+    """What verify --path gets wrong on the square po of f and g at N, as
+    lines to print; None when it refuses the square."""
+    try:
+        report = verify_path_pullback(f, g, N)
+    except PreconditionError:
+        return None
+    lines = []
+    for check, deg in zip(report.degrees, path_degrees(f, g, N, po)):
+        images = deg.images
+        lines += [f"two images: {_name(f, g)} degree {check.degree}: link {i} {j}"
+                  for i, j in deg.links if images[i] != images[j]]
+        if check.dim_image != len(set(images)):
+            lines.append(f"path rank: {_name(f, g)} degree {check.degree}: ranked "
+                         f"{check.dim_image}, {len(set(images))} distinct images")
+    return lines
 
 
 def main():
@@ -44,7 +69,7 @@ def main():
         rewrites.append(None)
         return ck2(*args)
 
-    residue = dependent = bad = 0
+    residue = dependent = bad = path_verdicts = 0
     for f, g in squares:
         po = graph_pushout(f, g)
         report = leavitt.verify_leavitt_pullback(f, g, N)
@@ -57,6 +82,12 @@ def main():
         if report.failures:
             bad += 1
             print(f"failed: {_name(f, g)}: {report.failures}")
+        path_lines = _path_disagreements(f, g, po)
+        if path_lines is not None:
+            path_verdicts += 1
+            bad += len(path_lines)
+            for line in path_lines:
+                print(line)
         leavitt._ck2_accumulate = counted
         try:
             residues = _residues(po, N)
@@ -68,6 +99,7 @@ def main():
     print(f"squares: {len(squares)}")
     print(f"CK2 rewrites: {len(rewrites)}")
     print(f"residue columns: {residue}, dependent: {dependent}")
+    print(f"path verdicts: {path_verdicts}, refused: {len(squares) - path_verdicts}")
     print(f"disagreements and failures: {bad}")
     return 1 if bad else 0
 

@@ -557,6 +557,45 @@ def test_bounds_must_be_non_negative_integers(argv, capsys):
     assert "expected an integer >= 0" in err
 
 
+SPELLINGS = ["\u0663", "0_3", " 7", "7 ", "+3", "03", "00", "-0", "-03", "- 3", "\uff13"]
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+@pytest.mark.parametrize("argv", [
+    ["verify", "--path", "f.json", "g.json", "--max-degree"],
+    ["verify", "--leavitt", "f.json", "g.json", "--max-degree"],
+    ["pushout", "f.json", "g.json", "--check-h"],
+    ["proptest", "--suite", "composition", "--cases"],
+], ids=["path-degree", "leavitt-degree", "check-h", "cases"])
+def test_bounds_have_one_spelling(argv, text, capsys):
+    """A bound is 0 or ASCII digits without a leading zero, as the prime of
+    --field is: an Arabic-Indic or fullwidth digit, an underscore, a sign,
+    a space or a leading zero, most of which int() reads, is a parse error,
+    so that one bound cannot be echoed in two certificates."""
+    assert main([*argv, text]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: {argv[-1]} {text}: expected an integer >= 0\n"
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_seed_has_one_spelling(text, capsys):
+    """A seed may be negative, but -0 and the spellings a bound refuses are
+    parse errors."""
+    assert main(["proptest", "--suite", "composition", "--cases", "1", "--seed", text]) == 2
+    assert capsys.readouterr().err == f"parse error: --seed {text}: expected an integer\n"
+
+
+def test_integer_options_read_their_one_spelling(monkeypatch, capsys):
+    """0 and digits without a leading zero are read, and echoed as given."""
+    monkeypatch.chdir(pathlib.Path(__file__).parent / "data")
+    for text, value in (("0", 0), ("10", 10)):
+        assert main(["verify", "--path", "path_f.json", "path_g.json",
+                     "--max-degree", text]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["max_degree"] == value
+    assert main(["proptest", "--suite", "composition", "--cases", "1", "--seed", "-10"]) == 0
+    assert capsys.readouterr().out.endswith("1/1 passed (seed -10)\n")
+
+
 @pytest.mark.parametrize("seed", ["x", "1.5", ""])
 def test_proptest_seed_must_be_an_integer(seed, capsys):
     """A seed that is not an integer is a parse error that names the

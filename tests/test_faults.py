@@ -23,12 +23,12 @@ from test_path_algebra import _path_counts
 from quivpush import cli, leavitt, path_algebra
 from quivpush.cli import main
 from quivpush.fields import QQ, field_from_name
-from quivpush.graph import Graph, GraphError
+from quivpush.graph import Graph, paths_up_to
 from quivpush.jsonio import hom_to_obj, save_json
 from quivpush.leavitt import (edge_monomial, generator_monomials, ghost_monomial,
                               ker_generators, l_pullback, monomial_element,
                               verify_leavitt_pullback, vertex_monomial)
-from quivpush.morphism import GraphHom, compose
+from quivpush.morphism import GraphHom, _path_image, compose
 from quivpush.pushout import (PreconditionError, breakarrow_identity, path_pushout_compare,
                               pushout_square)
 from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
@@ -320,14 +320,13 @@ def _one_color_draws():
     return draws
 
 
-# A degree is surjective only if it commutes, so a square that does not
-# commute also fails surjective.
 @pytest.mark.parametrize("square, fails", [
     # the extra vertex idempotent is in the pushout but in no image
     (_with_isolated_vertex, {"injective"}),
     # the merged vertex has one image where the fiber product has two
     (_merged_isolated, {"surjective"}),
-    (_coproduct, {"commutes", "surjective"}),
+    # the image is all of E_d + F_d, |G_d| more than the fiber
+    (_coproduct, {"surjective"}),
 ], ids=["extra-vertex", "merged-isolated", "coproduct"])
 def test_wrong_squares_fail_one_path_obligation(monkeypatch, square, fails):
     draws = [(f, g) for f, g in _one_color_draws() if _applies(square, f, g)]
@@ -337,7 +336,7 @@ def test_wrong_squares_fail_one_path_obligation(monkeypatch, square, fails):
         report = path_algebra.verify_path_pullback(f, g, 3)
         assert not report.ok
         assert {kind for d in report.degrees
-                for kind in ("commutes", "injective", "surjective")
+                for kind in ("injective", "surjective")
                 if not getattr(d, kind)} == fails
 
 
@@ -368,30 +367,40 @@ def test_cli_verify_path_exits_1_on_a_wrong_square(monkeypatch, tmp_path, capsys
     failing = [c for c in cert["checks"] if not c["ok"]]
     assert [c["name"] for c in failing] == ["degree_0"]
     assert not failing[0]["injective"]
-    assert failing[0]["commutes"] and failing[0]["surjective"]
+    assert failing[0]["surjective"]
 
 
-def test_comparison_map_is_ill_defined_on_the_coproduct_square(monkeypatch, tmp_path,
-                                                                 capsys):
+def test_comparison_map_misses_g_on_the_coproduct_square(monkeypatch, tmp_path, capsys):
     """On the coproduct square a path q of G joins E:f(q) and F:g(q) in one
-    class of the path-set pushout, but P keeps them apart: the natural path
-    map has two values on that class, and pushout --check-h fails with an
-    error instead of a certificate."""
-    f, g = _one_color_draws()[0]
-    assert f.domain.vertices
-    with pytest.raises(GraphError, match="natural path map ill defined on class of E:"):
-        path_pushout_compare(f, g, 2, _coproduct(f, g))
+    class of the path-set pushout, but P keeps their images apart, so the
+    square does not commute; only _square_postconditions checks that, as
+    it holds on every square of graph_pushout.  The comparison map sends
+    the class to the image of its first path, E.f(q), so where g is
+    injective pushout --check-h exits 0 with a false verdict: the missing
+    paths are the F.-prefixed images of g's paths, with no collision."""
+    draws = [(f, g) for f, g in _one_color_draws() if g.classification.injective]
+    assert len(draws) >= 10
+    for f, g in draws:
+        square = _coproduct(f, g)
+        assert "commutes" in {x[0] for x in _square_postconditions(f, g, square)}
+        reached = {str(_path_image(square.iota_right, _path_image(g, q)))
+                   for q in paths_up_to(f.domain, 2)}
+        report = path_pushout_compare(f, g, 2, square)
+        assert not report.surjective and set(report.missing) == reached
+        assert all(p.startswith("F.") for p in reached)
+        assert report.injective and report.collisions == ()
+    f, g = draws[0]
     fp, gp = str(tmp_path / "f.json"), str(tmp_path / "g.json")
     save_json(fp, hom_to_obj(f))
     save_json(gp, hom_to_obj(g))
     argv = ["pushout", fp, gp, "--check-h", "2"]
-    assert main(argv) == 0
-    capsys.readouterr()
     monkeypatch.setattr(cli, "pushout_square", _coproduct)
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: natural path map ill defined")
-    assert not captured.out
+    assert main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)
+    check = next(c for c in cert["checks"] if c["name"] == "h_bijective_up_to_N")
+    assert check["value"] is False and not check["surjective"]
+    assert check["missing"] == list(path_pushout_compare(f, g, 2, _coproduct(f, g)).missing)
+    assert check["collisions"] == []
 
 
 def _fault_squares():

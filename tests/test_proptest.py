@@ -1,6 +1,6 @@
 import pytest
 
-from quivpush import proptest
+from quivpush import leavitt, proptest
 from quivpush.graph import Graph
 from quivpush.morphism import GraphHom
 from quivpush.proptest import SUITES, minimize_graph_pair, minimize_legs, run_suite
@@ -80,3 +80,55 @@ def test_captocup_exceptions_propagate(monkeypatch):
     for i in range(5):
         with pytest.raises(RuntimeError, match="union failed"):
             proptest.suite_captocup(case_rng(3, i))
+
+
+def _cases_using(monkeypatch, suite, module, name, uses):
+    """How many of cases 0-199 of suite at seed 1 make a call of
+    module.name for which uses(args, result) holds."""
+    called, hits = getattr(module, name), set()
+
+    def spy(*args):
+        result = called(*args)
+        if uses(args, result):
+            hits.add(case)
+        return result
+    monkeypatch.setattr(module, name, spy)
+    for case in range(200):
+        SUITES[suite](case_rng(1, case))
+    return len(hits)
+
+
+def _some_side_nonempty(args, result):
+    """Whether breakarrow_identity(f, po) meets a vertex of E that alone
+    covers its class and has an edge on either side of the identity."""
+    f, po = args
+    E, P, iota = f.codomain, po.graph, po.iota_left
+    shared, right = f.vertex_image(), set(po.iota_right.f0.values())
+    return any(iota.vertex_fibers[iota.f0[w]] == (w,)
+               and (any(E.tgt[e] not in shared for e in E.out_map[w])
+                    or any(P.src[iota.f1[e]] == iota.f0[w] and P.tgt[iota.f1[e]] not in right
+                           for e in E.edges))
+               for w in E.vertices)
+
+
+def _ck2_rewrites(args, result):
+    """Whether _ck2_accumulate(g, mono, ...) meets a monomial whose two legs
+    end with one special edge, so that CK2 rewrites it."""
+    g, mono = args[:2]
+    a, b = mono.alpha.edges, mono.beta.edges
+    return bool(a and b and a[-1] == b[-1] and a[-1] in g.designated)
+
+
+@pytest.mark.parametrize("suite, module, name, uses, floor", [
+    # measured under PYTHONHASHSEED=0; 57 of 200: a vertex outside the image
+    ("kerver", proptest, "ker_generators", lambda args, result: bool(result), 40),
+    # 75 of 200: an edge on either side at a uniquely covered vertex
+    ("breakarrow", proptest, "breakarrow_identity", _some_side_nonempty, 50),
+    # 35 of 200: a product or pullback that CK2 rewrites
+    ("lk-hom", leavitt, "_ck2_accumulate", _ck2_rewrites, 20),
+], ids=["kerver", "breakarrow", "lk-hom"])
+def test_suites_use_their_hypothesis(monkeypatch, suite, module, name, uses, floor):
+    """No suite passes vacuously: at seed 1, enough of cases 0-199 reach
+    the case that the suite's conclusion is about, so a generator change
+    that leaves it out fails here, not silently."""
+    assert _cases_using(monkeypatch, suite, module, name, uses) >= floor

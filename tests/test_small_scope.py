@@ -6,13 +6,13 @@ every tail-free graph up to isomorphism with at most 3 vertices and 3
 edges, every hom between two of them, and every square E <-f- G -g-> F
 with G of at most 2 vertices and 2 edges, f injective (P1) and both legs
 CRTBPOG.  On each, the square graph_pushout builds has the properties that
-leavitt.verify_leavitt_pullback proves in its docstring and leaves
-unchecked, the verifier passes with leakage 0 in every window, and the
-image dimension it counts is the rank of the columns that the tests'
-oracle builds in full.  Where verify --path does not refuse the square,
-the image dimension it ranks in each degree is the number of distinct
-image paths.  small_scope_wide.py compares the Leavitt count with the
-oracle on a wider scope, outside the test run.
+leavitt.verify_leavitt_pullback and path_algebra.verify_path_pullback
+prove in their docstrings and leave unchecked, verify --leavitt passes
+with leakage 0 in every window, and the image dimension it counts is the
+rank of the columns that the tests' oracle builds in full.  Where verify
+--path does not refuse the square, the image dimension it ranks in each
+degree is the number of distinct image paths.  small_scope_wide.py makes
+the Leavitt and path checks on a wider scope, outside the test run.
 """
 
 import itertools
@@ -88,12 +88,17 @@ def _residues(po, n):
 
 def _assert_pullback_square(f, g, n):
     """The injections of the square on f and g are CRTBPOG, its
-    postconditions hold, verify --leavitt's verdict at n passes with
-    leakage 0, and each window's counted image has the oracle's rank."""
+    postconditions hold, and so does their path form, which verify --path
+    and the comparison map take as given: in each degree up to n of
+    path_degrees, each link joins two paths with one image.  verify
+    --leavitt's verdict at n passes with leakage 0, and each window's
+    counted image has the oracle's rank."""
     po = graph_pushout(f, g)
     assert po.iota_left.classification.category == CATEGORY_CRTBPOG, (f, g)
     assert po.iota_right.classification.category == CATEGORY_CRTBPOG, (f, g)
     assert _square_postconditions(f, g, po) == [], (f, g)
+    for deg in path_degrees(f, g, n, po):
+        assert all(deg.images[i] == deg.images[j] for i, j in deg.links), (f, g)
     report = verify_leavitt_pullback(f, g, n)
     assert report.ok and all(w.leakage == 0 for w in report.window_checks), (f, g)
     ranks = _image_ranks(po, n, 0)
