@@ -56,7 +56,9 @@ class Certificate:
         return EXIT_OK if self.obj["ok"] else EXIT_CHECK_FAILED
 
 
-_TOKEN = re.compile(r"\s*(chi\[[^\]]*\]|\d+(?:/\d+)?|[+\-*])\s*")
+# a coefficient: ASCII digits, as \d would also read other scripts' digits
+_COEFFICIENT = r"[0-9]+(?:/[0-9]+)?"
+_TOKEN = re.compile(rf"\s*(chi\[[^\]]*\]|{_COEFFICIENT}|[+\-*])\s*")
 # characters that chi[...] reads as syntax, so an id holding one cannot be
 # named there and its printed form does not read back
 _UNNAMEABLE = re.compile(r"[.*\]]")
@@ -113,7 +115,7 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
         if atoms and i == start:
             raise ExprError(f"expected + or - before term {len(atoms) + 1}")
         coef = None
-        if i < len(tokens) and re.fullmatch(r"\d+(?:/\d+)?", tokens[i]):
+        if i < len(tokens) and re.fullmatch(_COEFFICIENT, tokens[i]):
             coef = tokens[i]
             i += 1
             if i < len(tokens) and tokens[i] == "*":
@@ -250,20 +252,12 @@ def cmd_verify(args, argv):
     cert.param("max_degree", args.max_degree)
     if args.leavitt:
         report = verify_leavitt_pullback(f, g, args.max_degree, field)
-        cert.check("window_cross_check", report.ok,
-                   windows=[{"degree": w.degree, "dim_window": w.dim_window,
-                             "dim_image": w.dim_image, "dim_fiber": w.dim_fiber,
-                             "leakage": w.leakage} for w in report.window_checks])
-        if report.failures:
-            cert.extra("failures", [list(map(str, item)) for item in report.failures])
     else:
         report = verify_path_pullback(f, g, args.max_degree)
-        cert.param("mode", "EXACT" if report.exact else f"TRUNCATED({args.max_degree})")
-        for deg in report.degrees:
-            cert.check(f"degree_{deg.degree}", deg.ok,
-                       dim_pushout=deg.dim_pushout, dim_image=deg.dim_image,
-                       dim_fiber=deg.dim_fiber, injective=deg.injective,
-                       surjective=deg.surjective)
+    cert.param("mode", "EXACT" if report.exact else f"TRUNCATED({args.max_degree})")
+    for deg in report.degrees:
+        cert.check(f"degree_{deg.degree}", deg.ok, dim_pushout=deg.dim_pushout,
+                   dim_image=deg.dim_image, dim_fiber=deg.dim_fiber)
     return cert.finish()
 
 

@@ -29,10 +29,15 @@ domain with its coefficient c.  That it respects the Cuntz-Krieger
 relations, so that it is an algebra map, is the paper's descent lemma: the
 tests check the descent identities, and no verdict re-proves them.
 
-The pullback verifier decides on its refusals and its window cross-check;
-the rest of the theorem's square holds by construction of the pushout, as
-its docstring proves, and the tests check it on every small square.  The
-window cross-check counts the dimension of the image of the pushout's
+The pullback verifier decides on its refusals and its window cross-check,
+which asks, as verify_path_pullback does, that P's piece, its image and
+the fiber product have one dimension in each degree (path_algebra's
+DegreeCheck); two lemmas in the docstrings prove it on every accepted
+square.  The rest of the theorem's square holds by construction of the
+pushout, as its docstring proves, and the tests check it on every small
+square.
+
+The window cross-check counts the dimension of the image of the pushout's
 window under both injection pullbacks, and builds those pullbacks in the
 other direction: one pass over the domain's pairs alpha' beta'* adds the
 normal form of alpha' beta'* to the column of (h alpha')(h beta')*, unless
@@ -66,7 +71,7 @@ from .graph import (Graph, Path, PathWalk, PreconditionError, check_word, path_c
 from .linalg import rank
 from .morphism import GraphHom, DomainMismatch, CATEGORY_CRTBPOG
 from .pushout import pushout_square
-from .path_algebra import LinearCombination, path_preimages
+from .path_algebra import DegreeCheck, LinearCombination, PullbackReport, path_preimages
 
 
 class LMonomial(NamedTuple):
@@ -283,39 +288,6 @@ def normal_monomials_window(g: Graph, max_total: int) -> list:
                    if is_normal(m, g.designated)), key=LMonomial.sort_key)
 
 
-class WindowCheck(NamedTuple):
-    degree: int
-    dim_window: int
-    dim_image: int
-    dim_fiber: int
-
-    @property
-    def injective(self):
-        return self.dim_image == self.dim_window
-
-    @property
-    def consistent(self):
-        # the fiber may exceed the truncated image when preimages need
-        # monomials beyond the window; never the other way around
-        return self.injective and self.dim_image <= self.dim_fiber
-
-    @property
-    def leakage(self):
-        return self.dim_fiber - self.dim_image
-
-
-class LeavittPullbackReport(NamedTuple):
-    """The window checks and the failures of a Leavitt pullback verdict:
-    ("window", degree, dim_image, dim_fiber) for each inconsistent window."""
-
-    window_checks: tuple
-    failures: tuple
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
 def generator_monomials(g: Graph) -> list:
     """Vertices, then each edge followed by its ghost, in sorted id order."""
     gens = [vertex_monomial(v) for v in sorted(g.vertices)]
@@ -326,14 +298,18 @@ def generator_monomials(g: Graph) -> list:
 
 
 def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
-                            field=QQ) -> LeavittPullbackReport:
+                            field=QQ) -> PullbackReport:
     """Verify that the induced square of Leavitt path algebras is a pullback.
 
     Refused: legs that are not CRTBPOG (each through _require_pullback),
     and a left leg f that is not injective (P1).  The verdict is then the
     window cross-check alone: degree by degree on the span of NORMAL
-    monomials with total degree <= n, the rank of the image of L(P) against
-    the dimension of the fiber product (see _window_cross_check).
+    monomials with total degree <= n, P's window, the rank of its image in
+    L(E) x L(F) and the dimension of the fiber product must be one number
+    (see _window_cross_check).  The report is EXACT when P has no path of
+    length n // 2 + 1: then no graph of the square has one, as a graph map
+    keeps lengths, so every NORMAL monomial of P, E, F and G has total <= n
+    and each window is the whole graded piece.
 
     The rest of the theorem's square holds by construction of P =
     graph_pushout(f, g), the quotient of E + F by f(z) ~ g(z), so it is
@@ -361,16 +337,33 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
         to sinks, so the class of a sink of E or F is a sink.
     The breaking-arrow identity (pushout.breakarrow_identity) holds
     wherever the kernel correspondence and commutativity do, so here too.
+
+    Nor can the window cross-check fail on such a square, by two lemmas.
+    Lemma A: dim_image = dim_window(P) in every degree.  Both injections
+    are CRTBPOG, so by the descent lemma the pair of pullbacks L(P) ->
+    L(E) x L(F) is an algebra map, a graded one, as a pullback keeps the
+    degree |alpha| - |beta|.  Every class of P has a member, so the map
+    sends each vertex of P to a nonzero idempotent, and by the Graded
+    Uniqueness Theorem (Tomforde, "Uniqueness theorems and ideal structure
+    for Leavitt path algebras", J. Algebra 318, 2007; Abrams, Ara and Siles
+    Molina, Leavitt Path Algebras, LNM 2191, 2017, section 2.2) it is
+    injective.  So the columns of distinct NORMAL monomials of P are
+    independent.  And each NORMAL monomial of P's window has a column: its
+    end vertex has a member x, and a target-bijective map lifts each path
+    into iota(x) uniquely to a path into x, so the monomial is the image of
+    a pair of the domain's window.  Lemma B (see _window_cross_check):
+    dim_fiber = dim_window(P).  So the rule is an equality, and a square
+    that breaks it is not graph_pushout's; the tests compare the counted
+    image with an oracle rank, and the window sizes with Lemma B, on every
+    small square.
     """
     po = pushout_square(f, g)
     for name, hom in (("f", f), ("g", g)):
         _require_pullback(hom, f"leg {name}")
     if not f.classification.injective:
         raise PreconditionError("P1", "the left leg must be injective")
-    window_checks = tuple(_window_cross_check(f, g, po, n, field))
-    failures = tuple(("window", w.degree, w.dim_image, w.dim_fiber)
-                     for w in window_checks if not w.consistent)
-    return LeavittPullbackReport(window_checks, failures)
+    exact = not any(path_counts(po.graph, n // 2 + 1)[-1])
+    return PullbackReport(exact, tuple(_window_cross_check(f, g, po, n, field)))
 
 
 def _window_sizes(g: Graph, n: int) -> dict:
@@ -464,14 +457,15 @@ def _window_columns(h: GraphHom, n: int, private: dict, columns: dict, images: d
 
 
 def _window_cross_check(f, g, po, n, field):
-    """Degree by degree, on the windows of NORMAL monomials with total <= n:
-    the rank of the image of L(P) in L(E) x L(F), and the dimension of the
-    fiber of L(E) x L(F) -> L(G), |E_d| + |F_d| - |G_d|.  That count holds
-    because [f* | -g*] has rank |G_d|: f is injective (P1), so by the
-    descent lemma a normal alpha' beta'* of G's window pulls back from the
-    normal form of (f alpha')(f beta')*, which is in E's window.  Only E and
-    F are walked, for the injections' columns (see _window_columns);
-    window sizes are counted in closed form (see _window_sizes).
+    """Degree by degree, on the windows of NORMAL monomials with total <= n,
+    a DegreeCheck: the size of P's window, the rank of its image in
+    L(E) x L(F), and the dimension of the fiber of L(E) x L(F) -> L(G),
+    |E_d| + |F_d| - |G_d|.  That count holds because [f* | -g*] has rank
+    |G_d|: f is injective (P1), so by the descent lemma a normal
+    alpha' beta'* of G's window pulls back from the normal form of
+    (f alpha')(f beta')*, which is in E's window.  Only E and F are walked,
+    for the injections' columns (see _window_columns); window sizes are
+    counted in closed form (see _window_sizes).
 
     The image's dimension is a count plus the rank of a residue (rank is
     transpose-invariant, so the columns are ranked as rows).  Each domain
@@ -486,7 +480,23 @@ def _window_cross_check(f, g, po, n, field):
     len(private) plus rank(residue); this is the singleton step of
     structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90).
     The residue holds only columns that CK2 rewriting touches, and rank
-    stays their exact path."""
+    stays their exact path.
+
+    Lemma B: on a square that verify_leavitt_pullback does not refuse,
+    _window_sizes gives E_d + F_d - G_d = P_d in every degree d, so
+    dim_fiber = dim_window(P).  _window_sizes sums over the vertices v of
+    a graph a term that depends only on the path counts c_l(v) and on
+    whether v is regular.  A target-bijective map keeps each c_l(v); a
+    regular map keeps regularity, as it sends sinks to sinks and the edges
+    out of v to edges out of the image of v.  So each member of a class of
+    P, in E, F or G (through iota_E f), has the term of its class.  f is
+    injective, so a class is one vertex of E alone, or one vertex y of F
+    with the f(z) for the z in g^-1(y), as many as those z: either way its
+    members in E and F, less those in G, number 1.  Summed over the
+    classes, the terms give E_d + F_d - G_d = P_d.  With Lemma A (see
+    verify_leavitt_pullback) the three numbers are equal on every accepted
+    square.  The tests check Lemma B on every small square at each n from
+    2 to 8, and small_scope_wide.py at n = 10."""
     # the image of both injections, F's rows after every pair of E's paths
     private, columns, images = defaultdict(set), defaultdict(dict), {}
     e_walk = _window_columns(po.iota_left, n, private, columns, images)
@@ -500,5 +510,5 @@ def _window_cross_check(f, g, po, n, field):
         residue = [col for key, col in columns[d].items() if key not in keys]
         dim_image = len(keys) + rank(residue, field.characteristic)
         dim_fiber = E.get(d, 0) + F.get(d, 0) - G.get(d, 0)
-        checks.append(WindowCheck(d, P.get(d, 0), dim_image, dim_fiber))
+        checks.append(DegreeCheck(d, P.get(d, 0), dim_image, dim_fiber))
     return checks

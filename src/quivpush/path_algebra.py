@@ -162,19 +162,24 @@ def pa_pullback(h: GraphHom, a: PAElement) -> PAElement:
 
 
 class DegreeCheck(NamedTuple):
+    """One degree of a pullback verdict, path or Leavitt: the dimensions of
+    P's piece, of its image in the product of E's and F's, and of the
+    fiber product over G's; the theorem says all three are one number."""
+
     degree: int
     dim_pushout: int
     dim_image: int
     dim_fiber: int
-    injective: bool
-    surjective: bool
 
     @property
     def ok(self):
-        return self.injective and self.surjective
+        return self.dim_image == self.dim_pushout == self.dim_fiber
 
 
-class PathPullbackReport(NamedTuple):
+class PullbackReport(NamedTuple):
+    """A pullback verdict: its DegreeChecks, and whether they cover the
+    whole algebra (EXACT) or only the pieces up to the truncation."""
+
     exact: bool
     degrees: tuple
 
@@ -183,7 +188,7 @@ class PathPullbackReport(NamedTuple):
         return all(d.ok for d in self.degrees)
 
 
-def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackReport:
+def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PullbackReport:
     """Check degree by degree that the pushout path algebra is the fiber
     product: the pair of injection pullbacks is injective and hits exactly
     the fiber product.  It commutes over the base by construction of
@@ -215,9 +220,7 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PathPullbackRe
         # each image path is a column, numbered at its first appearance
         p_idx = {}
         stacked = [{p_idx.setdefault(q, len(p_idx)): 1} for q in deg.images]
-        r_stacked = rank(stacked, 0)
-        dim_fiber = len(deg.paths) - len(deg.links)
-        checks.append(DegreeCheck(d, deg.count, r_stacked, dim_fiber,
-                                  r_stacked == deg.count, r_stacked == dim_fiber))
+        checks.append(DegreeCheck(d, deg.count, rank(stacked, 0),
+                                  len(deg.paths) - len(deg.links)))
     exact = not any(path_counts(po.graph, n + 1)[n + 1])
-    return PathPullbackReport(exact, tuple(checks))
+    return PullbackReport(exact, tuple(checks))

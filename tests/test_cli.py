@@ -368,6 +368,12 @@ def test_verify_leavitt_instance(tmp_path, capsys):
     assert main(["verify", "--leavitt", fp, gp, "--field", "fp:7"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["ok"] is True
+    # P = v -e-> w beside x and y has no path of length 3, so the windows
+    # at n = 4 are all of L(P), of dimension 2^2 + 1 + 1 over its sinks
+    assert cert["params"] == {"field": "fp:7", "max_degree": 4, "mode": "EXACT"}
+    assert cert["checks"] == [
+        {"name": f"degree_{d}", "ok": True, "dim_pushout": k, "dim_image": k, "dim_fiber": k}
+        for d, k in ((-1, 1), (0, 4), (1, 1))]
 
 
 def test_eval_leavitt_expression(tmp_path, capsys):
@@ -468,7 +474,14 @@ def test_eval_bad_expression(tmp_path, capsys):
     ("chi[..e]", "q", "empty id inside chi[...]"),
     ("1/0", "q", "bad rational literal '1/0'"),
     ("1/7", "fp:7", "literal '1/7' has denominator divisible by 7"),
-], ids=["2*3", "2 3", "chi[v] chi[w]", "chi[e.]", "chi[..e]", "1/0", "1/7 over fp:7"])
+    # a coefficient is written in ASCII digits, as an integer option is
+    ("\u0663*chi[v]", "q", "bad token at column 1: '\u0663*chi[v]'"),
+    ("\u0663/\u0664", "q", "bad token at column 1: '\u0663/\u0664'"),
+    ("3/\u0664*chi[v]", "q", "bad token at column 2: '/\u0664*chi[v]'"),
+    ("\uff13*chi[v]", "q", "bad token at column 1: '\uff13*chi[v]'"),
+], ids=["2*3", "2 3", "chi[v] chi[w]", "chi[e.]", "chi[..e]", "1/0", "1/7 over fp:7",
+        "arabic-indic digit", "arabic-indic fraction", "arabic-indic denominator",
+        "fullwidth digit"])
 def test_eval_refuses_malformed_expressions(tmp_path, capsys, expression, field, message):
     path = _write(tmp_path, "edge.json", EDGE)
     assert main(["eval", path, expression, "--field", field]) == 2

@@ -29,6 +29,7 @@ from quivpush.leavitt import (edge_monomial, generator_monomials, ghost_monomial
                               ker_generators, l_pullback, monomial_element,
                               verify_leavitt_pullback, vertex_monomial)
 from quivpush.morphism import GraphHom, _path_image, compose
+from quivpush.path_algebra import DegreeCheck
 from quivpush.pushout import (PreconditionError, breakarrow_identity, path_pushout_compare,
                               pushout_square)
 from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance,
@@ -163,36 +164,44 @@ def test_extra_pushout_vertex_fails_kerint_and_window(monkeypatch, case):
     assert _checked_postconditions(f, g, _with_isolated_vertex(f, g)) == [("kerint", [EXTRA])]
     monkeypatch.setattr(leavitt, "pushout_square", _with_isolated_vertex)
     report = verify_leavitt_pullback(f, g, 3)
-    assert not report.ok and {item[0] for item in report.failures} == {"window"}
-    # the extra vertex idempotent is the one column of degree 0 the image loses
-    zero = next(w for w in report.window_checks if w.degree == 0)
-    assert not zero.injective and zero.dim_image == zero.dim_window - 1
-    assert ("window", 0, zero.dim_image, zero.dim_fiber) in report.failures
+    # the extra vertex idempotent is the one monomial of P's window that the
+    # image lacks, and the only degree that fails is 0
+    assert [w.degree for w in report.degrees if not w.ok] == [0]
+    zero = next(w for w in report.degrees if w.degree == 0)
+    assert zero.dim_image == zero.dim_pushout - 1 == zero.dim_fiber
+
+
+def _degree_rows(cert):
+    """The checks of a verify certificate as (name, ok, dim_pushout,
+    dim_image, dim_fiber), in order."""
+    return [(c["name"], c["ok"], c["dim_pushout"], c["dim_image"], c["dim_fiber"])
+            for c in cert["checks"]]
 
 
 def test_cli_exits_1_and_lists_failures_on_a_wrong_square(monkeypatch, tmp_path, capsys):
     """On the extra-vertex and the coproduct square verify --leavitt fails
-    through its one check, window_cross_check, and lists each failing
-    window as ["window", degree, dim_image, dim_fiber]."""
+    through its degree_<d> checks: one per degree of the report, each with
+    the report's three numbers, false exactly where they are not one."""
     f, g = leavitt_union_instance(case_rng(5, 0))
     fp, gp = str(tmp_path / "f.json"), str(tmp_path / "g.json")
     save_json(fp, hom_to_obj(f))
     save_json(gp, hom_to_obj(g))
     argv = ["verify", "--leavitt", fp, gp, "--max-degree", "3"]
     assert main(argv) == 0
-    assert "failures" not in json.loads(capsys.readouterr().out)
+    rows = _degree_rows(json.loads(capsys.readouterr().out))
+    assert rows and all(ok for _, ok, *_ in rows)
     for square in (_with_isolated_vertex, _coproduct):
         monkeypatch.setattr(leavitt, "pushout_square", square)
         assert main(argv) == 1
         cert = json.loads(capsys.readouterr().out)
         assert cert["ok"] is False
-        assert [(c["name"], c["ok"]) for c in cert["checks"]] == [("window_cross_check", False)]
-        # a window is inconsistent when its image is not the whole window or
-        # exceeds the fiber
-        failing = [["window", str(w["degree"]), str(w["dim_image"]), str(w["dim_fiber"])]
-                   for w in cert["checks"][0]["windows"]
-                   if w["dim_image"] != w["dim_window"] or w["leakage"] < 0]
-        assert failing and cert["failures"] == failing
+        assert set(cert) == {"checks", "command", "inputs", "ok", "params", "version"}
+        report = verify_leavitt_pullback(f, g, 3)
+        assert _degree_rows(cert) == [(f"degree_{w.degree}", w.ok, *w[1:])
+                                      for w in report.degrees]
+        # a degree fails when P's window, the image and the fiber differ
+        failing = [name for name, _, *dims in _degree_rows(cert) if len(set(dims)) > 1]
+        assert failing and failing == [name for name, ok, *_ in _degree_rows(cert) if not ok]
 
 
 # G = {}, E = {a}, F = {b1, b2} with empty legs: the true pushout is
@@ -229,14 +238,74 @@ def test_two_vertex_squares_fail_one_fiber_obligation(monkeypatch, square, failu
     field = field_from_name(field_name)
     assert _checked_postconditions(f, g, pushout_square(f, g), field) == []
     assert _checked_postconditions(f, g, square(f, g), field) == failures
-    # the truncated window cannot see either fault: it only asks for
-    # dim_image <= dim_fiber, and the image falls one short of the fiber,
-    # so the verifier passes both squares; an exact window would not
+    # the image fills the two-vertex P, but the fiber counts three vertices:
+    # P is too small, so degree 0, the only degree of these edgeless
+    # graphs, fails with (dim_pushout, dim_image, dim_fiber) = (2, 2, 3)
     monkeypatch.setattr(leavitt, "pushout_square", square)
     report = verify_leavitt_pullback(f, g, 2, field)
-    assert report.ok
-    zero = next(w for w in report.window_checks if w.degree == 0)
-    assert (zero.dim_window, zero.dim_image, zero.dim_fiber) == (2, 2, 3)
+    assert not report.ok and report.exact
+    assert report.degrees == (DegreeCheck(0, 2, 2, 3),)
+
+
+# b1 and b2 merge in P, and P has a third vertex c that nothing maps to:
+# P's window and the fiber have three vertices, the image one fewer
+ONE_SHORT = _square(["a", "b", "c"], {"a": "a"}, {"b1": "b", "b2": "b"})
+
+# G = {}, E = the loop e at a, F = the edge x: b0 -> b1 with empty legs:
+# the true pushout is E and F side by side
+LOOP_E = Graph.build(["a"], [("e", "a", "a")])
+EDGE_F = Graph.build(["b0", "b1"], [("x", "b0", "b1")])
+EDGE_LEGS = (GraphHom(Graph(()), LOOP_E, {}, {}), GraphHom(Graph(()), EDGE_F, {}, {}))
+
+
+def _swapped_targets(f, g):
+    """The true square on EDGE_LEGS with the targets of e and x swapped in
+    P, which becomes the path b0 -x-> a -e-> b1; the injections keep their
+    maps, so neither is a graph map into P any more, and the four
+    postconditions, which take that as given, hold.  P's window loses the
+    loop's monomials eee and (eee)*, of degrees 3 and -3."""
+    p = Graph.build(["a", "b0", "b1"], [("e", "a", "b1"), ("x", "b0", "a")])
+    return pushout_square(f, g)._replace(
+        graph=p, iota_left=GraphHom(f.codomain, p, {"a": "a"}, {"e": "e"}),
+        iota_right=GraphHom(g.codomain, p, {"b0": "b0", "b1": "b1"}, {"x": "x"}))
+
+
+def test_one_short_square_fails_kerint_and_surjectivity():
+    f, g = EMPTY_LEGS
+    assert _checked_postconditions(f, g, ONE_SHORT(f, g)) == [
+        ("kerint", ["c"]), ("surjectivity", "iota_F", "b1"),
+        ("surjectivity", "iota_F", "b2")]
+
+
+def test_swapped_targets_pass_the_postconditions():
+    """Of the checks here, only the verdict's window sees _swapped_targets
+    (see test_cli_exits_1_on_the_stand_in_squares)."""
+    f, g = EDGE_LEGS
+    assert _square_postconditions(f, g, _swapped_targets(f, g)) == []
+    assert verify_leavitt_pullback(f, g, 3).ok
+
+
+@pytest.mark.parametrize("legs, square, n, failing", [
+    (EMPTY_LEGS, MERGED_TWINS, 2, [DegreeCheck(0, 2, 2, 3)]),
+    (EMPTY_LEGS, KERNEL_HIT_FROM_F, 2, [DegreeCheck(0, 2, 2, 3)]),
+    (EMPTY_LEGS, ONE_SHORT, 2, [DegreeCheck(0, 3, 2, 3)]),
+    (EDGE_LEGS, _swapped_targets, 3, [DegreeCheck(-3, 0, 1, 1), DegreeCheck(3, 0, 1, 1)]),
+], ids=["merged-twins", "kernel-vertex-hit-from-F", "one-short", "swapped-targets"])
+def test_cli_exits_1_on_the_stand_in_squares(monkeypatch, tmp_path, capsys, legs, square,
+                                             n, failing):
+    """verify --leavitt passes on the true square of legs and exits 1 on
+    the stand-in, whose failing degree_<d> rows carry the numbers given."""
+    paths = [str(tmp_path / "f.json"), str(tmp_path / "g.json")]
+    for path, leg in zip(paths, legs):
+        save_json(path, hom_to_obj(leg))
+    argv = ["verify", "--leavitt", *paths, "--max-degree", str(n)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(leavitt, "pushout_square", square)
+    assert main(argv) == 1
+    rows = _degree_rows(json.loads(capsys.readouterr().out))
+    assert [row for row in rows if not row[1]] == [
+        (f"degree_{w.degree}", False, *w[1:]) for w in failing]
 
 
 def _coproduct(f, g):
@@ -274,7 +343,7 @@ def test_coproduct_square_fails_commutes(monkeypatch, case):
     report = verify_leavitt_pullback(f, g, 2)
     assert not report.ok
     window_g = _window_sizes(f.domain, 2)
-    for w in report.window_checks:
+    for w in report.degrees:
         assert w.dim_image - w.dim_fiber == window_g[w.degree]
 
 
@@ -320,6 +389,14 @@ def _one_color_draws():
     return draws
 
 
+def _broken_equalities(check):
+    """Which of the two equalities of a DegreeCheck fail: "injective" when
+    the image falls short of P's piece, "surjective" when it is not the
+    fiber product."""
+    return ({"injective"} if check.dim_image != check.dim_pushout else set()) | (
+        {"surjective"} if check.dim_image != check.dim_fiber else set())
+
+
 @pytest.mark.parametrize("square, fails", [
     # the extra vertex idempotent is in the pushout but in no image
     (_with_isolated_vertex, {"injective"}),
@@ -335,9 +412,7 @@ def test_wrong_squares_fail_one_path_obligation(monkeypatch, square, fails):
     for f, g in draws:
         report = path_algebra.verify_path_pullback(f, g, 3)
         assert not report.ok
-        assert {kind for d in report.degrees
-                for kind in ("injective", "surjective")
-                if not getattr(d, kind)} == fails
+        assert set().union(*map(_broken_equalities, report.degrees)) == fails
 
 
 def test_coproduct_image_exceeds_the_path_fiber_by_g(monkeypatch):
@@ -366,8 +441,9 @@ def test_cli_verify_path_exits_1_on_a_wrong_square(monkeypatch, tmp_path, capsys
     assert cert["ok"] is False
     failing = [c for c in cert["checks"] if not c["ok"]]
     assert [c["name"] for c in failing] == ["degree_0"]
-    assert not failing[0]["injective"]
-    assert failing[0]["surjective"]
+    # the extra vertex is in P's piece but not in the image, which is the
+    # whole fiber product
+    assert failing[0]["dim_image"] == failing[0]["dim_pushout"] - 1 == failing[0]["dim_fiber"]
 
 
 def test_comparison_map_misses_g_on_the_coproduct_square(monkeypatch, tmp_path, capsys):
@@ -404,14 +480,17 @@ def test_comparison_map_misses_g_on_the_coproduct_square(monkeypatch, tmp_path, 
 
 
 def _fault_squares():
-    """(f, g, square) for every fault square of this module, over the
-    draws its tests use."""
+    """(f, g, square) for every fault square of this module whose
+    injections are graph maps, over the draws its tests use: all but
+    _swapped_targets, on which the breaking-arrow identity fails with no
+    postcondition failing, as that argument needs graph maps."""
     draws = ([leavitt_union_instance(case_rng(5, case)) for case in range(10)]
              + _one_color_draws())
     squares = [(f, g, square) for f, g in draws
                for square in (_with_isolated_vertex, _coproduct, _merged_isolated)
                if _applies(square, f, g)]
-    return squares + [(*EMPTY_LEGS, MERGED_TWINS), (*EMPTY_LEGS, KERNEL_HIT_FROM_F)]
+    return squares + [(*EMPTY_LEGS, square)
+                      for square in (MERGED_TWINS, KERNEL_HIT_FROM_F, ONE_SHORT)]
 
 
 def test_breakarrow_fails_only_with_kernel_or_commutes():
@@ -430,12 +509,14 @@ def test_breakarrow_fails_only_with_kernel_or_commutes():
 
 
 def test_every_leavitt_certificate_check_can_fail(monkeypatch):
-    """The one check of a verify --leavitt certificate, window_cross_check,
-    is false on some fault square of this module, and so is each of the
-    four postconditions that hold by construction of a pushout square."""
+    """The window check of verify --leavitt, which its degree_<d> rows
+    print, is false on some fault square of this module, and so is each of
+    the four postconditions that hold by construction of a pushout
+    square."""
     failed = set()
     for f, g, square in _fault_squares():
         failed |= {x[0] for x in _square_postconditions(f, g, square(f, g))}
         monkeypatch.setattr(leavitt, "pushout_square", square)
-        failed |= {x[0] for x in verify_leavitt_pullback(f, g, 2).failures}
+        if not verify_leavitt_pullback(f, g, 2).ok:
+            failed.add("window")
     assert failed == {*POSTCONDITIONS, "window"}

@@ -26,20 +26,24 @@ from quivpush.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = [
+    # verify --path and --leavitt print one layout: the param mode (EXACT or
+    # TRUNCATED(n)), then one check degree_<d> per degree with dim_pushout,
+    # dim_image and dim_fiber, ok when the three are one number
     (["verify", "--leavitt", "union_f.json", "union_g.json"],
-     "fbb0cac53f553748fc7dc720669c9ad0a7858fa93c70a13906be9b81c8bab397"),
+     "c1b55417aa87916915b40992ff6dbc0d59c1d93fc1cf8fcaf36318b4bcef06a3"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "union_f.json", "union_g.json"],
-     "1e63ef9af56bc96788b54eda7b32604235a0c8126080a8653c88bb667a7ce26f"),
+     "0c0e718c1b49543f58eab1946f4ec5892d37459a07865ce15b0f884472e351d6"),
     (["verify", "--leavitt", "admpush_f.json", "admpush_g.json"],
-     "3ca331dfe42ebc85273fd0ab0f8289d4595d2bf6168f00845d596235b1a30566"),
+     "cc9799908023884b90f1d25106f877ed47ca00230ac7146fd4b2e93dffcfd5b8"),
     (["verify", "--leavitt", "--field", "fp:2147483647", "admpush_f.json", "admpush_g.json"],
-     "c3cbfbd401d23da9ec24f876c3766bf5069ccffe6c34fbf9be8bd3d8c1275e3c"),
+     "94ae82b283f58e1cc852ad655538e9508e015a2960508aa13535566274c6f230"),
     (["verify", "--leavitt", "--field", "fp:2", "admpush_f.json", "admpush_g.json"],
-     "a8f0a8dd9eacf8b796e0af8e78b56b6bc29bb09cf78cc592ec169c48c9bff82b"),
+     "cf108129ebb095bbee70d16599201ba2202ead5ec5e427c11741af1f6e4e63ec"),
     # no degree row has a "commutes" line: the square commutes by
-    # construction of graph_pushout, so verify --path does not check it
+    # construction of graph_pushout, so verify --path does not check it;
+    # nor "injective" or "surjective", which restated the numbers
     (["verify", "--path", "path_f.json", "path_g.json"],
-     "d3b07549dead7188066be4c3e56806354af9ccf054885a834736cdf759bca61c"),
+     "2980ab5ce2250a97ac800110934e36e28674336c25591fc15f19604ba8b4bb0a"),
     (["pushout", "onecolor_f.json", "onecolor_g.json"],
      "f952059dee04e56df0781aa3160e537d610571f69be4fc567ec548427bd67fa3"),
     (["pushout", "admpush_f.json", "admpush_g.json"],
@@ -61,7 +65,7 @@ GOLDEN = [
     (["classify", "admpush_f_ref.json"],
      "61c0eea61a956269d670c2187be6233636759201fa536133af4305558cd99604"),
     (["verify", "--leavitt", "admpush_f_ref.json", "admpush_g_ref.json"],
-     "a5721423d473d5c49c0fc56fd2d4fed86e8392ec2f8ab260f8f91dd0c337d3b4"),
+     "091037ab81c70d01811ef71deed3495a61b4d9f9b6dea4465f24d86570e33296"),
     (["eval", "graph.json", "3/2*chi[c0_ke0.xe0.xe2] - chi[x0] + 2"],
      "f65c6f13966190fde32a0e6fe32511d394067f2d91c10fe9f9393bfdf1e891a4"),
     (["eval", "--leavitt", "graph.json",

@@ -600,8 +600,8 @@ def test_fiber_count_matches_the_rank_oracle(seed, instance, field_name, n):
     ranks = _fiber_rank_oracle(f, g, n, field.characteristic)
     sizes_e, sizes_f, sizes_g = (_window_sizes(x, n) for x in (f.codomain, g.codomain,
                                                               f.domain))
-    assert [w.degree for w in report.window_checks] == sorted(ranks)
-    for w in report.window_checks:
+    assert [w.degree for w in report.degrees] == sorted(ranks)
+    for w in report.degrees:
         d = w.degree
         assert ranks[d] == sizes_g[d]
         assert w.dim_fiber == sizes_e[d] + sizes_f[d] - ranks[d]
@@ -620,7 +620,7 @@ def test_counted_image_is_the_oracle_rank(seed, instance, field_name, n):
     f, g = instance(case_rng(seed, 46))
     field = field_from_name(field_name)
     ranks = _image_ranks(pushout_square(f, g), n, field.characteristic)
-    for w in verify_leavitt_pullback(f, g, n, field).window_checks:
+    for w in verify_leavitt_pullback(f, g, n, field).degrees:
         assert w.dim_image == ranks.get(w.degree, 0)
 
 
@@ -834,7 +834,7 @@ def test_leavitt_pullback_over_prime_field():
 def test_leavitt_pullback_random_unions(seed):
     f, g = leavitt_union_instance(case_rng(seed, 37))
     report = verify_leavitt_pullback(f, g, 3)
-    assert report.ok, report.failures
+    assert report.ok, report.degrees
 
 
 @settings(max_examples=6, deadline=None)
@@ -842,4 +842,4 @@ def test_leavitt_pullback_random_unions(seed):
 def test_leavitt_pullback_quotient_instances(seed):
     f, g = admpush_instance(case_rng(seed, 38))
     report = verify_leavitt_pullback(f, g, 3)
-    assert report.ok, report.failures
+    assert report.ok, report.degrees

@@ -485,7 +485,7 @@ def test_verifiers_rank_only_the_image(monkeypatch):
             calls.clear()
             walked.clear()
             report = verify_leavitt_pullback(f, g, 3)
-            assert calls == {("quivpush.leavitt", "rank"): len(report.window_checks),
+            assert calls == {("quivpush.leavitt", "rank"): len(report.degrees),
                              ("quivpush.leavitt", "_window_columns"): 2,
                              ("quivpush.leavitt", "path_walk"): 2}
             assert walked == [f.codomain, g.codomain]

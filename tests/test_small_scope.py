@@ -7,16 +7,22 @@ edges, every hom between two of them, and every square E <-f- G -g-> F
 with G of at most 2 vertices and 2 edges, f injective (P1) and both legs
 CRTBPOG.  On each, the square graph_pushout builds has the properties that
 leavitt.verify_leavitt_pullback and path_algebra.verify_path_pullback
-prove in their docstrings and leave unchecked, verify --leavitt passes
-with leakage 0 in every window, and the image dimension it counts is the
-rank of the columns that the tests' oracle builds in full.  Where verify
---path does not refuse the square, the image dimension it ranks in each
-degree is the number of distinct image paths.  small_scope_wide.py makes
-the Leavitt and path checks on a wider scope, outside the test run.
+prove in their docstrings and leave unchecked, verify --leavitt passes,
+its EXACT verdicts count all of L(P), and the image dimension it counts
+is the rank of the columns that the tests' oracle builds in full.  Where
+verify --path does not refuse the square, the image dimension it ranks
+in each degree is the number of distinct image paths.  On every square,
+the window sizes that verify --leavitt counts satisfy Lemma B of
+leavitt._window_cross_check at each n from 2 to 8.  Each square's
+pushout, path_degrees and Leavitt verdict are built once, by
+_built_squares, for every test that reads them.  small_scope_wide.py
+makes the Leavitt and path checks on a wider scope, outside the test run.
 """
 
+import functools
 import itertools
 from collections import defaultdict
+from operator import add, sub
 
 from test_faults import _square_postconditions
 from test_leavitt import _image_ranks
@@ -76,6 +82,29 @@ def _squares(g_max=(2, 2), large_max=(3, 3)):
     return squares
 
 
+@functools.cache
+def _built_squares():
+    """(f, g, po, degrees, report) for each square of _squares(): po is its
+    graph_pushout, degrees the _degree_summary of its path_degrees at n = 2
+    and report its verify_leavitt_pullback at n = 2, built once and kept
+    for each test of this file that reads them."""
+    built = []
+    for f, g in _squares():
+        po = graph_pushout(f, g)
+        built.append((f, g, po, _degree_summary(path_degrees(f, g, 2, po)),
+                      verify_leavitt_pullback(f, g, 2)))
+    return tuple(built)
+
+
+def _degree_summary(degrees):
+    """For each pushout.PathDegree of degrees: whether each of its links
+    joins two paths with one image, and the number of distinct images.
+    _built_squares keeps this in place of the degrees, whose paths would
+    add about 50 MB to the peak memory of a test run."""
+    return tuple((all(deg.images[i] == deg.images[j] for i, j in deg.links),
+                  len(set(deg.images))) for deg in degrees)
+
+
 def _residues(po, n):
     """Degree -> the columns that the window cross-check of the square po
     at n ranks: those whose key has no row of its own."""
@@ -86,36 +115,32 @@ def _residues(po, n):
             for d, cols in columns.items()}
 
 
-def _assert_pullback_square(f, g, n):
-    """The injections of the square on f and g are CRTBPOG, its
+def _assert_pullback_square(f, g, po, degrees, report):
+    """The injections of the square po on f and g are CRTBPOG, its
     postconditions hold, and so does their path form, which verify --path
-    and the comparison map take as given: in each degree up to n of
-    path_degrees, each link joins two paths with one image.  verify
-    --leavitt's verdict at n passes with leakage 0, and each window's
-    counted image has the oracle's rank."""
-    po = graph_pushout(f, g)
+    and the comparison map take as given: in each degree of degrees, the
+    _degree_summary of its pushout.path_degrees at n = 2, each link joins
+    two paths with one image.  report, verify --leavitt's verdict at n = 2,
+    passes, and each window's counted image has the oracle's rank."""
     assert po.iota_left.classification.category == CATEGORY_CRTBPOG, (f, g)
     assert po.iota_right.classification.category == CATEGORY_CRTBPOG, (f, g)
     assert _square_postconditions(f, g, po) == [], (f, g)
-    for deg in path_degrees(f, g, n, po):
-        assert all(deg.images[i] == deg.images[j] for i, j in deg.links), (f, g)
-    report = verify_leavitt_pullback(f, g, n)
-    assert report.ok and all(w.leakage == 0 for w in report.window_checks), (f, g)
-    ranks = _image_ranks(po, n, 0)
-    assert all(w.dim_image == ranks.get(w.degree, 0) for w in report.window_checks), (f, g)
-    return po
+    assert all(linked for linked, _ in degrees), (f, g)
+    assert report.ok, (f, g)
+    ranks = _image_ranks(po, 2, 0)
+    assert all(w.dim_image == ranks.get(w.degree, 0) for w in report.degrees), (f, g)
 
 
 def test_every_small_square_is_a_pullback_square():
-    """Each square passes _assert_pullback_square at n = 2.  Of the 8,232
-    squares, 4,624 have the empty G, where P is the disjoint union of E
-    and F, and 3,608 a nonempty one."""
+    """Each square passes _assert_pullback_square.  Of the 8,232 squares,
+    4,624 have the empty G, where P is the disjoint union of E and F, and
+    3,608 a nonempty one."""
     assert (len(_graphs(2, 2)), len(_graphs(3, 3))) == (13, 68)
-    squares = _squares()
+    squares = _built_squares()
     assert len(squares) == 8232
-    assert sum(1 for f, _ in squares if f.domain.vertices) == 3608
-    for f, g in squares:
-        _assert_pullback_square(f, g, 2)
+    assert sum(1 for f, *_ in squares if f.domain.vertices) == 3608
+    for square in squares:
+        _assert_pullback_square(*square)
 
 
 def test_a_rewritten_column_is_ranked():
@@ -132,7 +157,10 @@ def test_a_rewritten_column_is_ranked():
     def maps(h):
         return h.domain, h.codomain, dict(h.f0), dict(h.f1)
     assert (maps(f), maps(g)) in [(maps(x), maps(y)) for x, y in _squares()]
-    residues = _residues(_assert_pullback_square(f, g, 2), 2)
+    po = graph_pushout(f, g)
+    _assert_pullback_square(f, g, po, _degree_summary(path_degrees(f, g, 2, po)),
+                            verify_leavitt_pullback(f, g, 2))
+    residues = _residues(po, 2)
     assert {d: len(cols) for d, cols in residues.items() if cols} == {0: 1}
     assert rank(residues[0], 0) == 1
 
@@ -140,12 +168,13 @@ def test_a_rewritten_column_is_ranked():
 def test_path_rank_counts_distinct_images():
     """On each square with a nonempty G that verify_path_pullback does not
     refuse at n = 2, the dim_image it ranks in each degree is the number of
-    distinct images, len(set(deg.images)), in that degree of
-    pushout.path_degrees: the rank of unit rows, one per image path, is
-    the number of distinct rows.  Of the 3,608 squares, 2,648 get a verdict
-    and 960 are refused."""
+    distinct images, len(set(deg.images)), in that degree of the
+    pushout.path_degrees, as _built_squares keeps it: the rank of unit rows,
+    one per image path, is the number of distinct rows, and the verdict
+    passes.  Of the 3,608 squares, 2,648 get a verdict and 960 are
+    refused."""
     counts = {"verdict": 0, "refused": 0}
-    for f, g in _squares():
+    for f, g, _, degrees, _ in _built_squares():
         if not f.domain.vertices:
             continue
         try:
@@ -154,6 +183,87 @@ def test_path_rank_counts_distinct_images():
             counts["refused"] += 1
             continue
         counts["verdict"] += 1
-        distinct = [len(set(deg.images)) for deg in path_degrees(f, g, 2, graph_pushout(f, g))]
+        distinct = [count for _, count in degrees]
         assert [d.dim_image for d in report.degrees] == distinct, (f, g)
+        assert report.ok, (f, g)
     assert counts == {"verdict": 2648, "refused": 960}
+
+
+def _fiber_sizes(sizes, f, g, n):
+    """E_d + F_d - G_d for each degree d from -n to n, from the
+    _window_vector of each of the three graphs of the legs f and g."""
+    E, F, G = (_window_vector(sizes, x, n) for x in (f.codomain, g.codomain, f.domain))
+    return tuple(map(sub, map(add, E, F), G))
+
+
+def _window_vector(sizes, graph, n):
+    """leavitt._window_sizes(graph, n) as the tuple of its sizes in the
+    degrees -n to n, kept in the dict sizes by (graph, n): a graph is in
+    many squares, and so is a pushout graph."""
+    if (graph, n) not in sizes:
+        window = leavitt._window_sizes(graph, n)
+        assert all(-n <= d <= n for d in window), (graph, n)
+        sizes[graph, n] = tuple(window.get(d, 0) for d in range(-n, n + 1))
+    return sizes[graph, n]
+
+
+def test_window_sizes_count_the_fiber():
+    """Lemma B of leavitt._window_cross_check: on every square, at each n
+    from 2 to 8, leavitt._window_sizes gives E_d + F_d - G_d = P_d in every
+    degree d, so the fiber the verdict counts is as large as P's window."""
+    sizes = {}
+    for f, g, po, *_ in _built_squares():
+        for n in range(2, 9):
+            assert _fiber_sizes(sizes, f, g, n) == _window_vector(sizes, po.graph, n), (f, g, n)
+
+
+def _dim_acyclic(p):
+    """dim L(p) of an acyclic graph p: the sum over its sinks v of n(v)^2,
+    n(v) the number of paths that end at v, the trivial one included
+    (Abrams, Aranda Pino and Siles Molina, "Finite-dimensional Leavitt path
+    algebras", J. Pure Appl. Algebra 209, 2007)."""
+    into = defaultdict(list)
+    for e in p.edges:
+        into[p.tgt[e]].append(p.src[e])
+
+    @functools.cache
+    def ending_at(v):
+        return 1 + sum(map(ending_at, into[v]))
+    emitters = set(p.src.values())
+    return sum(ending_at(v) ** 2 for v in p.vertices - emitters)
+
+
+def test_exact_leavitt_verdicts_count_the_whole_algebra():
+    """A Leavitt verdict at n = 2 is EXACT when P has no path of length 2,
+    and then its windows are all of L(P): the dim_pushout of its degrees
+    sum to dim L(P), which _dim_acyclic counts from P's sinks.  474 of the
+    8,232 squares are EXACT."""
+    exact = 0
+    for f, g, po, _, report in _built_squares():
+        p = po.graph
+        assert report.exact == (not set(p.tgt.values()) & set(p.src.values())), (f, g)
+        if report.exact:
+            exact += 1
+            assert sum(w.dim_pushout for w in report.degrees) == _dim_acyclic(p), (f, g)
+    assert exact == 474
+
+
+def test_wide_scope_check_runs_on_a_few_squares(monkeypatch):
+    """small_scope_wide.square_lines, the per-square check of a script that
+    pytest does not collect, finds nothing on every 100th small square with
+    a nonempty G, and reports a failed verdict on a square with an extra
+    vertex in P."""
+    from small_scope_wide import square_lines
+    from test_faults import _with_isolated_vertex
+
+    picked = [(f, g, po) for f, g, po, *_ in _built_squares() if f.domain.vertices][::100]
+    sizes, verdicts = {}, 0
+    for f, g, po in picked:
+        lines, path_verdict = square_lines(f, g, po, sizes)
+        assert lines == [], lines
+        verdicts += path_verdict
+    assert (len(picked), verdicts) == (37, 28)
+    f, g, po = picked[-1]
+    monkeypatch.setattr(leavitt, "pushout_square", _with_isolated_vertex)
+    lines, _ = square_lines(f, g, po, sizes)
+    assert [line.split(":")[0] for line in lines] == ["failed"]
