@@ -152,6 +152,8 @@ def parse_element(text, g: Graph, field=QQ, leavitt=False):
                 if leavitt:
                     return monomial_element(g, vertex_monomial(name), field, scalar)
                 return PAElement(g, field, {Path(name): scalar})
+            if name not in g.edges:
+                raise ExprError(f"chi[{chi}]: unknown vertex or edge {name!r}")
         try:
             check_word(g, parsed)
         except GraphError as exc:

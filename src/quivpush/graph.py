@@ -13,11 +13,11 @@ the monomials that the Leavitt normal form multiplies out.
 
 path_counts gives c_l(v), the number of paths of length l ending at v, on
 a tail-free graph.  The Leavitt window sizes and the pushout graph's paths
-in each degree are read from it, not from a list of paths.  path_walk
-lists the paths of paths_up_to as int ids instead of Paths: each id holds
-its parent (the path less its last edge), last edge, end vertex and length,
-so the Leavitt window columns hash ints, and PathWalk.path rebuilds the
-Path of an id where one is needed.
+in each degree are read from it, not from a list of paths.  path_walk is
+the one path enumerator: it lists the paths of length <= n as int ids, each
+holding its parent (the path less its last edge), last edge, end vertex and
+length, so the Leavitt window columns hash ints.  PathWalk.paths builds
+the Path of every id from its parent's, and paths_up_to is that list.
 
 A Path is its start vertex and its composable edges; the trivial path at
 v is Path(v), with no edges.  A Path is a tuple (typing.NamedTuple), as
@@ -246,29 +246,9 @@ def check_path(g: Graph, p: Path):
             raise GraphError(f"{p} starts at {g.src[p.edges[0]]}, not {p.start}")
 
 
-def paths_up_to(g: Graph, n: int) -> list:
-    """All paths of length <= n, each once, vertices included, in (length, edges) order."""
-    require_tail_free(g)
-    if n < 0:
-        raise GraphError("path length bound must be nonnegative")
-    out = g.out_map
-    result = [Path(v) for v in sorted(g.vertices)]
-    frontier = [Path(g.src[e], (e,)) for e in sorted(g.edges)]
-    length = 1
-    while frontier and length <= n:
-        result.extend(frontier)
-        nxt = []
-        for p in frontier:
-            for e in out[g.tgt[p.edges[-1]]]:
-                nxt.append(Path(p.start, p.edges + (e,)))
-        frontier = nxt
-        length += 1
-    return result
-
-
 class PathWalk(NamedTuple):
     """The paths of length <= n of a tail-free graph as ids 0, 1, ... in
-    paths_up_to order: path i is path parent[i] followed by the edge
+    (length, edges) order: path i is path parent[i] followed by the edge
     last[i], ends at end[i] and has length length[i]; a trivial path has
     parent -1 and last None.  See path_walk."""
 
@@ -277,18 +257,27 @@ class PathWalk(NamedTuple):
     end: list
     length: list
 
-    def path(self, i: int) -> Path:
-        """The Path with id i."""
-        edges = []
-        while self.last[i] is not None:
-            edges.append(self.last[i])
-            i = self.parent[i]
-        return Path(self.end[i], tuple(reversed(edges)))
+    def paths(self) -> list:
+        """Every path as a Path, in id order, each built from its parent."""
+        paths = []
+        for parent, last, end in zip(self.parent, self.last, self.end):
+            if last is None:
+                paths.append(Path(end))
+            else:
+                p = paths[parent]
+                paths.append(Path(p.start, p.edges + (last,)))
+        return paths
+
+
+def paths_up_to(g: Graph, n: int) -> list:
+    """All paths of length <= n, each once, vertices included, in (length, edges) order."""
+    return path_walk(g, n).paths()
 
 
 def path_walk(g: Graph, n: int) -> PathWalk:
-    """The paths of paths_up_to(g, n) as a PathWalk, one int id each, with
-    no Path built."""
+    """The paths of g of length <= n as a PathWalk, one int id each, with
+    no Path built; each length is extended only while a longer one is
+    kept."""
     require_tail_free(g)
     if n < 0:
         raise GraphError("path length bound must be nonnegative")
@@ -299,6 +288,8 @@ def path_walk(g: Graph, n: int) -> PathWalk:
     # (parent id, last edge) of each path of the next length, in order
     level = [(at[src[e]], e) for e in sorted(g.edges)]
     for length in range(1, n + 1):
+        if not level:
+            break
         first = len(end)
         for i, e in level:
             walk.parent.append(i)

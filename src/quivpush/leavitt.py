@@ -44,8 +44,9 @@ normal form of alpha' beta'* to the column of (h alpha')(h beta')*, unless
 that is not normal.  The pass runs on ints: graph.path_walk numbers the
 domain's paths, and one image table, shared by both injections, numbers
 their images in P, so a row and a column key are each a pair of ids, and
-only a pair that CK2 rewrites is rebuilt as Paths.  A pair that CK2 does
-not rewrite adds 1 to a row of its own, so most columns are counted as
+the domain's Paths are built, once, only if CK2 rewrites some pair.  A
+pair that CK2 does not rewrite adds 1 to a row of its own, so most
+columns are counted as
 keys in a set and never built: only the rows that a rewrite reaches, the
 touched rows, go into columns, and only the columns with no row of their
 own, the residue, are ranked.  No window is listed: only E and F are
@@ -426,14 +427,15 @@ def _window_columns(h: GraphHom, n: int, private: dict, columns: dict, images: d
             redexes[s].append((i, length))
     touched = set()
     if redexes:
-        index = {walk.path(k): k for k in range(size)}
+        paths = walk.paths()
+        index = {p: k for k, p in enumerate(paths)}
     for run in redexes.values():
         for i, la in run:
             for j, lb in run:
                 if la + lb > n:
                     break
                 acc = {}
-                _ck2_accumulate(E, LMonomial(walk.path(i), walk.path(j)), 1, acc)
+                _ck2_accumulate(E, LMonomial(paths[i], paths[j]), 1, acc)
                 col = columns[la - lb].setdefault((image[i], image[j]), {})
                 for t, c in acc.items():
                     r = offset + index[t.alpha] * size + index[t.beta]

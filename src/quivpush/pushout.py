@@ -243,11 +243,23 @@ def path_degrees(f: GraphHom, g: GraphHom, n: int, po: PushoutGraph) -> list:
 
 
 class PathCompareReport(NamedTuple):
-    bijective: bool
-    injective: bool
-    surjective: bool
+    """The comparison map's failures: the paths of P it misses and the
+    collisions of its classes; each flag is read from them."""
+
     missing: tuple
     collisions: tuple
+
+    @property
+    def injective(self):
+        return not self.collisions
+
+    @property
+    def surjective(self):
+        return not self.missing
+
+    @property
+    def bijective(self):
+        return not (self.missing or self.collisions)
 
 
 def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
@@ -283,8 +295,4 @@ def path_pushout_compare(f: GraphHom, g: GraphHom, n: int,
     missing = ()
     if len(seen) < total:
         missing = tuple(str(p) for p in paths_up_to(po.graph, n) if p not in seen)
-    collisions = tuple(collisions["E"] + collisions["F"])
-    injective = not collisions
-    surjective = not missing
-    return PathCompareReport(injective and surjective, injective, surjective,
-                             missing, collisions)
+    return PathCompareReport(missing, tuple(collisions["E"] + collisions["F"]))

@@ -479,9 +479,13 @@ def test_eval_bad_expression(tmp_path, capsys):
     ("\u0663/\u0664", "q", "bad token at column 1: '\u0663/\u0664'"),
     ("3/\u0664*chi[v]", "q", "bad token at column 2: '/\u0664*chi[v]'"),
     ("\uff13*chi[v]", "q", "bad token at column 1: '\uff13*chi[v]'"),
+    # one unmarked id may name a vertex or an edge; a ghost or a word names edges
+    ("chi[zz]", "q", "chi[zz]: unknown vertex or edge 'zz'"),
+    ("chi[zz*]", "q", "chi[zz*]: unknown edge 'zz'"),
+    ("chi[e.zz]", "q", "chi[e.zz]: unknown edge 'zz'"),
 ], ids=["2*3", "2 3", "chi[v] chi[w]", "chi[e.]", "chi[..e]", "1/0", "1/7 over fp:7",
         "arabic-indic digit", "arabic-indic fraction", "arabic-indic denominator",
-        "fullwidth digit"])
+        "fullwidth digit", "unknown id", "unknown ghost", "unknown edge in a word"])
 def test_eval_refuses_malformed_expressions(tmp_path, capsys, expression, field, message):
     path = _write(tmp_path, "edge.json", EDGE)
     assert main(["eval", path, expression, "--field", field]) == 2

@@ -9,9 +9,11 @@ check named in the expected failures cannot say no.
 Given P1 and CRTBPOG legs, four facts hold on every square that
 graph_pushout builds, by the proof in verify_leavitt_pullback's
 docstring, so the verifier decides by its window cross-check alone and
-_square_postconditions checks the four here, on fibers.  A slow oracle
-decides three of them in the algebra, by pulling back each generator as
-an element, and every square below, faulty or not, must agree with it."""
+_square_postconditions checks the four here, on fibers, after a fifth
+that the proof takes as given: both injections are graph maps into P.  A
+slow oracle decides three of them in the algebra, by pulling back each
+generator as an element, and every square below, faulty or not, must
+agree with it."""
 
 import json
 
@@ -36,8 +38,8 @@ from quivpush.randgen import (admpush_instance, case_rng, leavitt_union_instance
                               one_color_instance)
 
 EXTRA = "extra"
-POSTCONDITIONS = ("kerint", "surjectivity", "kernel-vertex", "commutes")
-FIBER_OBLIGATIONS = POSTCONDITIONS[1:]
+POSTCONDITIONS = ("graph-map", "kerint", "surjectivity", "kernel-vertex", "commutes")
+FIBER_OBLIGATIONS = ("surjectivity", "kernel-vertex", "commutes")
 
 
 def _fiber_mismatches(g, vertex_ok, edge_ok):
@@ -52,9 +54,11 @@ def _fiber_mismatches(g, vertex_ok, edge_ok):
 
 
 def _square_postconditions(f, g, po):
-    """The failures of the four postconditions of the square po on the
+    """The failures of the five postconditions of the square po on the
     legs E <-f- G -g-> F, with f injective and both legs CRTBPOG, in this
     order, each a tuple that names its postcondition first:
+      graph-map: each injection is a graph map into P (its problems, which
+          the other four take to be empty);
       kerint: every vertex of P lifts to E or F (kernel intersection zero);
       surjectivity: each generator of L(F) pulls back from its image along
           iota_F (that of L(G) along f needs no check, as f is injective);
@@ -65,8 +69,12 @@ def _square_postconditions(f, g, po):
     over its fiber, so the last three are decided on vertex_fibers and
     edge_fibers, the same over every field."""
     iota_e, iota_f = po.iota_left, po.iota_right
+    failures = [("graph-map", side, problem)
+                for side, iota in (("iota_E", iota_e), ("iota_F", iota_f))
+                for problem in iota.problems]
     uncovered = po.graph.vertices - set(iota_e.f0.values()) - set(iota_f.f0.values())
-    failures = [("kerint", sorted(uncovered))] if uncovered else []
+    if uncovered:
+        failures.append(("kerint", sorted(uncovered)))
     # x pulls back from iota_F(x) iff x alone maps there
     vfib, efib = iota_f.vertex_fibers, iota_f.edge_fibers
     failures += [("surjectivity", "iota_F", x) for x in _fiber_mismatches(
@@ -261,9 +269,10 @@ EDGE_LEGS = (GraphHom(Graph(()), LOOP_E, {}, {}), GraphHom(Graph(()), EDGE_F, {}
 def _swapped_targets(f, g):
     """The true square on EDGE_LEGS with the targets of e and x swapped in
     P, which becomes the path b0 -x-> a -e-> b1; the injections keep their
-    maps, so neither is a graph map into P any more, and the four
-    postconditions, which take that as given, hold.  P's window loses the
-    loop's monomials eee and (eee)*, of degrees 3 and -3."""
+    maps, so neither is a graph map into P any more, and of the
+    postconditions only graph-map fails: the other four take it as given.
+    P's window loses the loop's monomials eee and (eee)*, of degrees 3 and
+    -3."""
     p = Graph.build(["a", "b0", "b1"], [("e", "a", "b1"), ("x", "b0", "a")])
     return pushout_square(f, g)._replace(
         graph=p, iota_left=GraphHom(f.codomain, p, {"a": "a"}, {"e": "e"}),
@@ -277,11 +286,14 @@ def test_one_short_square_fails_kerint_and_surjectivity():
         ("surjectivity", "iota_F", "b2")]
 
 
-def test_swapped_targets_pass_the_postconditions():
-    """Of the checks here, only the verdict's window sees _swapped_targets
-    (see test_cli_exits_1_on_the_stand_in_squares)."""
+def test_swapped_targets_fail_only_graph_map():
+    """Of the postconditions, only graph-map sees _swapped_targets; the
+    verdict's window sees it too (see
+    test_cli_exits_1_on_the_stand_in_squares)."""
     f, g = EDGE_LEGS
-    assert _square_postconditions(f, g, _swapped_targets(f, g)) == []
+    assert _square_postconditions(f, g, _swapped_targets(f, g)) == [
+        ("graph-map", "iota_E", "edge e: target square fails"),
+        ("graph-map", "iota_F", "edge x: target square fails")]
     assert verify_leavitt_pullback(f, g, 3).ok
 
 
@@ -480,17 +492,16 @@ def test_comparison_map_misses_g_on_the_coproduct_square(monkeypatch, tmp_path, 
 
 
 def _fault_squares():
-    """(f, g, square) for every fault square of this module whose
-    injections are graph maps, over the draws its tests use: all but
-    _swapped_targets, on which the breaking-arrow identity fails with no
-    postcondition failing, as that argument needs graph maps."""
+    """(f, g, square) for every fault square of this module, over the
+    draws its tests use."""
     draws = ([leavitt_union_instance(case_rng(5, case)) for case in range(10)]
              + _one_color_draws())
     squares = [(f, g, square) for f, g in draws
                for square in (_with_isolated_vertex, _coproduct, _merged_isolated)
                if _applies(square, f, g)]
-    return squares + [(*EMPTY_LEGS, square)
-                      for square in (MERGED_TWINS, KERNEL_HIT_FROM_F, ONE_SHORT)]
+    stand_ins = [(*EMPTY_LEGS, square)
+                 for square in (MERGED_TWINS, KERNEL_HIT_FROM_F, ONE_SHORT)]
+    return squares + stand_ins + [(*EDGE_LEGS, _swapped_targets)]
 
 
 def test_breakarrow_fails_only_with_kernel_or_commutes():
@@ -498,20 +509,24 @@ def test_breakarrow_fails_only_with_kernel_or_commutes():
     arrow identity can differ only on an edge e from w whose target t(e)
     is outside f(G) while its class lies in the image of iota_F, where
     kernel-vertex fails at t(e), or is some f(z) while its class does not,
-    where the square does not commute at z.  So on no fault square does
-    the identity fail while the postconditions kernel-vertex and commutes
-    both hold, and neither they nor the verifier check it."""
-    failing = [_square_postconditions(f, g, po) for f, g, square in _fault_squares()
+    where the square does not commute at z.  That argument needs graph
+    maps.  So on no fault square does the identity fail while the
+    postconditions graph-map, kernel-vertex and commutes all hold, and
+    neither they nor the verifier check it; graph-map fails on
+    _swapped_targets alone."""
+    failing = [(square, _square_postconditions(f, g, po)) for f, g, square in _fault_squares()
                if not breakarrow_identity(f, po := square(f, g))[0]]
-    assert failing
-    for failures in failing:
-        assert {"kernel-vertex", "commutes"} & {x[0] for x in failures}, failures
+    assert _swapped_targets in {square for square, _ in failing}
+    for square, failures in failing:
+        names = {x[0] for x in failures}
+        assert ("graph-map" in names) == (square is _swapped_targets), failures
+        assert {"graph-map", "kernel-vertex", "commutes"} & names, failures
 
 
 def test_every_leavitt_certificate_check_can_fail(monkeypatch):
     """The window check of verify --leavitt, which its degree_<d> rows
     print, is false on some fault square of this module, and so is each of
-    the four postconditions that hold by construction of a pushout
+    the five postconditions that hold by construction of a pushout
     square."""
     failed = set()
     for f, g, square in _fault_squares():

@@ -1,8 +1,10 @@
 from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quivpush import graph
 from quivpush.graph import (Graph, GraphError, Path, PreconditionError,
                             check_word, classify_vertices, intersection_graph,
                             is_subgraph, path_counts, path_walk, paths_up_to,
@@ -281,12 +283,12 @@ def test_path_counts_count_the_listed_paths(g, n):
 @example(LOOP_AND_SINK, 5)
 @example(PARALLEL, 4)
 def test_path_walk_is_the_listing(g, n):
-    """The walk, rebuilt path by path, is paths_up_to, on drawn graphs with
-    loops, parallel edges and sinks, and the empty graph; each id's parent,
-    last edge, end vertex and length are its path's."""
+    """Each id of the walk holds its Path's parent, last edge, end vertex
+    and length, on drawn graphs with loops, parallel edges and sinks, and
+    the empty graph; test_path_counts_count_the_listed_paths and the
+    matrix-power count check the listing itself."""
     walk = path_walk(g, n)
-    paths = paths_up_to(g, n)
-    assert [walk.path(i) for i in range(len(walk.end))] == paths
+    paths = walk.paths()
     assert len(walk.parent) == len(walk.last) == len(walk.length) == len(paths)
     for i, p in enumerate(paths):
         assert (walk.end[i], walk.length[i]) == (p.target(g), p.length)
@@ -297,9 +299,36 @@ def test_path_walk_is_the_listing(g, n):
             assert (walk.parent[i], walk.last[i]) == (-1, None)
 
 
+def _drawn_cyclic_graph():
+    """The first drawn graph at seed 1 with a cycle, that is with a path
+    as long as it has vertices."""
+    for k in count():
+        g = random_graph(case_rng(1, k), max_v=4, max_e=6)
+        if any(path_counts(g, len(g.vertices))[-1]):
+            return g
+
+
+@pytest.mark.parametrize("g", [LOOP_AND_SINK, PARALLEL, _drawn_cyclic_graph()],
+                         ids=["loop-and-sink", "parallel", "drawn-cyclic"])
+def test_paths_up_to_builds_only_what_it_returns(monkeypatch, g):
+    """paths_up_to builds one Path per path it lists, and none of the
+    length n + 1 beyond them."""
+    built = []
+
+    def counted(*args):
+        built.append(None)
+        return Path(*args)
+
+    monkeypatch.setattr(graph, "Path", counted)
+    for n in range(6):
+        built.clear()
+        assert len(paths_up_to(g, n)) == len(built) == _matrix_power_count(g, n)
+
+
 def test_path_walk_refuses_what_paths_up_to_refuses():
     tailed = Graph.build(["v", "w"], [("e", "v", "w")], omega_tails=[("v", "w")])
-    with pytest.raises(PreconditionError, match="tail-free"):
-        path_walk(tailed, 2)
-    with pytest.raises(GraphError, match="nonnegative"):
-        path_walk(LOOP_AND_SINK, -1)
+    for enumerate_paths in (path_walk, paths_up_to):
+        with pytest.raises(PreconditionError, match="tail-free failed: the graph has omega tails"):
+            enumerate_paths(tailed, 2)
+        with pytest.raises(GraphError, match="path length bound must be nonnegative"):
+            enumerate_paths(LOOP_AND_SINK, -1)

@@ -465,9 +465,10 @@ def _window_columns(h, n, columns, images, offset=0):
                     col[base + j] = col.get(base + j, 0) + 1
                     continue
                 if index is None:
-                    index = {walk.path(k): k for k in range(size)}
+                    paths = walk.paths()
+                    index = {p: k for k, p in enumerate(paths)}
                 acc = {}
-                leavitt._ck2_accumulate(E, LMonomial(walk.path(i), walk.path(j)), 1, acc)
+                leavitt._ck2_accumulate(E, LMonomial(paths[i], paths[j]), 1, acc)
                 for t, c in acc.items():
                     r = offset + index[t.alpha] * size + index[t.beta]
                     col[r] = col.get(r, 0) + c
@@ -490,8 +491,7 @@ def _columns_by_monomial(h, n, images=None):
     images if given, and rows through the walk."""
     by_degree, images = defaultdict(dict), {} if images is None else images
     walk = _window_columns(h, n, by_degree, images)
-    size = len(walk.end)
-    paths = [walk.path(i) for i in range(size)]
+    size, paths = len(walk.end), walk.paths()
     image = _image_paths(images)
     return {d: {LMonomial(image[a], image[b]): {LMonomial(paths[r // size], paths[r % size]): c
                                                 for r, c in col.items()}
