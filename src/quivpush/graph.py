@@ -12,9 +12,12 @@ t(e) and its ghost e* from t(e) back to s(e).  Words that spell a path are
 the monomials that the Leavitt normal form multiplies out.
 
 path_counts gives c_l(v), the number of paths of length l ending at v, on
-a tail-free graph.  The Leavitt window sizes and the pushout graph's paths
-in each degree are read from it, not from a list of paths.  path_walk is
-the one path enumerator: it lists the paths of length <= n as int ids, each
+a tail-free graph, for each l <= n that has a path: like path_walk, it
+stops at the first length with none, so a bound past the longest path
+costs nothing.  The Leavitt window sizes and the pushout graph's paths in
+each degree are read from it, not from a list of paths, so both verdicts
+check only the degrees that the pushout graph has.  path_walk is the one
+path enumerator: it lists the paths of length <= n as int ids, each
 holding its parent (the path less its last edge), last edge, end vertex and
 length, so the Leavitt window columns hash ints.  PathWalk.paths builds
 the Path of every id from its parent's, and paths_up_to is that list.
@@ -342,14 +345,18 @@ def is_subgraph(sub: Graph, sup: Graph) -> bool:
 
 
 def path_counts(g: Graph, n: int) -> list:
-    """counts[l][i]: the paths of length l <= n ending at the i-th vertex of
-    sorted(g.vertices), for a tail-free g: every caller's graph is one."""
+    """counts[l][i]: the paths of length l ending at the i-th vertex of
+    sorted(g.vertices), for a tail-free g: every caller's graph is one.
+    The rows stop where the paths do, as path_walk's levels: there is one
+    for each l <= min(n, the longest path of g), each with a nonzero
+    entry, and none for the empty graph.  So g has a path of length k iff
+    len(path_counts(g, k)) > k."""
     at = {v: i for i, v in enumerate(sorted(g.vertices))}
     arcs = [(at[g.src[e]], at[g.tgt[e]]) for e in g.edges]
-    counts = [[1] * len(at)]
-    for _ in range(n):
-        prev, here = counts[-1], [0] * len(at)
+    counts, here = [], [1] * len(at)
+    while any(here) and len(counts) <= n:
+        counts.append(here)
+        prev, here = here, [0] * len(at)
         for s, t in arcs:
             here[t] += prev[s]
-        counts.append(here)
     return counts

@@ -363,7 +363,7 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
         _require_pullback(hom, f"leg {name}")
     if not f.classification.injective:
         raise PreconditionError("P1", "the left leg must be injective")
-    exact = not any(path_counts(po.graph, n // 2 + 1)[-1])
+    exact = len(path_counts(po.graph, n // 2 + 1)) <= n // 2 + 1
     return PullbackReport(exact, tuple(_window_cross_check(f, g, po, n, field)))
 
 
@@ -372,14 +372,15 @@ def _window_sizes(g: Graph, n: int) -> dict:
     c_l(v) = graph.path_counts(g, n)[l][v], the pairs of lengths l1, l2
     ending at v number c_l1(v) c_l2(v), less c_(l1-1)(s gamma)
     c_(l2-1)(s gamma) that end with one special edge gamma; as this is
-    symmetric in l1 and l2, degree -d has the size of degree d."""
+    symmetric in l1 and l2, degree -d has the size of degree d.  Past the
+    last row of counts every c_l is 0, so the loops stop there."""
     counts = path_counts(g, n)
     # each regular vertex, and no other, is s gamma of one special edge gamma
     regular = list(map(g.vertex_classes.regular.__contains__, sorted(g.vertices)))
     at_specials = [list(compress(c, regular)) for c in counts]
     sizes = {}
-    for l2 in range(n // 2 + 1):
-        for l1 in range(l2, n + 1 - l2):
+    for l2 in range(min(n // 2 + 1, len(counts))):
+        for l1 in range(l2, min(n + 1 - l2, len(counts))):
             k = sum(map(mul, counts[l1], counts[l2])) - (
                 l2 and sum(map(mul, at_specials[l1 - 1], at_specials[l2 - 1])))
             if k:

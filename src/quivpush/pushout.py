@@ -222,16 +222,19 @@ class PathDegree(NamedTuple):
 
 
 def path_degrees(f: GraphHom, g: GraphHom, n: int, po: PushoutGraph) -> list:
-    """The PathDegree of each d <= n.  Homomorphisms preserve path length,
-    so the truncated path-set pushout is the pushout of the truncations.
-    E, F and G are listed once; P is only counted."""
-    buckets = [[[] for _ in range(n + 1)] for _ in range(3)]
+    """The PathDegree of each d <= n in which P has a path (see
+    graph.path_counts).  Homomorphisms preserve path length, so the
+    truncated path-set pushout is the pushout of the truncations, and E, F
+    and G have no path longer than P's.  E, F and G are listed once; P is
+    only counted."""
+    counts = path_counts(po.graph, n)
+    buckets = [[[] for _ in counts] for _ in range(3)]
     for by_length, graph in zip(buckets, (f.codomain, g.codomain, f.domain)):
         for p in paths_up_to(graph, n):
             by_length[len(p.edges)].append(p)
     left, right = po.iota_left, po.iota_right
     degrees = []
-    for pe, pf, pg, count in zip(*buckets, path_counts(po.graph, n)):
+    for pe, pf, pg, count in zip(*buckets, counts):
         at_e = {p: i for i, p in enumerate(pe)}
         at_f = {p: i for i, p in enumerate(pf, len(pe))}
         images = ([_path_image(left, p) for p in pe]

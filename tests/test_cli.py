@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivpush.cli import main, parse_element, ExprError
 from quivpush.fields import QQ
-from quivpush.graph import Graph, PreconditionError, paths_up_to
+from quivpush.graph import Graph, PreconditionError, path_counts, paths_up_to
 from quivpush.jsonio import (canonical_dumps, graph_from_obj, graph_to_obj,
                              hom_from_obj, hom_to_obj, FormatError)
 from quivpush.morphism import GraphHom
@@ -611,6 +611,44 @@ def test_integer_options_read_their_one_spelling(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["params"]["max_degree"] == value
     assert main(["proptest", "--suite", "composition", "--cases", "1", "--seed", "-10"]) == 0
     assert capsys.readouterr().out.endswith("1/1 passed (seed -10)\n")
+
+
+@pytest.mark.parametrize("argv, param, bound", [
+    (["verify", "--path", "path_f.json", "path_g.json", "--max-degree"], "max_degree", "1"),
+    (["verify", "--leavitt", "path_f.json", "path_g.json", "--max-degree"], "max_degree", "2"),
+    (["pushout", "path_f.json", "path_g.json", "--check-h"], "check_h", "1"),
+    (["pushout", "onecolor_f.json", "onecolor_g.json", "--check-h"], "check_h", "1"),
+], ids=["path", "leavitt", "check-h", "check-h-onecolor"])
+def test_a_bound_past_the_longest_path_changes_only_the_bound(monkeypatch, capsys,
+                                                             argv, param, bound):
+    """Both squares are acyclic, and their pushout graph's longest path has
+    length 1: a bound of 10**6 checks what the least bound that reaches it
+    checks (2 for the Leavitt windows, as a monomial alpha beta* has total
+    length up to twice the longest path), so the two certificates differ
+    only in the bound, as a param and in the echoed command.  Past the
+    longest path nothing is built, so the large bound costs nothing."""
+    monkeypatch.chdir(pathlib.Path(__file__).parent / "data")
+    certs = []
+    for text in (bound, "1000000"):
+        assert main([*argv, text]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert.pop("command") == [*argv, text]
+        assert cert["params"].pop(param) == int(text)
+        certs.append(cert)
+    assert certs[0] == certs[1]
+    assert certs[0]["ok"] and certs[0]["params"] in ({}, {"field": "q", "mode": "EXACT"})
+
+
+def test_the_empty_square_has_no_degree(tmp_path, capsys):
+    """The square of empty graphs has no path, so both verdicts are EXACT
+    with no degree_<d> row: every degree of all four algebras is 0."""
+    empty = {"vertices": []}
+    hom = _write(tmp_path, "h.json", {"domain": empty, "codomain": empty, "f0": {}, "f1": {}})
+    assert path_counts(Graph(()), 4) == []
+    for mode in ("--path", "--leavitt"):
+        assert main(["verify", mode, hom, hom]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert (cert["ok"], cert["params"]["mode"], cert["checks"]) == (True, "EXACT", [])
 
 
 @pytest.mark.parametrize("seed", ["x", "1.5", ""])

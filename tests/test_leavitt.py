@@ -583,10 +583,14 @@ def _window_sizes(g, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(acyclic=False, max_e=5) | st.just(Graph(())), st.integers(0, 5))
-def test_window_sizes_count_the_window(g, n):
+@given(st.tuples(small_graphs(acyclic=False, max_e=5) | st.just(Graph(())), st.integers(0, 5))
+       | st.tuples(small_graphs(acyclic=True, max_e=5), st.integers(0, 12)))
+def test_window_sizes_count_the_window(draw):
     """The closed-form window sizes against the enumerated window, on
-    drawn graphs with loops, parallel edges and sinks, and the empty graph."""
+    drawn graphs with loops, parallel edges and sinks, and the empty graph,
+    and on acyclic ones at n up to 12, past their longest path, where the
+    path counts stop before n."""
+    g, n = draw
     assert leavitt._window_sizes(g, n) == _window_sizes(g, n)
 
 

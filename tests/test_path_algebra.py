@@ -294,8 +294,9 @@ def test_fiber_count_matches_the_rank_oracle(seed, instance):
 
 def test_exact_and_pushout_dimensions_match_the_enumerated_pushout():
     """EXACT is "acyclic, and n bounds the longest path" by a topological
-    sort, and each dim_pushout is the number of P's listed paths of that
-    length; acyclic P run at n = L - 1, L and L + 1 for its longest path L."""
+    sort, the degrees are 0..min(n, L), and each dim_pushout is the number
+    of P's listed paths of that length; acyclic P run at n = L - 1, L and
+    L + 1 for its longest path L, cyclic P at n = 1, 2 and 3."""
     kinds = Counter()
     for case in range(40):
         for instance in (one_color_instance, path_theorem_instance):
@@ -311,8 +312,9 @@ def test_exact_and_pushout_dimensions_match_the_enumerated_pushout():
                 kinds[acyclic, report.exact] += 1
                 assert report.exact == (acyclic and longest <= n)
                 counts = _path_counts(P, n)
-                assert [d.dim_pushout for d in report.degrees] == [
-                    counts[d] for d in range(n + 1)]
+                degrees = range(min(n, longest) + 1 if acyclic else n + 1)
+                assert [d.degree for d in report.degrees] == list(degrees)
+                assert [d.dim_pushout for d in report.degrees] == [counts[d] for d in degrees]
     assert kinds.keys() == {(True, True), (True, False), (False, False)}
 
 
