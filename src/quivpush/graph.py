@@ -19,7 +19,8 @@ each degree are read from it, not from a list of paths, so both verdicts
 check only the degrees that the pushout graph has.  path_walk is the one
 path enumerator: it lists the paths of length <= n as int ids, each
 holding its parent (the path less its last edge), last edge, end vertex and
-length, so the Leavitt window columns hash ints.  PathWalk.paths builds
+length, so the Leavitt window columns and the path verdict hash ints
+(morphism.walk_images numbers their images).  PathWalk.paths builds
 the Path of every id from its parent's, and paths_up_to is that list.
 
 A Path is its start vertex and its composable edges; the trivial path at

@@ -70,7 +70,7 @@ from .fields import QQ
 from .graph import (Graph, Path, PathWalk, PreconditionError, check_word, path_counts,
                     path_walk, paths_up_to, require_tail_free)
 from .linalg import rank
-from .morphism import GraphHom, DomainMismatch, CATEGORY_CRTBPOG
+from .morphism import GraphHom, DomainMismatch, CATEGORY_CRTBPOG, walk_images
 from .pushout import pushout_square
 from .path_algebra import DegreeCheck, LinearCombination, PullbackReport, path_preimages
 
@@ -395,9 +395,8 @@ def _window_columns(h: GraphHom, n: int, private: dict, columns: dict, images: d
     return the graph.path_walk of the N domain paths of length <= n: the
     i-th and j-th make the row offset + i N + j.  A column is keyed by
     (a, b), the ids of alpha and beta in images, which numbers every
-    codomain path that a domain path maps to, keyed by its vertex if it is
-    trivial and else by the pair of the id of the path less its last edge
-    and that edge; callers that share images share ids.
+    codomain path that a domain path maps to (morphism.walk_images);
+    callers that share images share ids.
 
     Each domain pair adds its normal form to the column of its image if
     that is normal, so every term is a NORMAL domain monomial of the
@@ -413,15 +412,12 @@ def _window_columns(h: GraphHom, n: int, private: dict, columns: dict, images: d
     The caller has already refused any h with no pullback."""
     E, e_special, p_special = h.domain, h.domain.designated, h.codomain.designated
     walk = path_walk(E, n)
-    size, image = len(walk.end), []
+    size, image, f1 = len(walk.end), walk_images(h, walk, images), h.f1
     # by end vertex: id, length, image id, the image's special last edge or
     # None, and the special last edge that CK2 rewrites or None
     ends, redexes = {}, defaultdict(list)
-    for i, (parent, last, end, length) in enumerate(zip(*walk)):
-        hlast = None if last is None else h.f1[last]
-        key = h.f0[end] if last is None else (image[parent], hlast)
-        image.append(images.setdefault(key, len(images)))
-        hs = hlast if hlast in p_special else None
+    for i, (last, end, length) in enumerate(zip(walk.last, walk.end, walk.length)):
+        hs = x if (x := f1.get(last)) in p_special else None
         s = last if hs is None and last in e_special else None
         ends.setdefault(end, []).append((i, length, image[i], hs, s))
         if s is not None:

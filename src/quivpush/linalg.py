@@ -13,22 +13,28 @@ from math import gcd
 def rank(rows: list, p: int) -> int:
     """Rank over Q when p == 0 and over Z/p when p is a prime.
 
-    Each row is reduced against the pivot rows found so far, keyed by lead
-    column, as row := a*row - b*pivot, where a leads the pivot and b the row,
-    so no entry is ever divided.  A surviving row becomes a pivot, divided
-    over Q by the gcd of its entries; over Z/p entries stay reduced mod p.
+    Each row is copied without its zero entries, then reduced against the
+    pivot rows found so far, keyed by lead column, as row := a*row - b*pivot,
+    where a leads the pivot and b the row, so no entry is ever divided.
+    Against a pivot with one entry the row just drops its lead: that is
+    row - (b/a)*pivot over any field.  A surviving row becomes a pivot,
+    divided over Q by the gcd of its entries; over Z/p entries stay reduced
+    mod p.  The input rows are not changed.
     """
     pivots = {}
     for row in rows:
-        row = _combine(1, row, 0, {}, p)
+        row = {c: y for c, x in row.items() if (y := x % p if p else x)}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 content = 1 if p else gcd(*row.values())
-                pivots[lead] = {c: x // content for c, x in row.items()}
+                pivots[lead] = row if content == 1 else {c: x // content for c, x in row.items()}
                 break
-            row = _combine(pivot[lead], row, row[lead], pivot, p)
+            if len(pivot) == 1:
+                del row[lead]
+            else:
+                row = _combine(pivot[lead], row, row[lead], pivot, p)
     return len(pivots)
 
 

@@ -205,6 +205,20 @@ def _path_image(h: GraphHom, p: Path) -> Path:
     return Path(h.f0[p.start], tuple(map(h.f1.__getitem__, p.edges)))
 
 
+def walk_images(h: GraphHom, walk, images: dict) -> list:
+    """The id in images of the image under h of each path of walk, a
+    graph.path_walk of h's domain, with no Path built.  An image is keyed
+    by its vertex if it is trivial, else by the id of its path less the
+    last edge and that edge, and is numbered at its first appearance; two
+    walks that share images, as both injections of a pushout square do,
+    share ids."""
+    f0, f1, image = h.f0, h.f1, []
+    for parent, last, end in zip(walk.parent, walk.last, walk.end):
+        key = f0[end] if last is None else (image[parent], f1[last])
+        image.append(images.setdefault(key, len(images)))
+    return image
+
+
 def desaturating_vertices(g: Graph, h_set) -> frozenset:
     """Regular vertices outside the set whose every emitted edge ends in it."""
     h_set = frozenset(h_set)

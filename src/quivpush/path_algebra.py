@@ -7,10 +7,12 @@ that the eval command reads back.  Its subclasses differ only in the
 product.  A PAElement's terms are basis paths and its product is bilinear
 concatenation.  The pullback along a homomorphism sends a basis path to the
 sum over its path preimages, and the theorem verifier compares graded
-components of the pushout algebra with the fiber product, read off
-pushout.path_degrees: the image by the exact rank over Q of unit rows,
-one per image path, and the pushout and the fiber product by path counts.
-The square commutes by construction of graph_pushout and is not checked.
+components of the pushout algebra with the fiber product: the image by
+the exact rank over Q of unit rows, one per path of E and F at the id of
+its image in P, numbered on the int path walks of E and F as the Leavitt
+window numbers its images (morphism.walk_images), and the pushout and the
+fiber product by path counts.  No Path is built.  The square commutes by
+construction of graph_pushout and is not checked.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import NamedTuple
 
 from .fields import QQ
 from .graph import (Graph, Path, PreconditionError, check_path, path_counts,
-                    require_tail_free)
+                    path_walk, require_tail_free)
 from .linalg import rank
-from .morphism import GraphHom, DomainMismatch, check_valid_hom
-from .pushout import check_theorem_preconditions, path_degrees, pushout_square
+from .morphism import GraphHom, DomainMismatch, check_valid_hom, walk_images
+from .pushout import check_theorem_preconditions, pushout_square
 
 
 class LinearCombination:
@@ -200,8 +202,13 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PullbackReport
     The fiber product in degree d is the kernel of [f* | -g*], with one row
     {f(q): 1, g(q): -1} per length-d path q of G.  vertex_injectivity and
     one_sided_injectivity make one leg injective on paths, so each row has a
-    column of its own: the fiber has dimension |E_d| + |F_d| - |G_d|, the
-    paths of path_degrees less its links.
+    column of its own: the fiber has dimension |E_d| + |F_d| - |G_d|, read
+    off graph.path_counts of G.  The image is ranked from one unit row per
+    path of E and F, at the id that morphism.walk_images gives its image
+    in P on their graph.path_walks, one images dict for both injections.
+    P is only counted, once, to n + 1; E, F and G have no path longer
+    than P's, as homomorphisms keep lengths.  The tests check these
+    numbers against pushout.path_degrees, which lists every path.
 
     Each graded component of a finite graph's path algebra is finite
     dimensional, so the per-degree checks are exact.  There is one for each
@@ -217,12 +224,16 @@ def verify_path_pullback(f: GraphHom, g: GraphHom, n: int = 4) -> PullbackReport
         raise PreconditionError("one_color")
     if not flags.one_sided_injectivity:
         raise PreconditionError("one_sided_injectivity")
-    checks = []
-    for d, deg in enumerate(path_degrees(f, g, n, po)):
-        # each image path is a column, numbered at its first appearance
-        p_idx = {}
-        stacked = [{p_idx.setdefault(q, len(p_idx)): 1} for q in deg.images]
-        checks.append(DegreeCheck(d, deg.count, rank(stacked, 0),
-                                  len(deg.paths) - len(deg.links)))
-    exact = len(path_counts(po.graph, n + 1)) <= n + 1
-    return PullbackReport(exact, tuple(checks))
+    counts = path_counts(po.graph, n + 1)
+    # one unit row per path of E or F, at the id of its image in P
+    rows, images = [[] for _ in counts[:n + 1]], {}
+    for h in (po.iota_left, po.iota_right):
+        walk = path_walk(h.domain, n)
+        for length, i in zip(walk.length, walk_images(h, walk, images)):
+            rows[length].append({i: 1})
+    # one link per path of G; its counts stop at its longest path
+    links = path_counts(f.domain, n)
+    checks = [DegreeCheck(d, sum(count), rank(stacked, 0),
+                          len(stacked) - (sum(links[d]) if d < len(links) else 0))
+              for d, (stacked, count) in enumerate(zip(rows, counts))]
+    return PullbackReport(len(counts) <= n + 1, tuple(checks))

@@ -7,8 +7,10 @@ all serializations are deterministic.  graph_pushout builds every graph
 pushout square, union squares included, and keeps of it only what defines
 it: the graph P and the two injections.  A class of P is the fiber of the
 injections over it.  The universal property is checked by the tests.
-path_degrees gives the path-set square once per degree to verify --path
-and to the comparison map, which is well defined by construction.
+path_degrees gives the path-set square once per degree to the comparison
+map, which is well defined by construction; verify --path counts the same
+numbers on int path walks (path_algebra.verify_path_pullback), and the
+tests check it against path_degrees.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ def path_degrees(f: GraphHom, g: GraphHom, n: int, po: PushoutGraph) -> list:
     graph.path_counts).  Homomorphisms preserve path length, so the
     truncated path-set pushout is the pushout of the truncations, and E, F
     and G have no path longer than P's.  E, F and G are listed once; P is
-    only counted."""
+    only counted.  path_pushout_compare reads it; verify_path_pullback
+    does not, and the tests take it as the oracle of that verdict."""
     counts = path_counts(po.graph, n)
     buckets = [[[] for _ in counts] for _ in range(3)]
     for by_length, graph in zip(buckets, (f.codomain, g.codomain, f.domain)):

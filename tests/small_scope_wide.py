@@ -13,13 +13,15 @@ verify --leavitt counts with the rank of the columns that the tests'
 oracle builds in full, and reports every failed verdict.  It checks Lemma
 B of leavitt._window_cross_check at n = 10: the window sizes satisfy
 E_d + F_d - G_d = P_d in every degree.  Where verify --path does not
-refuse the square, it also checks each degree of pushout.path_degrees:
-each link joins two paths with one image, and the verdict's dim_image is
-the number of distinct images.  It prints each disagreement, then the
-number of squares, how many pairs CK2 rewriting ran on, how many columns
-the count left to rank, with how many of them were dependent, and how
-many path verdicts it checked.  It exits 1 if any square disagreed or
-failed.  test_small_scope.py runs square_lines on a few squares.
+refuse the square, it also checks the verdict against each degree of
+pushout.path_degrees: each link joins two paths with one image, the
+verdict's dim_image is the number of distinct images, its dim_fiber the
+paths less the links and its dim_pushout the count of P's paths.  It
+prints each disagreement, then the number of squares, how many pairs CK2
+rewriting ran on, how many columns the count left to rank, with how many
+of them were dependent, and how many path verdicts it checked.  It exits
+1 if any square disagreed or failed.  test_small_scope.py runs
+square_lines on a few squares.
 """
 
 import json
@@ -54,14 +56,22 @@ def _path_disagreements(f, g, po, n):
         report = verify_path_pullback(f, g, n)
     except PreconditionError:
         return None
-    lines = []
-    for check, deg in zip(report.degrees, path_degrees(f, g, n, po)):
+    degrees = path_degrees(f, g, n, po)
+    lines = [] if len(degrees) == len(report.degrees) else [
+        f"path degrees: {_name(f, g)}: {len(report.degrees)} checked, {len(degrees)} in P"]
+    for check, deg in zip(report.degrees, degrees):
         images = deg.images
         lines += [f"two images: {_name(f, g)} degree {check.degree}: link {i} {j}"
                   for i, j in deg.links if images[i] != images[j]]
         if check.dim_image != len(set(images)):
             lines.append(f"path rank: {_name(f, g)} degree {check.degree}: ranked "
                          f"{check.dim_image}, {len(set(images))} distinct images")
+        if check.dim_fiber != len(deg.paths) - len(deg.links):
+            lines.append(f"path fiber: {_name(f, g)} degree {check.degree}: counted "
+                         f"{check.dim_fiber}, {len(deg.paths)} paths, {len(deg.links)} links")
+        if check.dim_pushout != deg.count:
+            lines.append(f"path pushout: {_name(f, g)} degree {check.degree}: counted "
+                         f"{check.dim_pushout}, {deg.count} paths of P")
     if not report.ok:
         lines.append(f"path failed: {_name(f, g)}: {report.degrees}")
     return lines

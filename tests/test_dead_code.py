@@ -325,14 +325,16 @@ def test_modules_import_only_lower_layers():
     assert not upward, "imports against the layer order: " + ", ".join(upward)
 
 
-def test_path_algebra_reads_the_path_square_of_pushout():
-    """pushout.path_degrees is the one place that lists the paths of E, F
-    and G and maps them into P; path_algebra imports neither the path
-    listing nor the path image to build a square of its own."""
+def test_path_algebra_builds_no_path_square():
+    """verify_path_pullback numbers the images of E's and F's paths on
+    their int walks (morphism.walk_images) and only counts G's and P's
+    paths; path_algebra imports neither the path listing, nor the path
+    image, nor pushout.path_degrees, the path-set square that the
+    comparison map reads."""
     tree = ast.parse((PACKAGE / "path_algebra.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"paths_up_to", "_path_image"}, sorted(imported)
+    assert not imported & {"paths_up_to", "_path_image", "path_degrees"}, sorted(imported)
 
 
 def _memos(tree):

@@ -1,6 +1,7 @@
+import copy
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivpush.linalg import rank
 
@@ -92,3 +93,18 @@ def test_sparse_rank_matches_dense_oracle(matrix, p):
 def test_big_prime_rank_matches_rational_rank(rows):
     # 0/1 matrices: any prime beyond the max minor magnitude is safe
     assert rank(sparse(rows), 32003) == rank(sparse(rows), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.sampled_from([0, 1, -1, 1, -1, 2, -3]),
+                                max_size=3), max_size=10),
+       st.sampled_from([0, 2, 7, 2**31 - 1]))
+@example([{0: 1}, {0: -1, 1: 1}, {1: 2, 0: 3}, {1: -1}], 0)
+@example([{0: 2}, {0: 1, 1: 1}, {1: 1}], 2)
+def test_single_entry_pivots_match_dense_oracle(rows, p):
+    """Sparse rows, mostly of zeros and units, so that many pivots have a
+    single entry, which a row reduces against by dropping its lead; rank
+    leaves its input rows as they were."""
+    before = copy.deepcopy(rows)
+    assert rank(rows, p) == dense_rank([[row.get(c, 0) for c in range(6)] for row in rows], p)
+    assert rows == before

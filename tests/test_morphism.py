@@ -3,13 +3,15 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivpush.graph import Graph, GraphError, Path
-from quivpush.morphism import (GraphHom, HomError, admissible_equiv_crtbpog,
+from quivpush.graph import Graph, GraphError, Path, path_walk
+from quivpush.morphism import (GraphHom, HomError, _path_image, admissible_equiv_crtbpog,
                                breaking_vertices, classify_hom, compose,
                                desaturating_vertices, induced_path_map,
-                               is_admissible)
-from quivpush.randgen import (case_rng, composable_tb_pair, random_graph,
-                              random_injective_hom, random_tb_hom)
+                               is_admissible, walk_images)
+from quivpush.pushout import graph_pushout
+from quivpush.randgen import (case_rng, composable_tb_pair, one_color_instance,
+                              random_general_hom, random_graph, random_injective_hom,
+                              random_tb_hom)
 
 LOOP = Graph.build(["u"], [("l", "u", "u")])
 EDGE = Graph.build(["v", "w"], [("e", "v", "w")])
@@ -116,6 +118,36 @@ def test_induced_path_map_rejects_non_paths():
         induced_path_map(h, Path("v", ("e", "e")))
     with pytest.raises(GraphError, match="e starts at v, not w"):
         induced_path_map(h, Path("w", ("e",)))
+
+
+def _assert_ids_name_images(homs, n=3):
+    """Walk the domain of each hom of homs to length n, all with one images
+    dict: two walked paths get one id exactly when their _path_images are
+    equal, and images has one key per distinct image."""
+    images, ids, targets = {}, [], []
+    for h in homs:
+        walk = path_walk(h.domain, n)
+        ids += walk_images(h, walk, images)
+        targets += [_path_image(h, p) for p in walk.paths()]
+    id_of = {}
+    for i, target in zip(ids, targets):
+        assert id_of.setdefault(target, i) == i, (target, i)
+    # id_of is onto the ids, so a bijection when the counts agree
+    assert len(id_of) == len(set(ids)) == len(images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_walk_images_number_the_path_images(seed):
+    """walk_images agrees with _path_image on a hom with folds, on both
+    injections of its square with itself, and on both injections of a
+    one-color square, each pair sharing one images dict."""
+    rng = case_rng(seed, 8)
+    h = random_general_hom(rng, random_graph(rng, max_v=3, max_e=4, prefix="b"))
+    _assert_ids_name_images([h])
+    for f, g in ((h, h), one_color_instance(rng)):
+        po = graph_pushout(f, g)
+        _assert_ids_name_images([po.iota_left, po.iota_right])
 
 
 @settings(max_examples=25, deadline=None)

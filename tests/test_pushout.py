@@ -460,9 +460,9 @@ def test_leavitt_verify_builds_one_square(monkeypatch, capsys, legs):
 
 def test_verifiers_rank_only_the_image(monkeypatch):
     """Both verifiers count the fiber: per degree they rank the image once.
+    Each walks the paths of E and F and of no other graph, and lists none.
     The Leavitt verifier builds the window columns of the two injections
-    and of no other map, so it walks the paths of E and F and of no other
-    graph, and lists none; the window sizes it counts in closed form."""
+    and of no other map; the window sizes it counts in closed form."""
     calls, walked = Counter(), []
 
     def count(module, name):
@@ -477,7 +477,7 @@ def test_verifiers_rank_only_the_image(monkeypatch):
 
     for module, name in ((leavitt, "rank"), (leavitt, "_window_columns"),
                          (leavitt, "path_walk"), (leavitt, "paths_up_to"),
-                         (path_algebra, "rank")):
+                         (path_algebra, "rank"), (path_algebra, "path_walk")):
         count(module, name)
     for instance in (leavitt_union_instance, admpush_instance):
         for case in range(5):
@@ -492,8 +492,11 @@ def test_verifiers_rank_only_the_image(monkeypatch):
     for case in range(5):
         f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
         calls.clear()
+        walked.clear()
         report = verify_path_pullback(f, g, 3)
-        assert calls == {("quivpush.path_algebra", "rank"): len(report.degrees)}
+        assert calls == {("quivpush.path_algebra", "rank"): len(report.degrees),
+                         ("quivpush.path_algebra", "path_walk"): 2}
+        assert walked == [f.codomain, g.codomain]
 
 
 def _witness_leg():
@@ -621,15 +624,19 @@ def _graph_spy(monkeypatch, module, name):
 
 
 def test_verifiers_list_the_pushout_paths_only_to_name_missing_ones(monkeypatch):
-    """Both verifiers read pushout.path_degrees, which lists the paths of E,
-    F and G once each and only counts P's; path_pushout_compare lists P's
-    paths only when some are missing."""
+    """verify_path_pullback lists no path: it walks the paths of E and F as
+    int ids and only counts G's and P's.  path_pushout_compare reads
+    pushout.path_degrees, which lists the paths of E, F and G once each
+    and only counts P's, and lists P's paths only when some are missing."""
     listed = _graph_spy(monkeypatch, pushout, "paths_up_to")
+    walked = _graph_spy(monkeypatch, path_algebra, "path_walk")
     for case in range(5):
         f, g = one_color_instance(case_rng(112, case), need_one_sided=True)
         listed.clear()
+        walked.clear()
         verify_path_pullback(f, g, 3)
-        assert listed == [f.codomain, g.codomain, f.domain]
+        assert listed == []
+        assert walked == [f.codomain, g.codomain]
     squares = [(_witness_leg(),) * 2]
     for case in range(30):
         rng = case_rng(7, case)

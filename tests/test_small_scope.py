@@ -10,8 +10,11 @@ leavitt.verify_leavitt_pullback and path_algebra.verify_path_pullback
 prove in their docstrings and leave unchecked, verify --leavitt passes,
 its EXACT verdicts count all of L(P), and the image dimension it counts
 is the rank of the columns that the tests' oracle builds in full.  Where
-verify --path does not refuse the square, the image dimension it ranks
-in each degree is the number of distinct image paths.  On every square,
+verify --path does not refuse the square, its three numbers in each
+degree agree with pushout.path_degrees, the path-set square that it
+does not build: the image dimension it ranks is the number of distinct
+image paths, the fiber is the paths less the links, and the pushout's
+count is the same.  On every square,
 the window sizes that verify --leavitt counts satisfy Lemma B of
 leavitt._window_cross_check at each n from 2 to 8.  Each square's
 pushout, path_degrees and Leavitt verdict are built once, by
@@ -98,11 +101,13 @@ def _built_squares():
 
 def _degree_summary(degrees):
     """For each pushout.PathDegree of degrees: whether each of its links
-    joins two paths with one image, and the number of distinct images.
-    _built_squares keeps this in place of the degrees, whose paths would
-    add about 50 MB to the peak memory of a test run."""
+    joins two paths with one image, the number of distinct images, the
+    number of paths less the number of links, and the count of P's paths.
+    _built_squares keeps these ints in place of the degrees, whose paths
+    would add about 50 MB to the peak memory of a test run."""
     return tuple((all(deg.images[i] == deg.images[j] for i, j in deg.links),
-                  len(set(deg.images))) for deg in degrees)
+                  len(set(deg.images)), len(deg.paths) - len(deg.links), deg.count)
+                 for deg in degrees)
 
 
 def _residues(po, n):
@@ -125,7 +130,7 @@ def _assert_pullback_square(f, g, po, degrees, report):
     assert po.iota_left.classification.category == CATEGORY_CRTBPOG, (f, g)
     assert po.iota_right.classification.category == CATEGORY_CRTBPOG, (f, g)
     assert _square_postconditions(f, g, po) == [], (f, g)
-    assert all(linked for linked, _ in degrees), (f, g)
+    assert all(linked for linked, *_ in degrees), (f, g)
     assert report.ok, (f, g)
     ranks = _image_ranks(po, 2, 0)
     assert all(w.dim_image == ranks.get(w.degree, 0) for w in report.degrees), (f, g)
@@ -167,12 +172,13 @@ def test_a_rewritten_column_is_ranked():
 
 def test_path_rank_counts_distinct_images():
     """On each square with a nonempty G that verify_path_pullback does not
-    refuse at n = 2, the dim_image it ranks in each degree is the number of
-    distinct images, len(set(deg.images)), in that degree of the
-    pushout.path_degrees, as _built_squares keeps it: the rank of unit rows,
-    one per image path, is the number of distinct rows, and the verdict
-    passes.  Of the 3,608 squares, 2,648 get a verdict and 960 are
-    refused."""
+    refuse at n = 2, its degrees agree with pushout.path_degrees, the
+    oracle, as _built_squares keeps it.  In each degree the dim_image it
+    ranks is the number of distinct images, len(set(deg.images)): the rank
+    of unit rows, one per image path, is the number of distinct rows.  Its
+    dim_fiber, counted from G's paths, is len(deg.paths) - len(deg.links),
+    and its dim_pushout is deg.count.  The verdict passes.  Of the 3,608
+    squares, 2,648 get a verdict and 960 are refused."""
     counts = {"verdict": 0, "refused": 0}
     for f, g, _, degrees, _ in _built_squares():
         if not f.domain.vertices:
@@ -183,8 +189,8 @@ def test_path_rank_counts_distinct_images():
             counts["refused"] += 1
             continue
         counts["verdict"] += 1
-        distinct = [count for _, count in degrees]
-        assert [d.dim_image for d in report.degrees] == distinct, (f, g)
+        assert [(d.dim_image, d.dim_fiber, d.dim_pushout) for d in report.degrees] \
+            == [(distinct, fiber, count) for _, distinct, fiber, count in degrees], (f, g)
         assert report.ok, (f, g)
     assert counts == {"verdict": 2648, "refused": 960}
 
