@@ -48,7 +48,8 @@ def graph_from_obj(obj, path=None) -> Graph:
         raise FormatError("'vertices' must be a list of strings", path)
     known = set(vertices)
     if len(known) != len(vertices):
-        first = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+        seen = set()
+        first = next(v for v in vertices if v in seen or seen.add(v))
         raise FormatError(f"duplicate vertex id {first!r}", path)
     src, tgt = {}, {}
     edges = obj.get("edges", [])

@@ -336,6 +336,13 @@ def verify_leavitt_pullback(f: GraphHom, g: GraphHom, n: int = 4,
         class of t(y).  Regular: a class is a sink when all its members
         are, a vertex that maps to a sink is a sink, and f and g send sinks
         to sinks, so the class of a sink of E or F is a sink.
+    The last item holds with the legs swapped: graph_pushout(g, f) is this
+    square with E and F trading places, its classes named from the other
+    side, so its injections are CRTBPOG too when g is the injective leg.
+    So a pushout of CRTBPOG legs, one of them injective, has CRTBPOG
+    injections; this is the closure that the admpush property suite used
+    to probe as a conjecture, and the tests check it on every small square
+    and its mirror.
     The breaking-arrow identity (pushout.breakarrow_identity) holds
     wherever the kernel correspondence and commutativity do, so here too.
 

@@ -2,9 +2,7 @@
 
 Each suite draws one instance satisfying its hypotheses and checks the
 claimed conclusion.  Failures are minimized by greedy vertex/edge deletion
-preserving the failure, then reported as findings; the admpush suite in
-particular treats its closure property as a conjecture to probe, never as
-an assumption.
+preserving the failure, then reported as findings.
 """
 
 from __future__ import annotations
@@ -143,31 +141,6 @@ def suite_captocup(rng) -> CaseResult:
                       f"F={small[0]!r} G={small[1]!r}")
 
 
-def suite_admpush(rng) -> CaseResult:
-    f, g = randgen.admpush_instance(rng)
-
-    def fails(ff, gg):
-        if ff.problems or gg.problems:
-            return False
-        cf, cg = classify_hom(ff), classify_hom(gg)
-        if not (cf.target_bijective and cf.regular and cg.target_bijective
-                and cg.regular):
-            return False
-        if not (cf.injective or cg.injective):
-            return False
-        po = pushout_square(ff, gg)
-        ce = classify_hom(po.iota_left)
-        cf2 = classify_hom(po.iota_right)
-        return not (ce.target_bijective and ce.regular
-                    and cf2.target_bijective and cf2.regular)
-
-    if not fails(f, g):
-        return CaseResult(True)
-    small = minimize_legs(fails, f, g)
-    return CaseResult(False, "pushout injections lost regularity or target bijectivity",
-                      _show_legs(*small))
-
-
 def suite_h_bijective(rng) -> CaseResult:
     f, g = randgen.one_color_instance(rng)
     if path_pushout_compare(f, g, 4, pushout_square(f, g)).bijective:
@@ -252,7 +225,6 @@ SUITES = {
     "composition": suite_composition,
     "admissible-equiv": suite_admissible_equiv,
     "captocup": suite_captocup,
-    "admpush": suite_admpush,
     "h-bijective": suite_h_bijective,
     "pa-hom": suite_pa_hom,
     "lk-hom": suite_lk_hom,

@@ -16,12 +16,13 @@ E_d + F_d - G_d = P_d in every degree.  Where verify --path does not
 refuse the square, it also checks the verdict against each degree of
 pushout.path_degrees: each link joins two paths with one image, the
 verdict's dim_image is the number of distinct images, its dim_fiber the
-paths less the links and its dim_pushout the count of P's paths.  It
-prints each disagreement, then the number of squares, how many pairs CK2
-rewriting ran on, how many columns the count left to rank, with how many
-of them were dependent, and how many path verdicts it checked.  It exits
-1 if any square disagreed or failed.  test_small_scope.py runs
-square_lines on a few squares.
+paths less the links and its dim_pushout the count of P's paths.  On the
+mirror of each square, graph_pushout(g, f), both injections must be
+CRTBPOG.  It prints each disagreement, then the number of squares, how
+many pairs CK2 rewriting ran on, how many columns the count left to rank,
+with how many of them were dependent, and how many path verdicts it
+checked.  It exits 1 if any square disagreed or failed.
+test_small_scope.py runs square_lines on a few squares.
 """
 
 import json
@@ -36,6 +37,7 @@ from test_small_scope import _fiber_sizes, _residues, _squares, _window_vector  
 from quivpush import jsonio, leavitt  # noqa: E402
 from quivpush.graph import PreconditionError  # noqa: E402
 from quivpush.linalg import rank  # noqa: E402
+from quivpush.morphism import CATEGORY_CRTBPOG  # noqa: E402
 from quivpush.path_algebra import verify_path_pullback  # noqa: E402
 from quivpush.pushout import graph_pushout, path_degrees  # noqa: E402
 
@@ -82,7 +84,8 @@ def square_lines(f, g, po, sizes, n=N, lemma_b_n=LEMMA_B_N):
     print, and whether verify --path gave a verdict: the Leavitt verdict
     and the oracle rank at n, Lemma B at lemma_b_n, with the window sizes
     kept in sizes (see test_small_scope._window_vector), and the path
-    verdict at n."""
+    verdict at n, and the injections of the mirror square graph_pushout(g,
+    f)."""
     report = leavitt.verify_leavitt_pullback(f, g, n)
     ranks = _image_ranks(po, n, 0)
     lines = [f"disagree: {_name(f, g)} degree {w.degree}: counted {w.dim_image}, "
@@ -95,6 +98,10 @@ def square_lines(f, g, po, sizes, n=N, lemma_b_n=LEMMA_B_N):
     if fiber != window:
         lines.append(f"lemma B: {_name(f, g)}: degrees -{lemma_b_n}..{lemma_b_n}: "
                      f"E + F - G {fiber}, P {window}")
+    mirror = graph_pushout(g, f)
+    lines += [f"mirror: {_name(f, g)}: {side} injection is {iota.classification.category}"
+              for side, iota in (("left", mirror.iota_left), ("right", mirror.iota_right))
+              if iota.classification.category != CATEGORY_CRTBPOG]
     path_lines = _path_disagreements(f, g, po, n)
     return lines + (path_lines or []), path_lines is not None
 

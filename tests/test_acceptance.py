@@ -9,9 +9,9 @@ import time
 
 from quivpush.fields import QQ
 from quivpush.graph import Graph, paths_up_to, union_graph
-from quivpush.morphism import (GraphHom, admissible_equiv_crtbpog, classify_hom,
-                               compose, is_admissible, regular_vertices)
-from quivpush.pushout import (check_theorem_preconditions, class_id,
+from quivpush.morphism import (CATEGORY_CRTBPOG, GraphHom, admissible_equiv_crtbpog,
+                               classify_hom, compose, is_admissible, regular_vertices)
+from quivpush.pushout import (check_theorem_preconditions, class_id, graph_pushout,
                               path_pushout_compare, pushout_square, set_pushout)
 from quivpush.path_algebra import (PAElement, pa_mul, pa_pullback, pa_unit,
                                    verify_path_pullback)
@@ -20,7 +20,6 @@ from quivpush.leavitt import (LElement, edge_monomial, ghost_monomial, l_mul,
                               normal_monomials_window, verify_leavitt_pullback,
                               vertex_monomial)
 from quivpush import randgen
-from quivpush.proptest import run_suite
 from test_graph import longest_by_order
 from test_leavitt import (leavitt_dimension_enumerated, leavitt_dimension_oracle,
                           verify_descent)
@@ -285,14 +284,20 @@ def test_criterion_12_path_pullback_exact_acyclic():
             elapsed=time.time() - start)
 
 
-def test_criterion_13_admpush_probe():
-    """A conjecture probe: a finding is reported, never a failure, but every
-    case must be counted and every finding must carry a minimized witness."""
+def test_criterion_13_admpush_closure():
+    """Pushout closure of CRTBPOG legs, one of them injective, a theorem
+    proved in leavitt.verify_leavitt_pullback's docstring: on 500 draws of
+    randgen.admpush_instance that meet its hypothesis, both injections of
+    graph_pushout are CRTBPOG, and a counterexample fails here."""
     start = time.time()
-    holds, findings = run_suite("admpush", 113, 500)
-    for i, result in findings:
-        print(f"ACCEPTANCE 13 finding: case {i}: {result.detail}; "
-              f"minimized counterexample {result.minimized}")
-    ok = holds + len(findings) == 500 and all(r.minimized for _, r in findings)
-    _report(13, "admpush-probe", ok, f"{holds}/500 hold, {len(findings)} findings",
+    good = 0
+    for i in range(500):
+        f, g = randgen.admpush_instance(randgen.case_rng(113, i))
+        assert not (f.problems or g.problems), i
+        assert f.classification.category == g.classification.category == CATEGORY_CRTBPOG, i
+        assert f.classification.injective or g.classification.injective, i
+        po = graph_pushout(f, g)
+        good += all(iota.classification.category == CATEGORY_CRTBPOG
+                    for iota in (po.iota_left, po.iota_right))
+    _report(13, "admpush-closure", good == 500, f"{good}/500",
             elapsed=time.time() - start)

@@ -674,6 +674,15 @@ def test_proptest_unknown_suite(capsys):
     assert "'admissible-equiv'" in err
 
 
+def test_admpush_is_an_unknown_suite(capsys):
+    """Pushout closure of CRTBPOG legs is a theorem, checked in the tests,
+    so admpush is no suite: naming it is a parse error listing the rest."""
+    assert main(["proptest", "--suite", "admpush", "--cases", "1"]) == 2
+    assert capsys.readouterr() == ("", "parse error: --suite admpush: unknown suite; choose from "
+                                   "['admissible-equiv', 'breakarrow', 'captocup', 'composition', "
+                                   "'h-bijective', 'kerver', 'lk-hom', 'pa-hom']\n")
+
+
 def test_proptest_runs_cases(capsys):
     assert main(["proptest", "--suite", "admissible-equiv", "--seed", "7",
                  "--cases", "25"]) == 0
@@ -770,6 +779,10 @@ MALFORMED = {
                          "each edge needs 'id', 'src' and 'tgt'"),
     "duplicate vertex id": (["eval", "g", "1"], {"g": {"vertices": ["v", "w", "w", "v"]}}, 2,
                             "duplicate vertex id 'w'"),
+    # 40,000 vertices whose only repeat is the last: found in one pass
+    "late duplicate vertex id": (["eval", "g", "1"],
+                                 {"g": {"vertices": [f"v{i}" for i in range(39999)] + ["v0"]}},
+                                 2, "g.json: duplicate vertex id 'v0'"),
     "duplicate edge id": (["eval", "g", "1"],
                           {"g": {"vertices": ["v"],
                                  "edges": [{"id": "e", "src": "v", "tgt": "v"}] * 2}}, 2,

@@ -16,10 +16,13 @@ does not build: the image dimension it ranks is the number of distinct
 image paths, the fiber is the paths less the links, and the pushout's
 count is the same.  On every square,
 the window sizes that verify --leavitt counts satisfy Lemma B of
-leavitt._window_cross_check at each n from 2 to 8.  Each square's
+leavitt._window_cross_check at each n from 2 to 8.  The mirror of each
+square, graph_pushout(g, f) with the injective leg on the right, has
+CRTBPOG injections too.  Each square's
 pushout, path_degrees and Leavitt verdict are built once, by
 _built_squares, for every test that reads them.  small_scope_wide.py
-makes the Leavitt and path checks on a wider scope, outside the test run.
+makes the Leavitt, path and mirror checks on a wider scope, outside the
+test run.
 """
 
 import functools
@@ -146,6 +149,19 @@ def test_every_small_square_is_a_pullback_square():
     assert sum(1 for f, *_ in squares if f.domain.vertices) == 3608
     for square in squares:
         _assert_pullback_square(*square)
+
+
+def test_every_mirrored_small_square_has_crtbpog_injections():
+    """The mirror of each square: for the legs (f, g) of each of the 8,232
+    squares, graph_pushout(g, f) has its injective leg on the right, and
+    both its injections are CRTBPOG, as verify_leavitt_pullback's docstring
+    proves.  No verdict is built on these squares."""
+    squares = _squares()
+    assert len(squares) == 8232
+    for f, g in squares:
+        po = graph_pushout(g, f)
+        assert po.iota_left.classification.category == CATEGORY_CRTBPOG, (g, f)
+        assert po.iota_right.classification.category == CATEGORY_CRTBPOG, (g, f)
 
 
 def test_a_rewritten_column_is_ranked():
